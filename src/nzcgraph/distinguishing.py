@@ -5,8 +5,9 @@ vertex colours. Three engines can decide that, with different feasibility
 envelopes:
 
 * :func:`is_distinguishing` scans an explicitly enumerated group;
-* :func:`structural_survivors` scans all n! basis-permutation extensions for
-  q = 2 without materialising the group (feasible through n = 10);
+* :func:`structural_survivors` searches the basis-permutation extensions for
+  q = 2 level by level, pruned by basis and class-2 colours, without
+  materialising the group or S_n;
 * :func:`find_color_preserving` searches for a colour-preserving
   automorphism directly by backtracking over a colour-refined partition,
   so it works even when the group is far too large to enumerate.
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
 from .reporting import ANOMALY, FAIL, PASS, CheckReport
-from .symmetry import (AutGroup, _refine_by_neighbors,
+from .symmetry import (AutGroup, _extend_images_batch, _refine_by_neighbors,
                        extend_basis_permutation, is_automorphism)
 
 DEFAULT_EXACT_CAP = 30
@@ -98,57 +99,55 @@ def is_distinguishing(g: NzcGraph, grp: AutGroup, f: Labeling) -> bool:
     return True
 
 
-def _all_perms_array(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as an array, built by insertion."""
-    out = np.zeros((1, 1), dtype=np.int8)
-    for k in range(2, n + 1):
-        blocks = []
-        for j in range(k):
-            b = np.empty((out.shape[0], k), dtype=np.int8)
-            b[:, :j] = out[:, :j]
-            b[:, j] = k - 1
-            b[:, j + 1:] = out[:, j:]
-            blocks.append(b)
-        out = np.vstack(blocks)
-    return out
-
-
 def structural_survivors(g: NzcGraph, f: Labeling, *, chunk: int = 4096,
                          perm_budget: int = DEFAULT_PERM_BUDGET) -> list[tuple[int, ...]]:
     """Basis permutations whose extension preserves the labeling (q = 2).
 
-    Scans all n! permutations without materialising vertex images for the
-    whole group: a cheap colour filter on the basis vertices first, then a
-    full skeleton-level check of the survivors in chunks. The identity is
-    excluded from the returned list, so an empty result means the labeling
-    is distinguishing against every basis-permutation extension.
+    Builds sigma level by level without enumerating S_n: level k extends each
+    partial permutation only into unused indices j with the basis colour of
+    b_k, keeping the extensions under which every class-2 vertex
+    {b_i, b_k}, i < k, keeps its colour as {b_sigma(i), b_j}. Both tests are
+    necessary, so the search is complete; the survivors of the last level
+    then get the full skeleton-level colour check in chunks. `perm_budget`
+    bounds the partial permutations alive at any level. The result is in
+    lexicographic order and excludes the identity, so an empty result means
+    the labeling is distinguishing against every basis-permutation extension.
     """
     if g.params.q != 2:
         raise UnsupportedFieldError("structural scan requires q = 2")
     n = g.params.n
-    if factorial(n) > perm_budget:
-        raise CapExceededError(f"{factorial(n)} permutations exceed budget {perm_budget}")
-    nv = g.num_vertices
-    if len(f.colors) != nv:
+    if len(f.colors) != g.num_vertices:
         raise ValueError("labeling length does not match the vertex count")
-    colors_by_mask = np.zeros(1 << n, dtype=np.int32)
-    colors_by_mask[1:] = f.colors
-    perms = _all_perms_array(n)
-    basis_colors = colors_by_mask[1 << np.arange(n)]
-    keep = (basis_colors[perms] == basis_colors[None, :]).all(axis=1)
-    candidates = perms[keep]
-    masks = np.arange(1 << n, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
+    colors = np.asarray(f.colors, dtype=np.int32)  # vertex id = skeleton mask - 1
+    bit = 1 << np.arange(n)
+    pair = colors[(bit[:, None] | bit[None, :]) - 1]  # diagonal: basis colours
+    basis = np.diagonal(pair)
+    partial = np.zeros((1, 0), dtype=np.int64)
+    for k in range(n):
+        allowed = basis == basis[k]
+        grown = []
+        alive = 0
+        for start in range(0, len(partial), chunk):
+            block = partial[start:start + chunk]
+            free = np.ones((len(block), n), dtype=bool)
+            free[np.arange(len(block))[:, None], block] = False
+            rows, js = np.nonzero(free & allowed)
+            keep = (pair[block[rows], js[:, None]] == pair[:k, k]).all(axis=1)
+            rows, js = rows[keep], js[keep]
+            alive += len(rows)
+            if alive > perm_budget:
+                raise CapExceededError(
+                    f"more than {perm_budget} partial basis permutations at level {k + 1}")
+            grown.append(np.column_stack([block[rows], js]))
+        partial = np.concatenate(grown)
+        if not len(partial):
+            return []
     survivors = []
-    ident = np.arange(n)
-    for start in range(0, len(candidates), chunk):
-        block = candidates[start:start + chunk].astype(np.int64)
-        weights = 1 << block
-        images = bits @ weights.T  # (2^n, m): image mask of every mask
-        ok = (colors_by_mask[images[1:]] == colors_by_mask[1:, None]).all(axis=0)
-        for row in block[ok]:
-            if not (row == ident).all():
-                survivors.append(tuple(int(x) for x in row))
+    partial = partial[1:]  # the identity passes every level and sorts first
+    for start in range(0, len(partial), chunk):
+        block = partial[start:start + chunk]
+        ok = (colors[_extend_images_batch(g, block)] == colors).all(axis=1)
+        survivors.extend(map(tuple, block[ok].tolist()))
     return survivors
 
 
@@ -503,7 +502,7 @@ def _validate_labeling(g: NzcGraph, f: Labeling, grp: AutGroup | None) -> bool:
     """Check a labeling with the strongest feasible engine."""
     if grp is not None:
         return is_distinguishing(g, grp, f)
-    if g.params.q == 2 and factorial(g.params.n) <= DEFAULT_PERM_BUDGET:
+    if g.params.q == 2:
         return is_distinguishing_structural(g, f)
     return is_distinguishing_search(g, f)
 

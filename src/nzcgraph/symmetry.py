@@ -200,7 +200,8 @@ class AutGroup:
         rows = self._bytes()
         if ident.tobytes() not in rows:
             failures.append("identity not in group")
-        invs = np.argsort(self.perms, axis=1).astype(np.int64)
+        invs = np.zeros((self.order, nv), dtype=np.int64)
+        invs[np.arange(self.order)[:, None], self.perms] = ident
         for i in range(self.order):
             if invs[i].tobytes() not in rows:
                 failures.append(f"inverse of element {i} missing")
@@ -450,8 +451,8 @@ def check_extension_isomorphism(graph: NzcGraph, *, samples: int = 1000, seed: i
     n = graph.params.n
     failures = []
     details: dict = {}
-    all_sigmas = list(itertools.permutations(range(n)))
     if n <= 4:
+        all_sigmas = list(itertools.permutations(range(n)))
         pairs = [(h1, h2) for h1 in all_sigmas for h2 in all_sigmas]
         details["mode"] = "exhaustive"
     else:

@@ -1,11 +1,16 @@
 """Labelings, distinguishing engines, and the distinguishing-number search."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 import nzcgraph as nz
-from nzcgraph import SpaceParams, UnsupportedFieldError
+from nzcgraph import CapExceededError, SpaceParams, UnsupportedFieldError
 from nzcgraph.distinguishing import (all_distinct_labeling, constant_labeling,
                                      transposition_report)
+from nzcgraph.symmetry import _extend_images_batch
 
 
 def vid(g, coeffs):
@@ -222,6 +227,54 @@ def test_structural_survivors_find_preserving_perms():
     f = nz.Labeling(colors, 3)
     assert len(nz.structural_survivors(g, f)) == 5  # all of S_3 minus identity
     assert not nz.is_distinguishing_structural(g, f)
+
+
+def brute_force_survivors(g, f):
+    """Every non-identity basis permutation whose extension keeps each colour."""
+    n = g.params.n
+    sigmas = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    colors = np.asarray(f.colors)
+    ok = (colors[_extend_images_batch(g, sigmas)] == colors).all(axis=1)
+    return [tuple(int(x) for x in row) for row in sigmas[ok][1:]]
+
+
+def test_structural_survivors_match_brute_force():
+    rng = random.Random(11)
+    for n in range(3, 7):
+        g = nz.build(SpaceParams(n, 2))
+        nv = g.num_vertices
+        labelings = [nz.Labeling((1,) * nv, 1)]
+        for t in (1, 2, 3):
+            for _ in range(3):
+                labelings.append(nz.Labeling(tuple(rng.randint(1, t) for _ in range(nv)), t))
+        # colours constant on the vertex cycles of a random basis permutation
+        image = nz.extend_basis_permutation(g, rng.sample(range(n), n)).image
+        colors = [0] * nv
+        for v in range(nv):
+            if not colors[v]:
+                c, w = rng.randint(1, 2), v
+                while not colors[w]:
+                    colors[w] = c
+                    w = image[w]
+        labelings.append(nz.Labeling(tuple(colors), 2))
+        for f in labelings:
+            assert nz.structural_survivors(g, f) == brute_force_survivors(g, f)
+
+
+def test_structural_survivors_budget_bounds_partial_perms():
+    g = nz.build(SpaceParams(5, 2))
+    f = nz.Labeling((1,) * g.num_vertices, 1)
+    with pytest.raises(CapExceededError):
+        nz.structural_survivors(g, f, perm_budget=10)
+    assert len(nz.structural_survivors(g, f, perm_budget=120)) == 119
+
+
+def test_two_colour_scheme_n11_scan_and_dist_number():
+    g = nz.build(SpaceParams(11, 2))
+    assert nz.structural_survivors(g, nz.constructive_labeling_q2(g)) == []
+    result = nz.dist_number(g)
+    assert result.value == 2
+    assert result.upper_source == "two-colour-scheme"
 
 
 def test_engines_agree_on_random_labelings():

@@ -1,6 +1,7 @@
 """Automorphism engines, group machinery, and the structural property checks."""
 
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -192,3 +193,15 @@ def test_restrict_rejects_corrupted_map():
     bad = nz.Automorphism((2, 1, 0))  # unchecked construction on purpose
     with pytest.raises(ValueError):
         nz.restrict_to_basis(bad, g)
+
+
+def test_sampled_extension_isomorphism_memory_n10():
+    g = nz.build(SpaceParams(10, 2))
+    tracemalloc.start()
+    try:
+        report = nz.check_extension_isomorphism(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.details["mode"] == "sampled"
+    assert peak < 100 * 2**20

@@ -90,7 +90,7 @@ def is_distinguishing(g: NzcGraph, grp: AutGroup, f: Labeling) -> bool:
     if len(f.colors) != nv:
         raise ValueError("labeling length does not match the vertex count")
     c = np.asarray(f.colors, dtype=np.int32)
-    perms = grp.perms.astype(np.int64)
+    perms = grp.perms
     preserved = (c[perms] == c[None, :]).all(axis=1)
     ident = np.arange(nv)
     for i in np.nonzero(preserved)[0]:

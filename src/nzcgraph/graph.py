@@ -100,14 +100,10 @@ class NzcGraph:
         return self._twin_sets
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.num_vertices):
-            row = self.adj[v] >> (v + 1) << (v + 1)  # keep u > v only
-            while row:
-                low = row & -row
-                out.append((v, low.bit_length() - 1))
-                row ^= low
-        return out
+        """Edges (v, u) with v < u, in row-major order."""
+        v, u = np.nonzero(np.triu(self.adjacency_matrix(), 1))
+        # tuples of ints drop out of the cyclic GC; lists would stay tracked
+        return list(zip(v.tolist(), u.tolist()))
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -130,28 +126,37 @@ def build(params: vs.SpaceParams) -> NzcGraph:
     return NzcGraph.build(params)
 
 
+def skeleton_intersections(skeletons) -> np.ndarray:
+    """Boolean matrix of u != v with S_u & S_v != 0.
+
+    Built in row blocks of about 2^20 cells, so the integer temporaries stay
+    bounded whatever the vertex count.
+    """
+    s = np.asarray(skeletons, dtype=np.int64)
+    nv = len(s)
+    out = np.empty((nv, nv), dtype=bool)
+    step = max(1, (1 << 20) // nv)
+    for lo in range(0, nv, step):
+        np.not_equal(s[lo:lo + step, None] & s, 0, out=out[lo:lo + step])
+    np.fill_diagonal(out, False)
+    return out
+
+
 def degree(g: NzcGraph, v: int) -> int:
     return g.degree(v)
 
 
 def check_adjacency_invariants(g: NzcGraph) -> CheckReport:
     """Adjacency is symmetric, irreflexive, and matches skeleton intersection."""
-    failures = []
-    for v in range(g.num_vertices):
-        if g.adj[v] >> v & 1:
-            failures.append(f"vertex {v} adjacent to itself")
     m = g.adjacency_matrix()
+    failures = [f"vertex {v} adjacent to itself" for v in np.flatnonzero(m.diagonal()).tolist()]
     if not (m == m.T).all():
         failures.append("adjacency matrix is not symmetric")
-    for v in range(g.num_vertices):
-        expect = 0
-        sv = g.skeletons[v]
-        for u in range(g.num_vertices):
-            if u != v and g.skeletons[u] & sv:
-                expect |= 1 << u
-        if expect != g.adj[v]:
-            failures.append(f"row {v} does not match skeleton intersections")
-            break
+    # the matrix drops bits past the last vertex; a row carrying any is wrong too
+    bad = (m != skeleton_intersections(g.skeletons)).any(axis=1)
+    bad |= np.array([row >> g.num_vertices != 0 for row in g.adj])
+    if bad.any():
+        failures.append(f"row {int(bad.argmax())} does not match skeleton intersections")
     return CheckReport(
         claim="adjacency-invariants",
         statement="u ~ v iff S_u and S_v intersect and u != v; adjacency symmetric and irreflexive",

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
+
+import numpy as np
+
 from . import vectorspace as vs
-from .graph import NzcGraph
+from .graph import NzcGraph, skeleton_intersections
 
 
 def graph_to_dict(g: NzcGraph) -> dict:
@@ -20,13 +25,17 @@ def graph_to_dict(g: NzcGraph) -> dict:
             }
             for v in range(g.num_vertices)
         ],
-        "edges": [[u, w] for u, w in g.edges()],
+        "edges": g.edges(),
         "twin_sets": [list(ts) for ts in g.twin_sets()],
     }
 
 
 def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcGraph:
-    """Reconstruct a graph from the dict schema, validating consistency."""
+    """Reconstruct a graph from the dict schema, validating consistency.
+
+    Vertices must match their canonical ids, skeletons and classes; the edge
+    list must be exactly the skeleton-intersection graph, each edge once.
+    """
     params = vs.SpaceParams(int(data["n"]), int(data["q"]), vertex_cap)
     entries = sorted(data["vertices"], key=lambda e: e["id"])
     if [e["id"] for e in entries] != list(range(params.num_vertices)):
@@ -44,12 +53,29 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
             raise ValueError(f"vertex {e['id']}: class does not match skeleton size")
         vertices.append(coeffs)
         skeletons.append(mask)
-    adj = [0] * params.num_vertices
-    for u, w in data["edges"]:
-        if u == w:
-            raise ValueError("self-loop in edge list")
-        adj[u] |= 1 << w
-        adj[w] |= 1 << u
+    nv = params.num_vertices
+    edges = data["edges"]
+    # count first, before any nv x nv allocation: deg v = q^n - q^(n - |S_v|) - 1
+    q, n = params.q, params.n
+    want = sum(q**n - q ** (n - s.bit_count()) - 1 for s in skeletons) // 2
+    if len(edges) != want:
+        raise ValueError(f"edge list has {len(edges)} entries, the graph has {want} edges")
+    try:
+        if not set(map(len, edges)) <= {2}:
+            raise ValueError("edge entry is not a pair")
+        flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(edges)),
+                           dtype=np.int64, count=2 * len(edges))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"edge entries must be pairs of vertex ids: {exc}") from None
+    if ((flat < 0) | (flat >= nv)).any():
+        raise ValueError(f"edge endpoint outside 0..{nv - 1}")
+    u, w = flat.reshape(-1, 2).T
+    m = np.zeros((nv, nv), dtype=bool)
+    m[u, w] = m[w, u] = True
+    # with the count above, equality also rules out self-loops and duplicates
+    if not np.array_equal(m, skeleton_intersections(skeletons)):
+        raise ValueError("edge list is not the skeleton-intersection graph, each edge once")
+    adj = [int.from_bytes(r.tobytes(), "little") for r in np.packbits(m, 1, bitorder="little")]
     return NzcGraph(params, vertices, skeletons, adj)
 
 

@@ -221,10 +221,14 @@ def _report_observed_group_order(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
 
 def _report_json_roundtrip(g: NzcGraph) -> CheckReport:
     data = serialize.graph_to_dict(g)
-    back = serialize.graph_from_dict(data, vertex_cap=g.params.vertex_cap)
     failures = []
-    if not serialize.graphs_equal(g, back):
-        failures.append("re-imported graph differs from the original")
+    try:
+        back = serialize.graph_from_dict(data, vertex_cap=g.params.vertex_cap)
+    except ValueError as exc:
+        failures.append(f"emitted JSON does not re-import: {exc}")
+    else:
+        if not serialize.graphs_equal(g, back):
+            failures.append("re-imported graph differs from the original")
     return CheckReport(
         claim="json-roundtrip",
         statement="emitted JSON re-imports to an identical graph",

@@ -1,6 +1,7 @@
 """CLI behaviour: formats, exit codes, config file, verify certificates."""
 
 import json
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -134,6 +135,78 @@ def test_roundtrip_rejects_tampered_edges():
     data["edges"].append([0, 0])
     with pytest.raises(ValueError):
         serialize.graph_from_dict(data)
+
+
+def test_roundtrip_accepts_tuple_and_list_pairs():
+    for n, q in [(4, 2), (2, 3)]:
+        g = nz.build(SpaceParams(n, q))
+        data = serialize.graph_to_dict(g)
+        assert serialize.graphs_equal(g, serialize.graph_from_dict(data))
+        loaded = json.loads(json.dumps(data))
+        assert loaded["edges"] == [list(e) for e in data["edges"]]
+        assert serialize.graphs_equal(g, serialize.graph_from_dict(loaded))
+
+
+def _tampered(edit):
+    g = nz.build(SpaceParams(4, 2))
+    data = json.loads(json.dumps(serialize.graph_to_dict(g)))
+    edit(data["edges"], g.num_vertices)
+    return data
+
+
+NOT_THE_GRAPH = "not the skeleton-intersection graph, each edge once"
+
+
+# apart from "missing" and "extra", each edit keeps the edge count (4,2) has
+@pytest.mark.parametrize("edit, reason", [
+    (lambda es, nv: es.pop(7), "edge list has 79 entries, the graph has 80 edges"),
+    (lambda es, nv: es.append(list(es[3])), "edge list has 81 entries"),
+    (lambda es, nv: es.__setitem__(7, list(es[3])), NOT_THE_GRAPH),
+    (lambda es, nv: es.__setitem__(7, es[3][::-1]), NOT_THE_GRAPH),
+    (lambda es, nv: es.__setitem__(7, [6, 7]), NOT_THE_GRAPH),
+    (lambda es, nv: es.__setitem__(0, [es[0][0], nv]), "outside 0..14"),
+    (lambda es, nv: es.__setitem__(0, [-1, es[0][1]]), "outside 0..14"),
+    (lambda es, nv: es.__setitem__(0, es[0] + [0]), "not a pair"),
+    (lambda es, nv: es.__setitem__(0, [es[0][0]] * 2), NOT_THE_GRAPH),
+    (lambda es, nv: es.__setitem__(0, [es[0][0], float(es[0][1])]), "pairs of vertex ids"),
+], ids=["missing", "extra", "duplicate", "duplicate-reversed", "non-edge", "out-of-range",
+        "negative", "triple", "self-loop", "float"])
+def test_graph_from_dict_rejects_bad_edges(edit, reason):
+    with pytest.raises(ValueError, match=reason):
+        serialize.graph_from_dict(_tampered(edit))
+
+
+def test_graph_from_dict_rejects_short_edge_list_before_dense_matrices():
+    # at (11,2) each 2,047 x 2,047 bool matrix is 4.2 MB
+    g = nz.build(SpaceParams(11, 2))
+    data = serialize.graph_to_dict(g)
+    for edges in ([], data["edges"][:-1]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="entries, the graph has 2007555 edges"):
+                serialize.graph_from_dict({**data, "edges": edges})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+def test_roundtrip_report_fails_on_rejected_json(monkeypatch):
+    from nzcgraph import verify
+
+    g = nz.build(SpaceParams(3, 2))
+    emit = serialize.graph_to_dict
+
+    def drop_an_edge(graph):
+        data = emit(graph)
+        data["edges"].pop()
+        return data
+
+    monkeypatch.setattr(serialize, "graph_to_dict", drop_an_edge)
+    rep = verify._report_json_roundtrip(g)
+    assert rep.status == "fail"
+    assert rep.failures == ["emitted JSON does not re-import: "
+                            "edge list has 14 entries, the graph has 15 edges"]
 
 
 def test_config_env_supplies_defaults(capsys, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 import nzcgraph as nz
 from nzcgraph import SpaceParams, UnsupportedFieldError
+from nzcgraph import graph as gr
 from nzcgraph import vectorspace as vs
 
 
@@ -137,3 +138,50 @@ def test_pair_count_formula_sweep():
 def test_vertices_in_canonical_order():
     g = nz.build(SpaceParams(3, 3))
     assert g.vertices == [vs.vector_from_id(g.params, v) for v in range(g.num_vertices)]
+
+
+def test_edges_match_skeleton_reference_in_order():
+    for n, q in [(3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3)]:
+        g = nz.build(SpaceParams(n, q))
+        want = [(v, u) for v, u in combinations(range(g.num_vertices), 2)
+                if g.skeletons[v] & g.skeletons[u]]
+        got = g.edges()
+        assert got == want
+        assert all(type(e) is tuple and type(e[0]) is int for e in got)
+
+
+def test_skeleton_intersections_across_row_blocks():
+    # 2,047 vertices take several row blocks
+    g = nz.build(SpaceParams(11, 2))
+    assert (gr.skeleton_intersections(g.skeletons) == g.adjacency_matrix()).all()
+    assert gr.check_adjacency_invariants(g).passed
+
+
+def _corrupted(g, flips):
+    """Copy of g with the listed adjacency bits (v, u) of row v flipped."""
+    adj = list(g.adj)
+    for v, u in flips:
+        adj[v] ^= 1 << u
+    return nz.NzcGraph(g.params, g.vertices, g.skeletons, adj)
+
+
+def test_adjacency_invariants_report_corruptions():
+    g = nz.build(SpaceParams(4, 2))
+    assert gr.check_adjacency_invariants(g).passed
+    nv = g.num_vertices
+    assert not g.is_adjacent(6, 7) and g.is_adjacent(13, 14)
+    cases = {
+        ((9, 9),): ["vertex 9 adjacent to itself",
+                    "row 9 does not match skeleton intersections"],
+        ((3, 3), (12, 12)): ["vertex 3 adjacent to itself", "vertex 12 adjacent to itself",
+                             "row 3 does not match skeleton intersections"],
+        ((6, 7),): ["adjacency matrix is not symmetric",
+                    "row 6 does not match skeleton intersections"],
+        ((13, 14), (14, 13)): ["row 13 does not match skeleton intersections"],
+        # a bit past the last vertex, which the dense matrix cannot show
+        ((6, nv),): ["row 6 does not match skeleton intersections"],
+    }
+    for flips, failures in cases.items():
+        rep = gr.check_adjacency_invariants(_corrupted(g, flips))
+        assert rep.status == "fail"
+        assert rep.failures == failures

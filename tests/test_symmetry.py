@@ -1,6 +1,7 @@
 """Automorphism engines, group machinery, and the structural property checks."""
 
 import itertools
+import random
 import tracemalloc
 from math import factorial
 
@@ -99,7 +100,7 @@ def test_oracle_vertex_cap():
 def test_oracle_group_budget_guard():
     # (2,4) has >= 9! automorphisms from its 9-vertex twin set alone
     g = nz.build(SpaceParams(2, 4))
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="group order is at least 13063680, enumeration budget is 200000"):
         nz.aut_group_oracle(g)
 
 
@@ -205,3 +206,67 @@ def test_sampled_extension_isomorphism_memory_n10():
         tracemalloc.stop()
     assert report.passed and report.details["mode"] == "sampled"
     assert peak < 100 * 2**20
+
+
+def _preserves_adjacency(g, image):
+    nv = g.num_vertices
+    return all(g.is_adjacent(image[u], image[v]) == g.is_adjacent(u, v)
+               for u in range(nv) for v in range(nv))
+
+
+def test_is_automorphism_matches_pairwise_definition():
+    rng = random.Random(7)
+    for n, q in [(4, 2), (2, 3)]:
+        g = nz.build(SpaceParams(n, q))
+        nv = g.num_vertices
+        if q == 2:
+            autos = [nz.extend_basis_permutation(g, s).image
+                     for s in itertools.permutations(range(n))]
+        else:
+            autos = [a.image for a in nz.aut_group_oracle(g)]
+        randoms = [tuple(rng.sample(range(nv), nv)) for _ in range(200)]
+        # shuffles inside twin sets are automorphisms; inside skeleton classes, mostly not
+        shuffles = []
+        for blocks in (g.twin_sets(), g.t_classes().values()):
+            for _ in range(20):
+                image = list(range(nv))
+                for block in blocks:
+                    moved = rng.sample(block, len(block))
+                    for v, w in zip(block, moved):
+                        image[v] = w
+                shuffles.append(tuple(image))
+        verdicts = []
+        for image in autos + randoms + shuffles:
+            want = _preserves_adjacency(g, image)
+            assert nz.is_automorphism(g, image) == want
+            assert nz.is_automorphism(g, np.asarray(image, dtype=np.uint16)) == want
+            verdicts.append(want)
+        assert all(verdicts[:len(autos)]) and not all(verdicts)
+
+
+def test_is_automorphism_rejects_non_permutations():
+    g = nz.build(SpaceParams(2, 2))
+    for image in [(0, 1), (0, 1, 2, 3), (0, 0, 1), (0, 1, 3), (-1, 0, 1),
+                  (0.0, 1.0, 2.0), [[0, 1, 2]], ()]:
+        assert not nz.is_automorphism(g, image)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_group_kernels_make_no_int64_copy_of_the_group_n8():
+    # the group is 40,320 x 255; one int64 copy of it is 82 MB
+    g = nz.build(SpaceParams(8, 2))
+    grp = nz.aut_group_structural(g, validate="none")
+    f = nz.constructive_labeling_q2(g)
+    assert grp.check_group_axioms().passed  # builds the cached row set untraced
+    assert _traced_peak(grp.check_group_axioms) < 40 * 2**20
+    assert _traced_peak(lambda: nz.is_distinguishing(g, grp, f)) < 80 * 2**20
+    assert _traced_peak(lambda: nz.aut_group_structural(g, validate="none")) < 128 * 2**20

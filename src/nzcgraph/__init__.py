@@ -19,14 +19,13 @@ from .errors import CapExceededError, NzcError, UnsupportedFieldError
 from .graph import (NzcGraph, build, check_degree_formula,
                     check_degree_formula_general, check_pair_counts,
                     check_twin_structure, count_distinguishing_pairs,
-                    twin_partition, twin_partition_by_neighborhood)
+                    twin_partition_by_neighborhood)
 from .reporting import CheckReport
 from .symmetry import (AutGroup, Automorphism, aut_group_oracle,
                        aut_group_structural, check_automorphism_structure,
                        check_extension_isomorphism, check_orbit_stabilizer,
-                       compose, extend_basis_permutation, inverse,
-                       is_automorphism, moved_set, orbits, restrict_to_basis,
-                       same_orbit_pairs, stabilizer)
+                       compose, extend_basis_permutation, is_automorphism,
+                       restrict_to_basis)
 from .vectorspace import (SpaceParams, basis_vector, enumerate_vectors,
                           skeleton, skeleton_class, skeleton_indices,
                           vector_from_id, vector_id)
@@ -45,10 +44,9 @@ __all__ = [
     "constructive_labeling_q3", "count_distinguishing_pairs",
     "destroyed_transpositions", "dist_number", "enumerate_vectors",
     "exists_distinguishing_labeling", "extend_basis_permutation",
-    "find_color_preserving", "inverse", "is_automorphism", "is_distinguishing",
-    "is_distinguishing_search", "is_distinguishing_structural", "moved_set",
-    "orbits", "restrict_to_basis", "same_orbit_pairs", "skeleton",
-    "skeleton_class", "skeleton_indices", "stabilizer", "structural_survivors",
-    "twin_lower_bound", "twin_partition", "twin_partition_by_neighborhood",
+    "find_color_preserving", "is_automorphism", "is_distinguishing",
+    "is_distinguishing_search", "is_distinguishing_structural",
+    "restrict_to_basis", "skeleton", "skeleton_class", "skeleton_indices",
+    "structural_survivors", "twin_lower_bound", "twin_partition_by_neighborhood",
     "vector_from_id", "vector_id",
 ]

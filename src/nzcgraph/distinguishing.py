@@ -9,8 +9,9 @@ envelopes:
   q = 2 level by level, pruned by basis and class-2 colours, without
   materialising the group or S_n;
 * :func:`find_color_preserving` searches for a colour-preserving
-  automorphism directly by backtracking over a colour-refined partition,
-  so it works even when the group is far too large to enumerate.
+  automorphism directly, through the oracle's explicit-stack backtrack over
+  a partition refined from (degree, colour), so it works even when the
+  group is far too large to enumerate or has thousands of vertices.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
 from .reporting import ANOMALY, FAIL, PASS, CheckReport
-from .symmetry import (AutGroup, _extend_images_batch, _refine_by_neighbors,
+from .symmetry import (AutGroup, _color_preserving_images, _extend_images_batch,
                        extend_basis_permutation, is_automorphism)
 
 DEFAULT_EXACT_CAP = 30
@@ -159,56 +160,17 @@ def find_color_preserving(g: NzcGraph, f: Labeling, *,
                           node_budget: int = 2_000_000) -> tuple[int, ...] | None:
     """Search for a non-identity colour-preserving automorphism (any q).
 
-    Backtracking over the partition refined from (degree, colour); complete,
-    so a None return proves the labeling is distinguishing. Works for groups
-    far too large to enumerate because a distinguishing labeling collapses
-    the refinement to near-singleton cells.
+    Runs the shared search of :mod:`nzcgraph.symmetry` with the colours of f
+    as labels and returns its first non-identity image. The search is
+    complete, so a None return proves the labeling is distinguishing. Works
+    for groups far too large to enumerate because a distinguishing labeling
+    collapses the refinement to near-singleton cells.
     """
-    nv = g.num_vertices
-    if len(f.colors) != nv:
+    if len(f.colors) != g.num_vertices:
         raise ValueError("labeling length does not match the vertex count")
-    adj = g.adj
-    seed_keys = sorted({(g.degree(v), f.colors[v]) for v in range(nv)})
-    remap = {key: i for i, key in enumerate(seed_keys)}
-    colors = _refine_by_neighbors(adj, [remap[(g.degree(v), f.colors[v])] for v in range(nv)])
-    cells: dict[int, list[int]] = {}
-    for v in range(nv):
-        cells.setdefault(colors[v], []).append(v)
-    order = sorted(range(nv), key=lambda v: (len(cells[colors[v]]), colors[v], v))
-    image = [-1] * nv
-    used = [False] * nv
-    nodes = 0
-
-    def dfs(depth: int) -> tuple[int, ...] | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise CapExceededError(f"colour-preserving search exceeded {node_budget} nodes")
-        if depth == nv:
-            result = tuple(image)
-            return result if any(i != x for i, x in enumerate(result)) else None
-        v = order[depth]
-        row_v = adj[v]
-        for u in cells[colors[v]]:
-            if used[u]:
-                continue
-            ok = True
-            for e in range(depth):
-                w = order[e]
-                if (row_v >> w & 1) != (adj[u] >> image[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = u
-                used[u] = True
-                hit = dfs(depth + 1)
-                used[u] = False
-                image[v] = -1
-                if hit is not None:
-                    return hit
-        return None
-
-    return dfs(0)
+    images = _color_preserving_images(g, f.colors, node_budget, "colour-preserving search")
+    return next((image for image in images
+                 if any(i != x for i, x in enumerate(image))), None)
 
 
 def is_distinguishing_search(g: NzcGraph, f: Labeling, *,

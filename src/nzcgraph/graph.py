@@ -142,10 +142,6 @@ def skeleton_intersections(skeletons) -> np.ndarray:
     return out
 
 
-def degree(g: NzcGraph, v: int) -> int:
-    return g.degree(v)
-
-
 def check_adjacency_invariants(g: NzcGraph) -> CheckReport:
     """Adjacency is symmetric, irreflexive, and matches skeleton intersection."""
     m = g.adjacency_matrix()
@@ -217,11 +213,6 @@ def check_degree_formula_general(g: NzcGraph) -> CheckReport:
         failures=failures,
         details={"derived": True},
     )
-
-
-def twin_partition(g: NzcGraph) -> list[tuple[int, ...]]:
-    """Twin sets: maximal groups of vertices with identical skeletons."""
-    return list(g.twin_sets())
 
 
 def twin_partition_by_neighborhood(g: NzcGraph) -> list[tuple[int, ...]]:

@@ -9,6 +9,11 @@ Two independent engines compute Aut(G):
   backtracking over a partition refined from degrees alone, so its result
   never depends on skeleton bookkeeping.
 
+The oracle and :func:`nzcgraph.distinguishing.find_color_preserving` share
+one search, :func:`_color_preserving_images`: an explicit-stack backtrack
+over a partition refined from (degree, label), where the oracle's labels are
+constant. It yields each label-preserving automorphism in turn.
+
 Composition convention, fixed to avoid left/right action bugs:
 ``compose(p, r)`` applies r first, then p, i.e. (p o r)(v) = p[r[v]].
 """
@@ -32,20 +37,9 @@ DEFAULT_ORACLE_ELEMENT_BUDGET = 200_000
 DEFAULT_GROUP_BUDGET = 40320  # 8!
 
 
-def identity_perm(size: int) -> Perm:
-    return tuple(range(size))
-
-
 def compose(p: Perm, r: Perm) -> Perm:
     """(p o r)(v) = p[r[v]]: apply r first, then p."""
     return tuple(p[x] for x in r)
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
 
 
 def is_permutation(image, size: int) -> bool:
@@ -104,9 +98,6 @@ class Automorphism:
         """self o other: apply `other` first."""
         return Automorphism(compose(self.image, other.image))
 
-    def inverse(self) -> "Automorphism":
-        return Automorphism(inverse(self.image))
-
 
 class AutGroup:
     """Explicitly enumerated automorphism group.
@@ -122,17 +113,11 @@ class AutGroup:
         self.graph = graph
         self.perms = arr
         self.source = source
-        self._byte_set: set[bytes] | None = None
+        self._sorted_rows: np.ndarray | None = None
 
     @property
     def order(self) -> int:
         return int(self.perms.shape[0])
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def element(self, i: int) -> Automorphism:
-        return Automorphism(self.perms[i])
 
     def __iter__(self):
         for row in self.perms:
@@ -141,17 +126,27 @@ class AutGroup:
     def __len__(self) -> int:
         return self.order
 
-    def _bytes(self) -> set[bytes]:
-        if self._byte_set is None:
-            norm = self.perms.astype(np.int64)
-            self._byte_set = {row.tobytes() for row in norm}
-        return self._byte_set
+    def _bytes(self) -> np.ndarray:
+        """Sorted rows as byte strings in one block (an object per row fragments the heap)."""
+        if self._sorted_rows is None:
+            self._sorted_rows = np.sort(_row_keys(self.perms))
+        return self._sorted_rows
 
-    def contains(self, image) -> bool:
-        return np.asarray(image, dtype=np.int64).tobytes() in self._bytes()
+    def _contains(self, perms: np.ndarray) -> np.ndarray:
+        """Per row of `perms` (stored dtype), whether it is an element."""
+        rows, found = self._bytes(), np.empty(len(perms), dtype=bool)
+        for start in range(0, len(perms), 2000):  # the lookups copy the rows they match
+            keys = _row_keys(perms[start:start + 2000])
+            at = np.minimum(np.searchsorted(rows, keys), len(rows) - 1)
+            found[start:start + 2000] = rows[at] == keys
+        return found
+
+    def distinct_rows(self) -> int:
+        rows = self._bytes()
+        return 1 + int(np.count_nonzero(rows[1:] != rows[:-1]))
 
     def set_equal(self, other: "AutGroup") -> bool:
-        return self.order == other.order and self._bytes() == other._bytes()
+        return self.order == other.order and bool(np.array_equal(self._bytes(), other._bytes()))
 
     def orbit_of(self, v: int) -> tuple[int, ...]:
         return tuple(int(x) for x in np.unique(self.perms[:, v]))
@@ -193,30 +188,29 @@ class AutGroup:
         """Identity, inverses and closure (exhaustive when order^2 fits the budget)."""
         failures = []
         nv = self.graph.num_vertices
-        ident = np.arange(nv, dtype=np.int64)
-        rows = self._bytes()
-        if ident.tobytes() not in rows:
+        ident = np.arange(nv, dtype=self.perms.dtype)
+        if not self._contains(ident[None, :])[0]:
             failures.append("identity not in group")
         invs = np.zeros_like(self.perms)
         invs[np.arange(self.order)[:, None], self.perms] = ident
-        for i in range(self.order):
-            if invs[i].astype(np.int64).tobytes() not in rows:
-                failures.append(f"inverse of element {i} missing")
-                break
+        missing = np.flatnonzero(~self._contains(invs))
+        if missing.size:
+            failures.append(f"inverse of element {missing[0]} missing")
         m = self.order
         if m * m <= pair_budget:
             mode = "exhaustive"
-            pairs = ((i, j) for i in range(m) for j in range(m))
-            checked = m * m
+            left, right = np.divmod(np.arange(m * m), m)
         else:
             mode = "sampled"
             rng = random.Random(seed)
-            checked = min(pair_budget, 2000)
-            pairs = ((rng.randrange(m), rng.randrange(m)) for _ in range(checked))
-        for i, j in pairs:
-            composed = self.perms[i][self.perms[j]].astype(np.int64)
-            if composed.tobytes() not in rows:
-                failures.append(f"product of elements {i}, {j} not in group")
+            draws = np.array([rng.randrange(m) for _ in range(2 * min(pair_budget, 2000))])
+            left, right = draws[0::2], draws[1::2]  # drawn as (i, j) pairs
+        checked = len(left)
+        for start in range(0, checked, 2000):  # products (p_i o p_j)[v] = p_i[p_j[v]]
+            i, j = left[start:start + 2000], right[start:start + 2000]
+            bad = np.flatnonzero(~self._contains(self.perms[i[:, None], self.perms[j]]))
+            if bad.size:
+                failures.append(f"product of elements {i[bad[0]]}, {j[bad[0]]} not in group")
                 break
         return CheckReport(
             claim="group-axioms",
@@ -228,6 +222,12 @@ class AutGroup:
             failures=failures,
             details={"closure_mode": mode, "source": self.source},
         )
+
+
+def _row_keys(perms: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one opaque (void) scalar, comparable bytewise."""
+    perms = np.ascontiguousarray(perms)
+    return perms.view(np.dtype((np.void, perms.shape[1] * perms.itemsize)))[:, 0]
 
 
 def _basis_vertex_id(graph: NzcGraph, i: int) -> int:
@@ -358,18 +358,73 @@ def _refine_by_neighbors(adj: list[int], colors: list[int]) -> list[int]:
         colors = new
 
 
+def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: str):
+    """Yield every automorphism that keeps each vertex's label, as a tuple.
+
+    Individualization-refinement with an explicit stack, so the depth is not
+    bound by the recursion limit. The partition is seeded by (degree, label)
+    and refined once by neighbour-colour multisets; vertices are assigned in
+    (cell size, cell, id) order, each only into its own refined cell, with
+    adjacency to every earlier assigned vertex preserved. Images come out in
+    depth-first order. The root and each assignment count as one node
+    against `node_budget`; `what` names the search in the cap message.
+    """
+    nv = graph.num_vertices
+    adj = graph.adj
+    keys = [(row.bit_count(), label) for row, label in zip(adj, labels)]
+    remap = {key: i for i, key in enumerate(sorted(set(keys)))}
+    colors = _refine_by_neighbors(adj, [remap[key] for key in keys])
+    cells: dict[int, list[int]] = {}
+    for v in range(nv):
+        cells.setdefault(colors[v], []).append(v)
+    order = sorted(range(nv), key=lambda v: (len(cells[colors[v]]), colors[v], v))
+    image = [-1] * nv
+    used = [False] * nv
+    nodes = 1  # the root
+    if nodes > node_budget:
+        raise CapExceededError(f"{what} exceeded {node_budget} nodes")
+    stack = [iter(cells[colors[order[0]]])]  # untried candidates per depth
+    while stack:
+        depth = len(stack) - 1
+        v = order[depth]
+        if image[v] >= 0:  # back from the subtree of the previous candidate
+            used[image[v]] = False
+            image[v] = -1
+        row_v = adj[v]
+        for u in stack[-1]:
+            if used[u]:
+                continue
+            row_u = adj[u]
+            for w in order[:depth]:
+                if (row_v >> w & 1) != (row_u >> image[w] & 1):
+                    break
+            else:  # u keeps adjacency to every assigned vertex
+                break
+        else:  # candidates exhausted: back up one depth
+            stack.pop()
+            continue
+        image[v] = u
+        used[u] = True
+        nodes += 1
+        if nodes > node_budget:
+            raise CapExceededError(f"{what} exceeded {node_budget} nodes")
+        if depth + 1 == nv:
+            yield tuple(image)
+        else:
+            stack.append(iter(cells[colors[order[depth + 1]]]))
+
+
 def aut_group_oracle(graph: NzcGraph, *,
                      vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
                      element_budget: int = DEFAULT_ORACLE_ELEMENT_BUDGET,
                      node_budget: int = 5_000_000) -> AutGroup:
-    """Enumerate every adjacency-preserving vertex permutation by backtracking.
+    """Enumerate every adjacency-preserving vertex permutation.
 
-    Fully independent of the structural engine: the initial partition uses
-    vertex degrees only (a pure adjacency invariant; skeleton classes would
-    presuppose the structure under test), refined by neighbour-colour
-    multisets. Candidate images stay within a vertex's refined cell, with
-    partial-adjacency consistency enforced at every assignment. Enumeration
-    is exhaustive; rows are returned sorted for determinism.
+    Fully independent of the structural engine: the search gets constant
+    labels, so its initial partition uses vertex degrees only (a pure
+    adjacency invariant; skeleton classes would presuppose the structure
+    under test). Enumeration is exhaustive; rows are returned sorted for
+    determinism.
     """
     nv = graph.num_vertices
     if nv > vertex_cap:
@@ -381,50 +436,11 @@ def aut_group_oracle(graph: NzcGraph, *,
         raise CapExceededError(
             f"group order is at least {floor}, enumeration budget is {element_budget}"
         )
-    adj = graph.adj
-    degrees = [graph.degree(v) for v in range(nv)]
-    remap = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    colors = _refine_by_neighbors(adj, [remap[d] for d in degrees])
-    cells: dict[int, list[int]] = {}
-    for v in range(nv):
-        cells.setdefault(colors[v], []).append(v)
-    order = sorted(range(nv), key=lambda v: (len(cells[colors[v]]), colors[v], v))
     found: list[Perm] = []
-    image = [-1] * nv
-    used = [False] * nv
-    nodes = 0
-
-    def dfs(depth: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise CapExceededError(f"oracle search exceeded {node_budget} nodes")
-        if depth == nv:
-            if len(found) >= element_budget:
-                raise CapExceededError(
-                    f"oracle found more than {element_budget} automorphisms"
-                )
-            found.append(tuple(image))
-            return
-        v = order[depth]
-        row_v = adj[v]
-        for u in cells[colors[v]]:
-            if used[u]:
-                continue
-            ok = True
-            for e in range(depth):
-                w = order[e]
-                if (row_v >> w & 1) != (adj[u] >> image[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = u
-                used[u] = True
-                dfs(depth + 1)
-                used[u] = False
-                image[v] = -1
-
-    dfs(0)
+    for image in _color_preserving_images(graph, (0,) * nv, node_budget, "oracle search"):
+        if len(found) >= element_budget:
+            raise CapExceededError(f"oracle found more than {element_budget} automorphisms")
+        found.append(image)
     return AutGroup(graph, np.array(sorted(found), dtype=np.int64), source="oracle")
 
 
@@ -465,7 +481,7 @@ def check_extension_isomorphism(graph: NzcGraph, *, samples: int = 1000, seed: i
     details["pairs_checked"] = len(pairs)
     if factorial(n) <= DEFAULT_GROUP_BUDGET:
         grp = aut_group_structural(graph, validate="none")
-        distinct = len({row.tobytes() for row in grp.perms})
+        distinct = grp.distinct_rows()
         details["distinct_extensions"] = distinct
         if distinct != factorial(n):
             failures.append(f"only {distinct} distinct extensions, expected {factorial(n)}")
@@ -605,22 +621,6 @@ def check_automorphism_structure(graph: NzcGraph, grp: AutGroup) -> CheckReport:
         failures=failures[:20],
         details={"sub_checks": sub},
     )
-
-
-def orbits(grp: AutGroup) -> list[tuple[int, ...]]:
-    return grp.orbits()
-
-
-def stabilizer(grp: AutGroup, v: int) -> AutGroup:
-    return grp.stabilizer(v)
-
-
-def moved_set(grp: AutGroup) -> tuple[int, ...]:
-    return grp.moved_set()
-
-
-def same_orbit_pairs(grp: AutGroup) -> list[tuple[int, int]]:
-    return grp.same_orbit_pairs()
 
 
 def check_orbit_stabilizer(grp: AutGroup) -> CheckReport:

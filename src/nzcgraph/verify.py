@@ -23,7 +23,7 @@ from .vectorspace import SpaceParams
 
 def _report_group_order(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
     n = g.params.n
-    distinct = len({row.tobytes() for row in grp.perms})
+    distinct = grp.distinct_rows()
     want = factorial(n)
     failures = []
     if distinct != want:

@@ -170,7 +170,7 @@ def test_criterion_8_property_pack():
         g = nz.build(SpaceParams(n, q))
         m = g.adjacency_matrix()
         ok &= bool((m == m.T).all()) and not m.diagonal().any()
-        by_skel = sorted(nz.twin_partition(g), key=lambda ts: (len(ts), ts))
+        by_skel = sorted(g.twin_sets(), key=lambda ts: (len(ts), ts))
         ok &= by_skel == nz.twin_partition_by_neighborhood(g)
         data = serialize.graph_to_dict(g)
         ok &= serialize.graphs_equal(g, serialize.graph_from_dict(data))

@@ -84,6 +84,13 @@ def test_dist_output(capsys):
     assert out.startswith("8 (lower=twin-sets 8, upper=twin-injective-scheme 8)")
 
 
+def test_dist_past_the_recursion_limit(capsys):
+    # 1,023 vertices: the colour-preserving search used to raise RecursionError
+    rc, out, err = run(capsys, "dist", "-n", "5", "-q", "4")
+    assert rc == 0 and not err
+    assert out.startswith("243 (lower=twin-sets 243, upper=twin-injective-scheme 243)")
+
+
 def test_labeling_json(capsys):
     rc, out, _ = run(capsys, "labeling", "-n", "4", "-q", "2")
     assert rc == 0

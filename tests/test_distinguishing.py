@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def test_twin_lower_bound():
     assert nz.twin_lower_bound(nz.build(SpaceParams(5, 2))) == 1
     # (q-1)^2 = 9, confirmed against the twin partition itself
     g = nz.build(SpaceParams(2, 4))
-    assert nz.twin_lower_bound(g) == max(len(ts) for ts in nz.twin_partition(g)) == 9
+    assert nz.twin_lower_bound(g) == max(len(ts) for ts in g.twin_sets()) == 9
 
 
 def test_twin_injective_scheme_2_3():
@@ -291,3 +292,32 @@ def test_engines_agree_on_random_labelings():
                 assert nz.is_distinguishing_search(g, f) == expect
                 if q == 2:
                     assert nz.is_distinguishing_structural(g, f) == expect
+
+
+def test_colour_preserving_search_past_the_recursion_limit():
+    # one search level per vertex: 1,023 vertices used to raise RecursionError
+    g = nz.build(SpaceParams(5, 4))
+    assert g.num_vertices > sys.getrecursionlimit()
+    f = nz.constructive_labeling_q3(g)
+    assert nz.find_color_preserving(g, f) is None
+    # two vertices of one twin set with the same colour can swap
+    ts = next(ts for ts in g.twin_sets() if len(ts) >= 2)
+    colors = list(f.colors)
+    colors[ts[1]] = colors[ts[0]]
+    witness = nz.find_color_preserving(g, nz.Labeling(tuple(colors), f.t))
+    assert witness is not None and nz.is_automorphism(g, witness)
+    assert witness != tuple(range(g.num_vertices))
+    assert all(colors[w] == colors[v] for v, w in enumerate(witness))
+
+
+def test_search_node_budgets():
+    # the path b1 - (b1+b2) - b2: the root, the centre, then two assignments
+    # per end-point order, so the first non-identity leaf is node 6
+    g = nz.build(SpaceParams(2, 2))
+    f = constant_labeling(g)
+    assert nz.find_color_preserving(g, f, node_budget=6) == (1, 0, 2)
+    with pytest.raises(CapExceededError, match="^colour-preserving search exceeded 5 nodes$"):
+        nz.find_color_preserving(g, f, node_budget=5)
+    assert nz.aut_group_oracle(g, node_budget=6).order == 2
+    with pytest.raises(CapExceededError, match="^oracle search exceeded 5 nodes$"):
+        nz.aut_group_oracle(g, node_budget=5)

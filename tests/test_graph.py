@@ -101,7 +101,7 @@ def test_twin_sets_n3_q3():
 def test_twin_partition_matches_neighborhood_oracle():
     for n, q in [(2, 2), (4, 2), (2, 3), (3, 3), (2, 4)]:
         g = nz.build(SpaceParams(n, q))
-        by_skel = sorted(nz.twin_partition(g), key=lambda ts: (len(ts), ts))
+        by_skel = sorted(g.twin_sets(), key=lambda ts: (len(ts), ts))
         assert by_skel == nz.twin_partition_by_neighborhood(g)
         assert nz.check_twin_structure(g).passed
 

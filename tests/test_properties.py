@@ -38,7 +38,7 @@ def test_class_sizes(nq):
 @given(params_st)
 def test_twin_partition_oracle_agreement(nq):
     g = nz.build(SpaceParams(*nq))
-    by_skel = sorted(nz.twin_partition(g), key=lambda ts: (len(ts), ts))
+    by_skel = sorted(g.twin_sets(), key=lambda ts: (len(ts), ts))
     assert by_skel == nz.twin_partition_by_neighborhood(g)
 
 

@@ -129,7 +129,7 @@ def test_composition_convention():
 def test_orbits_are_classes_n3():
     g = nz.build(SpaceParams(3, 2))
     grp = nz.aut_group_structural(g)
-    got = sorted(tuple(sorted(o)) for o in nz.orbits(grp))
+    got = sorted(tuple(sorted(o)) for o in grp.orbits())
     want = sorted(tuple(sorted(c)) for c in g.t_classes().values())
     assert got == want
     # orbit of b1 is the basis class; the full-skeleton vertex is alone
@@ -140,8 +140,8 @@ def test_orbits_are_classes_n3():
 def test_trivial_group_has_empty_moved_set():
     g = nz.build(SpaceParams(2, 2))
     trivial = nz.AutGroup(g, np.arange(3).reshape(1, 3))
-    assert nz.moved_set(trivial) == ()
-    assert nz.same_orbit_pairs(trivial) == []
+    assert trivial.moved_set() == ()
+    assert trivial.same_orbit_pairs() == []
     assert all(len(o) == 1 for o in trivial.orbits())
 
 
@@ -149,7 +149,7 @@ def test_stabilizer_and_orbit_stabilizer_identity():
     g = nz.build(SpaceParams(4, 2))
     grp = nz.aut_group_structural(g)
     for v in range(g.num_vertices):
-        stab = nz.stabilizer(grp, v)
+        stab = grp.stabilizer(v)
         assert all(a(v) == v for a in stab)
         assert len(grp.orbit_of(v)) * stab.order == grp.order
     assert nz.check_orbit_stabilizer(grp).passed
@@ -158,8 +158,8 @@ def test_stabilizer_and_orbit_stabilizer_identity():
 def test_moved_set_and_pairs_n3():
     g = nz.build(SpaceParams(3, 2))
     grp = nz.aut_group_structural(g)
-    assert nz.moved_set(grp) == (0, 1, 2, 3, 4, 5)  # all but the top vertex
-    pairs = nz.same_orbit_pairs(grp)
+    assert grp.moved_set() == (0, 1, 2, 3, 4, 5)  # all but the top vertex
+    pairs = grp.same_orbit_pairs()
     assert len(pairs) == 12  # two orbits of size 3, ordered pairs
     assert all(u != v for u, v in pairs)
 
@@ -270,3 +270,44 @@ def test_group_kernels_make_no_int64_copy_of_the_group_n8():
     assert _traced_peak(grp.check_group_axioms) < 40 * 2**20
     assert _traced_peak(lambda: nz.is_distinguishing(g, grp, f)) < 80 * 2**20
     assert _traced_peak(lambda: nz.aut_group_structural(g, validate="none")) < 128 * 2**20
+
+
+def test_row_set_keeps_the_stored_dtype_n8():
+    # 40,320 rows of 255 vertices: 20.6 MB as uint16, 82 MB as int64
+    g = nz.build(SpaceParams(8, 2))
+    grp = nz.aut_group_structural(g, validate="none")
+    tracemalloc.start()
+    try:
+        rows = grp._bytes()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == grp.order
+    assert held < 40 * 2**20
+
+
+@pytest.mark.parametrize("n, edit, failures", [
+    (4, lambda p: p[1:], ["identity not in group", "product of elements 0, 0 not in group"]),
+    (4, lambda p: np.delete(p, 12, 0),
+     ["inverse of element 8 missing", "product of elements 1, 17 not in group"]),
+    (4, lambda p: np.vstack([p, p[:1]]), []),
+    (6, lambda p: p[:-1], ["product of elements 240, 715 not in group"]),
+    (6, lambda p: np.vstack([p[:-1], p[-1][::-1]]),
+     ["inverse of element 719 missing", "product of elements 719, 383 not in group"]),
+])
+def test_group_axioms_name_the_first_missing_element(n, edit, failures):
+    # exhaustive closure at n = 4, sampled at n = 6; the strings are those of
+    # the earlier per-row set lookups
+    g = nz.build(SpaceParams(n, 2))
+    perms = nz.aut_group_structural(g, validate="none").perms
+    assert nz.AutGroup(g, edit(perms)).check_group_axioms(seed=n).failures == failures
+
+
+def test_distinct_rows_and_set_equal_compare_whole_rows():
+    g = nz.build(SpaceParams(4, 2))
+    perms = nz.aut_group_structural(g, validate="none").perms
+    grp = nz.AutGroup(g, perms)
+    assert grp.distinct_rows() == 24
+    assert nz.AutGroup(g, np.vstack([perms, perms[:3]])).distinct_rows() == 24
+    assert grp.set_equal(nz.AutGroup(g, perms[::-1]))
+    assert not grp.set_equal(nz.AutGroup(g, np.vstack([perms[:-1], perms[-1][::-1]])))

@@ -13,19 +13,17 @@ from .distinguishing import (DistResult, Labeling, all_distinct_labeling,
                              constructive_labeling_q3, destroyed_transpositions,
                              dist_number, exists_distinguishing_labeling,
                              find_color_preserving, is_distinguishing,
-                             is_distinguishing_search, is_distinguishing_structural,
-                             structural_survivors, twin_lower_bound)
+                             is_distinguishing_search, structural_survivors, twin_lower_bound)
 from .errors import CapExceededError, NzcError, UnsupportedFieldError
 from .graph import (NzcGraph, build, check_degree_formula,
                     check_degree_formula_general, check_pair_counts,
                     check_twin_structure, count_distinguishing_pairs,
                     twin_partition_by_neighborhood)
 from .reporting import CheckReport
-from .symmetry import (AutGroup, Automorphism, aut_group_oracle,
-                       aut_group_structural, check_automorphism_structure,
-                       check_extension_isomorphism, check_orbit_stabilizer,
-                       compose, extend_basis_permutation, is_automorphism,
-                       restrict_to_basis)
+from .symmetry import (AutGroup, aut_group_oracle, aut_group_structural,
+                       check_automorphism_structure, check_extension_isomorphism,
+                       check_orbit_stabilizer, extend_basis_permutation,
+                       is_automorphism, restrict_to_basis)
 from .vectorspace import (SpaceParams, basis_vector, enumerate_vectors,
                           skeleton, skeleton_class, skeleton_indices,
                           vector_from_id, vector_id)
@@ -33,19 +31,18 @@ from .vectorspace import (SpaceParams, basis_vector, enumerate_vectors,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutGroup", "Automorphism", "CapExceededError", "CheckReport", "DistResult",
+    "AutGroup", "CapExceededError", "CheckReport", "DistResult",
     "Labeling", "NzcError", "NzcGraph", "SpaceParams", "UnsupportedFieldError",
     "all_distinct_labeling", "aut_group_oracle", "aut_group_structural",
     "basis_vector", "build", "check_automorphism_structure",
     "check_degree_formula", "check_degree_formula_general",
     "check_extension_isomorphism", "check_orbit_stabilizer", "check_pair_counts",
-    "check_swap_broken_by_pair", "check_twin_structure", "compose",
-    "constructive_labeling_q2",
-    "constructive_labeling_q3", "count_distinguishing_pairs",
+    "check_swap_broken_by_pair", "check_twin_structure",
+    "constructive_labeling_q2", "constructive_labeling_q3", "count_distinguishing_pairs",
     "destroyed_transpositions", "dist_number", "enumerate_vectors",
     "exists_distinguishing_labeling", "extend_basis_permutation",
     "find_color_preserving", "is_automorphism", "is_distinguishing",
-    "is_distinguishing_search", "is_distinguishing_structural",
+    "is_distinguishing_search",
     "restrict_to_basis", "skeleton", "skeleton_class", "skeleton_indices",
     "structural_survivors", "twin_lower_bound", "twin_partition_by_neighborhood",
     "vector_from_id", "vector_id",

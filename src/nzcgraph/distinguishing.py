@@ -152,10 +152,6 @@ def structural_survivors(g: NzcGraph, f: Labeling, *, chunk: int = 4096,
     return survivors
 
 
-def is_distinguishing_structural(g: NzcGraph, f: Labeling) -> bool:
-    return not structural_survivors(g, f)
-
-
 def find_color_preserving(g: NzcGraph, f: Labeling, *,
                           node_budget: int = 2_000_000) -> tuple[int, ...] | None:
     """Search for a non-identity colour-preserving automorphism (any q).
@@ -292,20 +288,18 @@ def destroyed_transpositions(g: NzcGraph, f: Labeling) -> TranspositionBreakdown
     classes = g.t_classes()
     slots = [("T1", 1), ("T(n-1)", n - 1), ("T2", 2)]
     tallies = {name: 0 for name, _ in slots}
+    colors = np.asarray(f.colors)
+    members = [(name, np.asarray(classes.get(i, ()), dtype=np.int64))
+               for name, i in slots if 1 <= i <= n]
     unattributed = []
     per_transposition: dict[tuple[int, int], str | None] = {}
     for l in range(1, n + 1):
         for m in range(l + 1, n + 1):
             sigma = list(range(n))
             sigma[l - 1], sigma[m - 1] = sigma[m - 1], sigma[l - 1]
-            a = extend_basis_permutation(g, sigma)
-            hit = None
-            for name, i in slots:
-                if not 1 <= i <= n:
-                    continue
-                if any(f.colors[v] != f.colors[a.image[v]] for v in classes.get(i, ())):
-                    hit = name
-                    break
+            image = extend_basis_permutation(g, sigma)
+            hit = next((name for name, vs in members
+                        if (colors[image[vs]] != colors[vs]).any()), None)
             per_transposition[(l, m)] = hit
             if hit is None:
                 unattributed.append((l, m))
@@ -378,12 +372,9 @@ def check_swap_broken_by_pair(g: NzcGraph, grp: AutGroup, f: Labeling,
         raise ValueError("u and v must have different colours")
     bl = (1 << (l - 1)) - 1
     bm = (1 << (m - 1)) - 1
-    for idx in range(grp.order):
-        p = grp.perms[idx]
-        if int(p[bl]) == bm and int(p[bm]) == bl:
-            if all(f.colors[w] == f.colors[int(p[w])] for w in range(g.num_vertices)):
-                return False  # a swapping automorphism survived the labeling
-    return True
+    p, c = grp.perms, np.asarray(f.colors)
+    swaps = (p[:, bl] == bm) & (p[:, bm] == bl)
+    return not (swaps & (c[p] == c).all(1)).any()  # no swapping automorphism survives
 
 
 def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int, *,
@@ -400,10 +391,10 @@ def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int, *,
     nv = g.num_vertices
     if t < 1:
         raise ValueError("colour count must be >= 1")
-    perms = [list(int(x) for x in row) for row in grp.perms]
+    perms = grp.perms.tolist()
+    invs = np.argsort(grp.perms, axis=1).tolist()
     ident = list(range(nv))
     live0 = [i for i, p in enumerate(perms) if p != ident]
-    invs = {i: list(np.argsort(perms[i])) for i in live0}
     colors = [0] * nv
     nodes = 0
 
@@ -440,7 +431,7 @@ def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int, *,
     return found
 
 
-def _nontrivial_automorphism(g: NzcGraph) -> tuple[int, ...] | None:
+def _nontrivial_automorphism(g: NzcGraph) -> np.ndarray | None:
     """A validated non-identity automorphism, or None if none was found.
 
     For q = 2 the swap of the first two basis indices extends; for q >= 3 the
@@ -450,13 +441,13 @@ def _nontrivial_automorphism(g: NzcGraph) -> tuple[int, ...] | None:
     if q == 2 and n >= 2:
         sigma = list(range(n))
         sigma[0], sigma[1] = 1, 0
-        return extend_basis_permutation(g, sigma).image
+        return extend_basis_permutation(g, sigma)
     for ts in g.twin_sets():
         if len(ts) >= 2:
-            image = list(range(g.num_vertices))
-            image[ts[0]], image[ts[1]] = ts[1], ts[0]
+            image = np.arange(g.num_vertices)
+            image[[ts[0], ts[1]]] = ts[1], ts[0]
             if is_automorphism(g, image):
-                return tuple(image)
+                return image
     return None
 
 
@@ -465,7 +456,7 @@ def _validate_labeling(g: NzcGraph, f: Labeling, grp: AutGroup | None) -> bool:
     if grp is not None:
         return is_distinguishing(g, grp, f)
     if g.params.q == 2:
-        return is_distinguishing_structural(g, f)
+        return not structural_survivors(g, f)
     return is_distinguishing_search(g, f)
 
 

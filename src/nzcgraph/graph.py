@@ -69,14 +69,6 @@ class NzcGraph:
     def is_adjacent(self, u: int, v: int) -> bool:
         return bool(self.adj[v] >> u & 1)
 
-    def neighbors(self, v: int):
-        """Iterate neighbour ids of v in increasing order."""
-        row = self.adj[v]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
-
     def class_of(self, v: int) -> int:
         return self.skeletons[v].bit_count()
 

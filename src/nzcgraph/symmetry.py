@@ -14,8 +14,9 @@ one search, :func:`_color_preserving_images`: an explicit-stack backtrack
 over a partition refined from (degree, label), where the oracle's labels are
 constant. It yields each label-preserving automorphism in turn.
 
-Composition convention, fixed to avoid left/right action bugs:
-``compose(p, r)`` applies r first, then p, i.e. (p o r)(v) = p[r[v]].
+A vertex permutation is an integer array in one-line notation, and a group
+is an array of such rows (:attr:`AutGroup.perms`). Composition applies the
+right factor first: (p o r)[v] = p[r[v]], i.e. ``p[r]`` in numpy.
 """
 
 from __future__ import annotations
@@ -30,16 +31,9 @@ from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph, twin_partition_by_neighborhood
 from .reporting import FAIL, PASS, CheckReport
 
-Perm = tuple[int, ...]
-
 DEFAULT_ORACLE_VERTEX_CAP = 40
 DEFAULT_ORACLE_ELEMENT_BUDGET = 200_000
 DEFAULT_GROUP_BUDGET = 40320  # 8!
-
-
-def compose(p: Perm, r: Perm) -> Perm:
-    """(p o r)(v) = p[r[v]]: apply r first, then p."""
-    return tuple(p[x] for x in r)
 
 
 def is_permutation(image, size: int) -> bool:
@@ -53,50 +47,6 @@ def is_automorphism(graph: NzcGraph, image) -> bool:
     img = np.asarray(image)
     a = graph.adjacency_matrix()
     return is_permutation(img, len(a)) and bool((a.take(img, 0).take(img, 1) == a).all())
-
-
-class Automorphism:
-    """A vertex permutation of the graph, stored in one-line notation.
-
-    Use :meth:`checked` to construct from untrusted input: it verifies
-    bijectivity, adjacency preservation and skeleton-class preservation.
-    """
-
-    __slots__ = ("image",)
-
-    def __init__(self, image):
-        self.image = tuple(int(x) for x in image)
-
-    @classmethod
-    def checked(cls, graph: NzcGraph, image) -> "Automorphism":
-        image = tuple(int(x) for x in image)
-        if not is_automorphism(graph, image):
-            raise ValueError("image is not an adjacency-preserving permutation of the vertex ids")
-        for v, w in enumerate(image):
-            if graph.class_of(v) != graph.class_of(w):
-                raise ValueError(
-                    f"vertex {v} mapped across skeleton-size classes to {w}"
-                )
-        return cls(image)
-
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Automorphism) and self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
-
-    def __repr__(self) -> str:
-        return f"Automorphism({list(self.image)})"
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.image))
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self o other: apply `other` first."""
-        return Automorphism(compose(self.image, other.image))
 
 
 class AutGroup:
@@ -118,13 +68,6 @@ class AutGroup:
     @property
     def order(self) -> int:
         return int(self.perms.shape[0])
-
-    def __iter__(self):
-        for row in self.perms:
-            yield Automorphism(row)
-
-    def __len__(self) -> int:
-        return self.order
 
     def _bytes(self) -> np.ndarray:
         """Sorted rows as byte strings in one block (an object per row fragments the heap)."""
@@ -255,12 +198,13 @@ def _extend_images_batch(graph: NzcGraph, sigmas: np.ndarray) -> np.ndarray:
     return images.T
 
 
-def extend_basis_permutation(graph: NzcGraph, sigma) -> Automorphism:
+def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
     """Extend a basis-index permutation to a vertex automorphism (q = 2 only).
 
     A vertex with skeleton S maps to the unique vertex with skeleton
-    sigma(S). `sigma` is 0-based one-line notation on range(n). The result is
-    validated through the full Automorphism construction check.
+    sigma(S). `sigma` is 0-based one-line notation on range(n). The image is
+    checked to preserve adjacency and skeleton-size classes before it is
+    returned as an int64 row.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError(
@@ -272,21 +216,29 @@ def extend_basis_permutation(graph: NzcGraph, sigma) -> Automorphism:
     if not is_permutation(sigma, n):
         raise ValueError(f"sigma must be a permutation of range({n})")
     image = _extend_images_batch(graph, np.asarray([sigma], dtype=np.int64))[0]
-    return Automorphism.checked(graph, image)
+    if not is_automorphism(graph, image):
+        raise ValueError("image is not an adjacency-preserving permutation of the vertex ids")
+    cls = np.array([s.bit_count() for s in graph.skeletons])
+    bad = np.flatnonzero(cls[image] != cls)
+    if bad.size:
+        raise ValueError(
+            f"vertex {bad[0]} mapped across skeleton-size classes to {image[bad[0]]}")
+    return image
 
 
-def restrict_to_basis(a: Automorphism, graph: NzcGraph) -> Perm:
+def restrict_to_basis(image, graph: NzcGraph) -> tuple[int, ...]:
     """Permutation induced on the basis vertices by an automorphism (q = 2).
 
-    Raises if the automorphism maps a basis vertex outside the basis class,
-    which would signal a corrupted automorphism.
+    `image` is any integer sequence in one-line notation. Raises if it maps
+    a basis vertex outside the basis class, which would signal a corrupted
+    automorphism.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError("basis restriction is defined for q = 2")
     n = graph.params.n
     sigma = []
     for i in range(1, n + 1):
-        w = a.image[_basis_vertex_id(graph, i)]
+        w = int(image[_basis_vertex_id(graph, i)])
         mask = w + 1
         if mask.bit_count() != 1:
             raise ValueError(
@@ -436,7 +388,7 @@ def aut_group_oracle(graph: NzcGraph, *,
         raise CapExceededError(
             f"group order is at least {floor}, enumeration budget is {element_budget}"
         )
-    found: list[Perm] = []
+    found = []
     for image in _color_preserving_images(graph, (0,) * nv, node_budget, "oracle search"):
         if len(found) >= element_budget:
             raise CapExceededError(f"oracle found more than {element_budget} automorphisms")
@@ -468,16 +420,13 @@ def check_extension_isomorphism(graph: NzcGraph, *, samples: int = 1000, seed: i
         mk = lambda: tuple(rng.sample(range(n), n))
         pairs = [(mk(), mk()) for _ in range(samples)]
         details["mode"] = "sampled"
-    batch = np.array([[compose(h1, h2), h1, h2] for h1, h2 in pairs],
-                     dtype=np.int64).reshape(-1, n)
-    images = _extend_images_batch(graph, batch).reshape(len(pairs), 3, -1)
-    for k, (h1, h2) in enumerate(pairs):
-        lhs = images[k, 0]
-        rhs = images[k, 1][images[k, 2]]
-        if not (lhs == rhs).all():
-            failures.append(f"extend({h1} o {h2}) != extend({h1}) o extend({h2})")
-            if len(failures) > 5:
-                break
+    h1s, h2s = np.array(pairs, dtype=np.int64).transpose(1, 0, 2)
+    batch = np.stack([np.take_along_axis(h1s, h2s, 1), h1s, h2s], 1)  # h1 o h2 = h1[h2]
+    lhs, ext1, ext2 = _extend_images_batch(graph, batch.reshape(-1, n)).reshape(
+        len(pairs), 3, -1).transpose(1, 0, 2)
+    for k in np.flatnonzero((lhs != np.take_along_axis(ext1, ext2, 1)).any(1))[:6]:
+        h1, h2 = pairs[k]
+        failures.append(f"extend({h1} o {h2}) != extend({h1}) o extend({h2})")
     details["pairs_checked"] = len(pairs)
     if factorial(n) <= DEFAULT_GROUP_BUDGET:
         grp = aut_group_structural(graph, validate="none")

@@ -62,7 +62,7 @@ def test_two_colour_scheme_distinguishing_small():
         grp = nz.aut_group_structural(g)
         assert nz.is_distinguishing(g, grp, f)
         # cross-engine agreement
-        assert nz.is_distinguishing_structural(g, f)
+        assert not nz.structural_survivors(g, f)
         assert nz.is_distinguishing_search(g, f)
 
 
@@ -227,7 +227,7 @@ def test_structural_survivors_find_preserving_perms():
     colors = tuple(g.class_of(v) for v in range(g.num_vertices))
     f = nz.Labeling(colors, 3)
     assert len(nz.structural_survivors(g, f)) == 5  # all of S_3 minus identity
-    assert not nz.is_distinguishing_structural(g, f)
+    assert nz.structural_survivors(g, f)
 
 
 def brute_force_survivors(g, f):
@@ -249,7 +249,7 @@ def test_structural_survivors_match_brute_force():
             for _ in range(3):
                 labelings.append(nz.Labeling(tuple(rng.randint(1, t) for _ in range(nv)), t))
         # colours constant on the vertex cycles of a random basis permutation
-        image = nz.extend_basis_permutation(g, rng.sample(range(n), n)).image
+        image = nz.extend_basis_permutation(g, rng.sample(range(n), n))
         colors = [0] * nv
         for v in range(nv):
             if not colors[v]:
@@ -291,7 +291,7 @@ def test_engines_agree_on_random_labelings():
                 expect = nz.is_distinguishing(g, grp, f)
                 assert nz.is_distinguishing_search(g, f) == expect
                 if q == 2:
-                    assert nz.is_distinguishing_structural(g, f) == expect
+                    assert (not nz.structural_survivors(g, f)) == expect
 
 
 def test_colour_preserving_search_past_the_recursion_limit():

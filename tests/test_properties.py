@@ -56,10 +56,11 @@ def test_extension_compose_roundtrip(nq, rng):
     g = nz.build(SpaceParams(n, 2))
     h1 = tuple(rng.sample(range(n), n))
     h2 = tuple(rng.sample(range(n), n))
-    lhs = nz.extend_basis_permutation(g, nz.compose(h1, h2))
-    rhs = nz.extend_basis_permutation(g, h1).compose(nz.extend_basis_permutation(g, h2))
-    assert lhs.image == rhs.image
-    assert nz.restrict_to_basis(lhs, g) == nz.compose(h1, h2)
+    h = tuple(np.take(h1, h2).tolist())  # h1 o h2: apply h2 first
+    lhs = nz.extend_basis_permutation(g, h)
+    rhs = nz.extend_basis_permutation(g, h1)[nz.extend_basis_permutation(g, h2)]
+    assert (lhs == rhs).all()
+    assert nz.restrict_to_basis(lhs, g) == h
 
 
 @settings(deadline=None)
@@ -83,7 +84,7 @@ def test_distinguishing_engines_agree(nq, t, rng):
     expect = nz.is_distinguishing(g, grp, f)
     assert nz.is_distinguishing_search(g, f) == expect
     if q == 2:
-        assert nz.is_distinguishing_structural(g, f) == expect
+        assert (not nz.structural_survivors(g, f)) == expect
 
 
 @settings(deadline=None, max_examples=25)

@@ -227,12 +227,15 @@ def cmd_dist(args, config) -> int:
 def cmd_verify(args, config) -> int:
     n_values = _parse_range(args.n)
     q_values = _parse_range(args.q)
+    samples = _effective(args, config, "samples", 1000)
+    if not isinstance(samples, int) or samples < 1:  # the config may hold any JSON value
+        raise ValueError("--samples must be >= 1")
     reports = vfy.verify_ranges(
         n_values, q_values,
         vertex_cap=_effective(args, config, "vertex_cap", vs.DEFAULT_VERTEX_CAP),
         oracle_cap=_effective(args, config, "oracle_cap", sym.DEFAULT_ORACLE_VERTEX_CAP),
         exact_cap=_effective(args, config, "exact_cap", dst.DEFAULT_EXACT_CAP),
-        samples=_effective(args, config, "samples", 1000),
+        samples=samples,
         seed=_effective(args, config, "seed", 0),
     )
     lines = [r.format_line() for r in reports]

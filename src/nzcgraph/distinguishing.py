@@ -22,6 +22,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from . import symmetry as sym
 from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
 from .reporting import ANOMALY, FAIL, PASS, CheckReport
@@ -30,6 +31,7 @@ from .symmetry import (AutGroup, _color_preserving_images, _extend_images_batch,
 
 DEFAULT_EXACT_CAP = 30
 DEFAULT_PERM_BUDGET = 4_000_000
+SCAN_CHUNK = 4096  # partial permutations per numpy block in the structural scan
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def is_distinguishing(g: NzcGraph, grp: AutGroup, f: Labeling) -> bool:
     return True
 
 
-def structural_survivors(g: NzcGraph, f: Labeling, *, chunk: int = 4096,
+def structural_survivors(g: NzcGraph, f: Labeling, *,
                          perm_budget: int = DEFAULT_PERM_BUDGET) -> list[tuple[int, ...]]:
     """Basis permutations whose extension preserves the labeling (q = 2).
 
@@ -128,8 +130,8 @@ def structural_survivors(g: NzcGraph, f: Labeling, *, chunk: int = 4096,
         allowed = basis == basis[k]
         grown = []
         alive = 0
-        for start in range(0, len(partial), chunk):
-            block = partial[start:start + chunk]
+        for start in range(0, len(partial), SCAN_CHUNK):
+            block = partial[start:start + SCAN_CHUNK]
             free = np.ones((len(block), n), dtype=bool)
             free[np.arange(len(block))[:, None], block] = False
             rows, js = np.nonzero(free & allowed)
@@ -145,8 +147,8 @@ def structural_survivors(g: NzcGraph, f: Labeling, *, chunk: int = 4096,
             return []
     survivors = []
     partial = partial[1:]  # the identity passes every level and sorts first
-    for start in range(0, len(partial), chunk):
-        block = partial[start:start + chunk]
+    for start in range(0, len(partial), SCAN_CHUNK):
+        block = partial[start:start + SCAN_CHUNK]
         ok = (colors[_extend_images_batch(g, block)] == colors).all(axis=1)
         survivors.extend(map(tuple, block[ok].tolist()))
     return survivors
@@ -462,9 +464,7 @@ def _validate_labeling(g: NzcGraph, f: Labeling, grp: AutGroup | None) -> bool:
 
 def dist_number(g: NzcGraph, grp: AutGroup | None = None, *,
                 exact_cap: int = DEFAULT_EXACT_CAP,
-                node_budget: int = 2_000_000,
-                group_budget: int = 40320,
-                run_search: bool = True) -> DistResult:
+                node_budget: int = 2_000_000) -> DistResult:
     """Distinguishing number: exact where the search is feasible, else bounds.
 
     Exact mode needs an explicitly enumerated group and at most `exact_cap`
@@ -474,12 +474,10 @@ def dist_number(g: NzcGraph, grp: AutGroup | None = None, *,
     certified) and a validated constructive labeling as the upper bound;
     when the two meet, the value is exact even though no search ran.
     """
-    from . import symmetry as sym
-
     n, q = g.params.n, g.params.q
     nv = g.num_vertices
     if grp is None:
-        if q == 2 and factorial(n) <= group_budget:
+        if q == 2 and factorial(n) <= sym.DEFAULT_GROUP_BUDGET:
             grp = sym.aut_group_structural(g)
         elif nv <= sym.DEFAULT_ORACLE_VERTEX_CAP:
             try:
@@ -512,7 +510,7 @@ def dist_number(g: NzcGraph, grp: AutGroup | None = None, *,
     if witness is None:
         witness = all_distinct_labeling(g)
 
-    if run_search and grp is not None and nv <= exact_cap:
+    if grp is not None and nv <= exact_cap:
         try:
             refuted = 0
             for t in range(1, upper + 1):

@@ -14,22 +14,27 @@ from .reporting import FAIL, PASS, CheckReport
 class NzcGraph:
     """Graph on the non-zero vectors: u ~ v iff their skeletons intersect, u != v.
 
-    Vertices are kept in canonical id order. Adjacency rows are Python int
-    bitmasks: bit u of ``adj[v]`` is set iff u ~ v. Instances are immutable
-    after build and safe for shared read-only use.
+    Vertices are kept in canonical id order. The adjacency is one read-only
+    (nv, nv) boolean matrix: entry [v, u] is True iff u ~ v. Instances are
+    immutable after build and safe for shared read-only use.
     """
 
-    __slots__ = ("params", "vertices", "skeletons", "adj",
-                 "_t_classes", "_twin_sets", "_matrix")
+    __slots__ = ("params", "vertices", "skeletons", "_matrix",
+                 "_t_classes", "_twin_sets")
 
-    def __init__(self, params, vertices, skeletons, adj):
+    def __init__(self, params, vertices, skeletons, matrix):
         self.params = params
         self.vertices = list(vertices)
         self.skeletons = list(skeletons)
-        self.adj = list(adj)
+        nv = len(self.vertices)
+        # a read-only view: the caller's array keeps its own flags
+        matrix = np.asarray(matrix, dtype=bool).view()
+        if matrix.shape != (nv, nv):
+            raise ValueError(f"adjacency matrix has shape {matrix.shape}, expected ({nv}, {nv})")
+        matrix.setflags(write=False)
+        self._matrix = matrix
         self._t_classes = None
         self._twin_sets = None
-        self._matrix = None
 
     @classmethod
     def build(cls, params: vs.SpaceParams) -> "NzcGraph":
@@ -38,24 +43,19 @@ class NzcGraph:
         skeletons = [vs.skeleton(v) for v in vertices]
         nv = len(vertices)
         full = 1 << params.n
-        # members[s]: bitmask of vertices whose skeleton is exactly s
-        members = [0] * full
-        for i, s in enumerate(skeletons):
-            members[s] |= 1 << i
-        # subset-sum DP: union[d] = vertices whose skeleton is a subset of d
-        union = members[:]
+        s = np.asarray(skeletons, dtype=np.int64)
+        # union[d, u]: S_u is a subset of d; seeded with S_u == d, then a
+        # subset-sum pass per bit ORs row d - bit into row d
+        union = np.zeros((full, nv), dtype=bool)
+        union[s, np.arange(nv)] = True
         for b in range(params.n):
-            bit = 1 << b
-            for d in range(full):
-                if d & bit:
-                    union[d] |= union[d ^ bit]
+            halves = union.reshape(-1, 2, 1 << b, nv)
+            halves[:, 1] |= halves[:, 0]
         # neighbours of v = everything except vertices disjoint from S_v and v
-        all_vertices = (1 << nv) - 1
-        top = full - 1
-        adj = []
-        for i, s in enumerate(skeletons):
-            adj.append((all_vertices ^ union[top ^ s]) & ~(1 << i))
-        return cls(params, vertices, skeletons, adj)
+        matrix = union[(full - 1) ^ s]
+        np.logical_not(matrix, out=matrix)
+        np.fill_diagonal(matrix, False)
+        return cls(params, vertices, skeletons, matrix)
 
     @property
     def num_vertices(self) -> int:
@@ -64,10 +64,10 @@ class NzcGraph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self.num_vertices:
             raise IndexError(f"vertex {v} out of range 0..{self.num_vertices - 1}")
-        return self.adj[v].bit_count()
+        return int(np.count_nonzero(self._matrix[v]))
 
     def is_adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj[v] >> u & 1)
+        return bool(self._matrix[v, u])
 
     def class_of(self, v: int) -> int:
         return self.skeletons[v].bit_count()
@@ -93,24 +93,15 @@ class NzcGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (v, u) with v < u, in row-major order."""
-        v, u = np.nonzero(np.triu(self.adjacency_matrix(), 1))
+        v, u = np.nonzero(np.triu(self._matrix, 1))
         # tuples of ints drop out of the cyclic GC; lists would stay tracked
         return list(zip(v.tolist(), u.tolist()))
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return int(np.count_nonzero(self._matrix)) // 2
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (cached, read-only)."""
-        if self._matrix is None:
-            nv = self.num_vertices
-            nbytes = (nv + 7) // 8
-            raw = b"".join(row.to_bytes(nbytes, "little") for row in self.adj)
-            packed = np.frombuffer(raw, dtype=np.uint8).reshape(nv, nbytes)
-            bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :nv]
-            matrix = bits.astype(bool)
-            matrix.setflags(write=False)
-            self._matrix = matrix
+        """The boolean adjacency matrix (read-only)."""
         return self._matrix
 
 
@@ -140,9 +131,7 @@ def check_adjacency_invariants(g: NzcGraph) -> CheckReport:
     failures = [f"vertex {v} adjacent to itself" for v in np.flatnonzero(m.diagonal()).tolist()]
     if not (m == m.T).all():
         failures.append("adjacency matrix is not symmetric")
-    # the matrix drops bits past the last vertex; a row carrying any is wrong too
     bad = (m != skeleton_intersections(g.skeletons)).any(axis=1)
-    bad |= np.array([row >> g.num_vertices != 0 for row in g.adj])
     if bad.any():
         failures.append(f"row {int(bad.argmax())} does not match skeleton intersections")
     return CheckReport(
@@ -164,10 +153,10 @@ def check_degree_formula(g: NzcGraph) -> CheckReport:
     n = g.params.n
     failures = []
     per_vertex = []
-    for v in range(g.num_vertices):
+    degrees = np.count_nonzero(g.adjacency_matrix(), axis=1).tolist()
+    for v, got in enumerate(degrees):
         s = g.class_of(v)
         want = (2**s - 1) * 2 ** (n - s) - 1
-        got = g.degree(v)
         per_vertex.append((v, got, want))
         if got != want:
             failures.append(f"vertex {v} (class {s}): degree {got} != formula {want}")
@@ -190,10 +179,10 @@ def check_degree_formula_general(g: NzcGraph) -> CheckReport:
     """
     n, q = g.params.n, g.params.q
     failures = []
-    for v in range(g.num_vertices):
+    degrees = np.count_nonzero(g.adjacency_matrix(), axis=1).tolist()
+    for v, got in enumerate(degrees):
         s = g.class_of(v)
         want = q**n - q ** (n - s) - 1
-        got = g.degree(v)
         if got != want:
             failures.append(f"vertex {v} (class {s}): degree {got} != {want}")
     return CheckReport(
@@ -209,10 +198,11 @@ def check_degree_formula_general(g: NzcGraph) -> CheckReport:
 
 def twin_partition_by_neighborhood(g: NzcGraph) -> list[tuple[int, ...]]:
     """Independent oracle: group vertices by equal closed neighbourhood."""
-    groups: dict[int, list[int]] = {}
-    for v in range(g.num_vertices):
-        closed = g.adj[v] | (1 << v)
-        groups.setdefault(closed, []).append(v)
+    closed = g.adjacency_matrix().copy()
+    np.fill_diagonal(closed, True)
+    groups: dict[bytes, list[int]] = {}
+    for v, row in enumerate(np.packbits(closed, axis=1)):
+        groups.setdefault(row.tobytes(), []).append(v)
     return sorted((tuple(ms) for ms in groups.values()),
                   key=lambda ms: (len(ms), ms))
 

@@ -75,14 +75,14 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
     # with the count above, equality also rules out self-loops and duplicates
     if not np.array_equal(m, skeleton_intersections(skeletons)):
         raise ValueError("edge list is not the skeleton-intersection graph, each edge once")
-    adj = [int.from_bytes(r.tobytes(), "little") for r in np.packbits(m, 1, bitorder="little")]
-    return NzcGraph(params, vertices, skeletons, adj)
+    return NzcGraph(params, vertices, skeletons, m)
 
 
 def graphs_equal(a: NzcGraph, b: NzcGraph) -> bool:
     """Same parameters, vertex order, adjacency and twin ordering."""
     return (a.params.n == b.params.n and a.params.q == b.params.q
-            and a.vertices == b.vertices and a.adj == b.adj
+            and a.vertices == b.vertices
+            and np.array_equal(a.adjacency_matrix(), b.adjacency_matrix())
             and a.twin_sets() == b.twin_sets())
 
 

@@ -34,6 +34,7 @@ from .reporting import FAIL, PASS, CheckReport
 DEFAULT_ORACLE_VERTEX_CAP = 40
 DEFAULT_ORACLE_ELEMENT_BUDGET = 200_000
 DEFAULT_GROUP_BUDGET = 40320  # 8!
+AXIOM_PAIR_BUDGET = 250_000  # closure is exhaustive when order^2 fits
 
 
 def is_permutation(image, size: int) -> bool:
@@ -127,7 +128,7 @@ class AutGroup:
                         out.append((u, w))
         return out
 
-    def check_group_axioms(self, pair_budget: int = 250_000, seed: int = 0) -> CheckReport:
+    def check_group_axioms(self, seed: int = 0) -> CheckReport:
         """Identity, inverses and closure (exhaustive when order^2 fits the budget)."""
         failures = []
         nv = self.graph.num_vertices
@@ -140,14 +141,14 @@ class AutGroup:
         if missing.size:
             failures.append(f"inverse of element {missing[0]} missing")
         m = self.order
-        if m * m <= pair_budget:
+        if m * m <= AXIOM_PAIR_BUDGET:
             mode = "exhaustive"
             left, right = np.divmod(np.arange(m * m), m)
         else:
             mode = "sampled"
             rng = random.Random(seed)
-            draws = np.array([rng.randrange(m) for _ in range(2 * min(pair_budget, 2000))])
-            left, right = draws[0::2], draws[1::2]  # drawn as (i, j) pairs
+            draws = np.array([rng.randrange(m) for _ in range(4000)])
+            left, right = draws[0::2], draws[1::2]  # 2,000 pairs, drawn as (i, j)
         checked = len(left)
         for start in range(0, checked, 2000):  # products (p_i o p_j)[v] = p_i[p_j[v]]
             i, j = left[start:start + 2000], right[start:start + 2000]
@@ -285,28 +286,28 @@ def aut_group_structural(graph: NzcGraph, *, group_budget: int = DEFAULT_GROUP_B
     return grp
 
 
-def _refine_by_neighbors(adj: list[int], colors: list[int]) -> list[int]:
+def _refine_by_neighbors(a: np.ndarray, colors) -> list[int]:
     """Iterated refinement by multisets of neighbour colours, to a fixpoint.
 
-    Colour ids are renumbered by sorted signature at each pass, so the result
-    is deterministic and independent of the initial colour numbering scheme.
+    Colour ids are renumbered by sorted signature (own colour, sorted tuple
+    of neighbour colours) at each pass, so the result is deterministic. Each
+    pass counts a vertex's neighbours per colour from the matrix `a`. The
+    input colours must be ids 0..k-1, all in use, and every vertex of one
+    colour must have the same degree, which refinement keeps: then sorted
+    tuples compare like count rows with larger counts first, so rows of
+    (colour, inverted counts) rank exactly like them.
     """
-    nv = len(adj)
+    colors = np.asarray(colors, dtype=np.min_scalar_type(len(a)))
     while True:
-        sigs = []
-        for v in range(nv):
-            row = adj[v]
-            neigh = []
-            while row:
-                low = row & -row
-                neigh.append(colors[low.bit_length() - 1])
-                row ^= low
-            neigh.sort()
-            sigs.append((colors[v], tuple(neigh)))
-        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [remap[s] for s in sigs]
-        if new == colors:
-            return colors
+        order = np.argsort(colors, kind="stable")
+        starts = np.searchsorted(colors[order], np.arange(int(colors.max()) + 1))
+        counts = np.add.reduceat(a[:, order], starts, axis=1, dtype=colors.dtype)
+        np.invert(counts, out=counts)
+        # big-endian rows compare bytewise in numeric order
+        keys = np.column_stack([colors, counts]).astype(colors.dtype.newbyteorder(">"))
+        new = np.unique(_row_keys(keys), return_inverse=True)[1].astype(colors.dtype)
+        if np.array_equal(new, colors):
+            return colors.tolist()
         colors = new
 
 
@@ -322,10 +323,11 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
     against `node_budget`; `what` names the search in the cap message.
     """
     nv = graph.num_vertices
-    adj = graph.adj
-    keys = [(row.bit_count(), label) for row, label in zip(adj, labels)]
+    a = graph.adjacency_matrix()
+    keys = list(zip(np.count_nonzero(a, axis=1).tolist(), labels))
     remap = {key: i for i, key in enumerate(sorted(set(keys)))}
-    colors = _refine_by_neighbors(adj, [remap[key] for key in keys])
+    colors = _refine_by_neighbors(a, [remap[key] for key in keys])
+    rows = [r.tobytes() for r in a]  # rows[v][u] is 1 iff u ~ v
     cells: dict[int, list[int]] = {}
     for v in range(nv):
         cells.setdefault(colors[v], []).append(v)
@@ -342,13 +344,13 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
         if image[v] >= 0:  # back from the subtree of the previous candidate
             used[image[v]] = False
             image[v] = -1
-        row_v = adj[v]
+        row_v = rows[v]
         for u in stack[-1]:
             if used[u]:
                 continue
-            row_u = adj[u]
+            row_u = rows[u]
             for w in order[:depth]:
-                if (row_v >> w & 1) != (row_u >> image[w] & 1):
+                if row_v[w] != row_u[image[w]]:
                     break
             else:  # u keeps adjacency to every assigned vertex
                 break
@@ -396,7 +398,8 @@ def aut_group_oracle(graph: NzcGraph, *,
     return AutGroup(graph, np.array(sorted(found), dtype=np.int64), source="oracle")
 
 
-def check_extension_isomorphism(graph: NzcGraph, *, samples: int = 1000, seed: int = 0,
+def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None = None, *,
+                                samples: int = 1000, seed: int = 0,
                                 oracle_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
                                 oracle_budget: int = DEFAULT_ORACLE_ELEMENT_BUDGET) -> CheckReport:
     """The extension map is a group isomorphism from S_n onto Aut(G) (q = 2).
@@ -404,7 +407,8 @@ def check_extension_isomorphism(graph: NzcGraph, *, samples: int = 1000, seed: i
     Checks the homomorphism identity extend(h1 o h2) = extend(h1) o extend(h2)
     exhaustively for n <= 4 and on `samples` seeded random pairs for larger n;
     injectivity as n! distinct extensions (n <= 8); surjectivity by set
-    equality against the oracle when the graph fits the oracle cap.
+    equality against the oracle when the graph fits the oracle cap. `grp`,
+    when given, is the structural group of `graph`; otherwise it is built.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError("extension isomorphism is defined for q = 2")
@@ -429,7 +433,8 @@ def check_extension_isomorphism(graph: NzcGraph, *, samples: int = 1000, seed: i
         failures.append(f"extend({h1} o {h2}) != extend({h1}) o extend({h2})")
     details["pairs_checked"] = len(pairs)
     if factorial(n) <= DEFAULT_GROUP_BUDGET:
-        grp = aut_group_structural(graph, validate="none")
+        if grp is None:
+            grp = aut_group_structural(graph, validate="none")
         distinct = grp.distinct_rows()
         details["distinct_extensions"] = distinct
         if distinct != factorial(n):

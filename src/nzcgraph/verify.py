@@ -267,7 +267,7 @@ def verify_params(n: int, q: int, *, vertex_cap: int = 65535, oracle_cap: int = 
                 reports.append(_report_engines_agree(
                     g, grp, oracle_cap=oracle_cap, oracle_budget=oracle_budget))
         reports.append(sym.check_extension_isomorphism(
-            g, samples=samples, seed=seed, oracle_cap=oracle_cap,
+            g, grp, samples=samples, seed=seed, oracle_cap=oracle_cap,
             oracle_budget=oracle_budget))
         if n >= 3:
             reports.append(_report_two_labeling(g, grp))

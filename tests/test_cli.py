@@ -133,7 +133,11 @@ def test_json_roundtrip_identical():
         g = nz.build(SpaceParams(n, q))
         data = json.loads(json.dumps(serialize.graph_to_dict(g)))
         back = serialize.graph_from_dict(data)
-        assert serialize.graphs_equal(g, back)
+        assert serialize.graphs_equal(g, back) is True
+        m = g.adjacency_matrix().copy()
+        m[0, -1] = m[-1, 0] = not m[0, -1]
+        other = nz.NzcGraph(g.params, g.vertices, g.skeletons, m)
+        assert serialize.graphs_equal(g, other) is False
 
 
 def test_roundtrip_rejects_tampered_edges():
@@ -229,6 +233,22 @@ def test_config_env_supplies_defaults(capsys, tmp_path, monkeypatch):
     rc, out, _ = run(capsys, "build", "-n", "4", "-q", "2", "--vertex-cap", "100",
                      "--format", "json")
     assert rc == 0
+
+
+@pytest.mark.parametrize("flags, config", [(["--samples", "0"], None),
+                                           ([], {"samples": -1}), ([], {"samples": "5"})])
+def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatch,
+                                                    flags, config):
+    def no_build(params):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(nz.graph, "build", no_build)
+    if config is not None:
+        cfg = tmp_path / "nzc.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv("NZC_CONFIG", str(cfg))
+    argv = ["verify", "-n", "3..10", "-q", "2", *flags]
+    assert run(capsys, *argv) == (2, "", "error: --samples must be >= 1\n")
 
 
 def test_deterministic_outputs(capsys):

@@ -321,3 +321,15 @@ def test_search_node_budgets():
     assert nz.aut_group_oracle(g, node_budget=6).order == 2
     with pytest.raises(CapExceededError, match="^oracle search exceeded 5 nodes$"):
         nz.aut_group_oracle(g, node_budget=5)
+
+
+@pytest.mark.parametrize("n, q", [(9, 2), (6, 3), (4, 5)])
+def test_constructive_search_is_one_path_at_scale(n, q):
+    # the refined partition is discrete: the root plus one node per vertex
+    g = nz.build(SpaceParams(n, q))
+    f = nz.constructive_labeling_q2(g) if q == 2 else nz.constructive_labeling_q3(g)
+    nv = g.num_vertices
+    assert nz.find_color_preserving(g, f, node_budget=nv + 1) is None
+    with pytest.raises(CapExceededError,
+                       match=f"^colour-preserving search exceeded {nv} nodes$"):
+        nz.find_color_preserving(g, f, node_budget=nv)

@@ -3,6 +3,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 import nzcgraph as nz
@@ -158,17 +159,16 @@ def test_skeleton_intersections_across_row_blocks():
 
 
 def _corrupted(g, flips):
-    """Copy of g with the listed adjacency bits (v, u) of row v flipped."""
-    adj = list(g.adj)
+    """Copy of g with the listed adjacency entries (v, u) of row v flipped."""
+    m = g.adjacency_matrix().copy()
     for v, u in flips:
-        adj[v] ^= 1 << u
-    return nz.NzcGraph(g.params, g.vertices, g.skeletons, adj)
+        m[v, u] = not m[v, u]
+    return nz.NzcGraph(g.params, g.vertices, g.skeletons, m)
 
 
 def test_adjacency_invariants_report_corruptions():
     g = nz.build(SpaceParams(4, 2))
     assert gr.check_adjacency_invariants(g).passed
-    nv = g.num_vertices
     assert not g.is_adjacent(6, 7) and g.is_adjacent(13, 14)
     cases = {
         ((9, 9),): ["vertex 9 adjacent to itself",
@@ -178,10 +178,21 @@ def test_adjacency_invariants_report_corruptions():
         ((6, 7),): ["adjacency matrix is not symmetric",
                     "row 6 does not match skeleton intersections"],
         ((13, 14), (14, 13)): ["row 13 does not match skeleton intersections"],
-        # a bit past the last vertex, which the dense matrix cannot show
-        ((6, nv),): ["row 6 does not match skeleton intersections"],
     }
     for flips, failures in cases.items():
         rep = gr.check_adjacency_invariants(_corrupted(g, flips))
         assert rep.status == "fail"
         assert rep.failures == failures
+
+
+def test_graph_rejects_a_matrix_that_is_not_square_on_the_vertices():
+    g = nz.build(SpaceParams(4, 2))
+    m = g.adjacency_matrix()
+    for bad in (np.zeros((15, 16), dtype=bool), np.zeros((16, 15), dtype=bool),
+                np.zeros((16, 16), dtype=bool), m[:, 0], m[None]):
+        with pytest.raises(ValueError, match=r"^adjacency matrix has shape \(.*\), "
+                                             r"expected \(15, 15\)$"):
+            nz.NzcGraph(g.params, g.vertices, g.skeletons, bad)
+    copy = nz.NzcGraph(g.params, g.vertices, g.skeletons, m.astype(np.uint8))
+    assert copy.adjacency_matrix().dtype == bool and not copy.adjacency_matrix().flags.writeable
+    assert (copy.adjacency_matrix() == m).all()

@@ -11,6 +11,7 @@ import pytest
 import nzcgraph as nz
 from nzcgraph import SpaceParams, UnsupportedFieldError
 from nzcgraph.errors import CapExceededError
+from nzcgraph.symmetry import _refine_by_neighbors
 
 
 def vid(g, coeffs):
@@ -187,17 +188,20 @@ def test_extension_rejects_non_automorphisms():
     g = nz.build(SpaceParams(2, 2))
     assert not nz.is_automorphism(g, (0, 0, 1))  # not a bijection
     assert not nz.is_automorphism(g, (2, 1, 0))  # degree-1 vertex onto the centre
-    assert g.adj == [4, 4, 3]
-    one_way = nz.NzcGraph(g.params, g.vertices, g.skeletons, [4, 0, 1])  # edge 1-2 one way
+    assert g.adjacency_matrix().tolist() == [[False, False, True], [False, False, True],
+                                             [True, True, False]]
+    no_12 = [[False, False, True], [False, False, False], [True, False, False]]
+    dropped = nz.NzcGraph(g.params, g.vertices, g.skeletons, no_12)  # edge 1-2 gone
     with pytest.raises(ValueError, match="^image is not an adjacency-preserving "
                                          "permutation of the vertex ids$"):
-        nz.extend_basis_permutation(one_way, (1, 0))
+        nz.extend_basis_permutation(dropped, (1, 0))
 
 
 def test_extension_rejects_maps_across_skeleton_classes():
     g = nz.build(SpaceParams(2, 2))
     assert g.skeletons == [1, 2, 3]
-    swapped = nz.NzcGraph(g.params, g.vertices, [1, 3, 2], g.adj)  # b2 and b1+b2 mislabelled
+    swapped = nz.NzcGraph(g.params, g.vertices, [1, 3, 2],
+                          g.adjacency_matrix())  # b2 and b1+b2 mislabelled
     with pytest.raises(ValueError, match="^vertex 0 mapped across skeleton-size classes to 1$"):
         nz.extend_basis_permutation(swapped, (1, 0))
 
@@ -323,3 +327,38 @@ def test_distinct_rows_and_set_equal_compare_whole_rows():
     assert nz.AutGroup(g, np.vstack([perms, perms[:3]])).distinct_rows() == 24
     assert grp.set_equal(nz.AutGroup(g, perms[::-1]))
     assert not grp.set_equal(nz.AutGroup(g, np.vstack([perms[:-1], perms[-1][::-1]])))
+
+
+def _reference_refinement(a, colors):
+    """Sorted-tuple signature refinement over neighbour lists, to a fixpoint."""
+    neighbours = [np.flatnonzero(row).tolist() for row in a]
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in neighbours[v])))
+                for v in range(len(a))]
+        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [remap[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+@pytest.mark.parametrize("n, q", [(n, 2) for n in range(1, 9)] + [(n, 3) for n in range(1, 6)]
+                         + [(n, q) for q in (4, 5) for n in range(2, 5)])
+def test_counting_refinement_matches_sorted_signatures(n, q):
+    g = nz.build(SpaceParams(n, q))
+    a = g.adjacency_matrix()
+    nv = g.num_vertices
+    rng = random.Random(100 * n + q)
+    labelings = [(1,) * nv, tuple(rng.randint(1, 2) for _ in range(nv)),
+                 tuple(rng.randint(1, 5) for _ in range(nv))]
+    if q >= 3:
+        labelings.append(nz.constructive_labeling_q3(g).colors)
+    elif n >= 3:
+        labelings.append(nz.constructive_labeling_q2(g).colors)
+    degrees = a.sum(axis=1).tolist()
+    for labels in labelings:
+        # the seed of the shared search: ranks of (degree, label)
+        keys = list(zip(degrees, labels))
+        remap = {key: i for i, key in enumerate(sorted(set(keys)))}
+        seed = [remap[key] for key in keys]
+        assert _refine_by_neighbors(a, seed) == _reference_refinement(a, seed)

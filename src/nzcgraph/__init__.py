@@ -13,7 +13,7 @@ from .distinguishing import (DistResult, Labeling, all_distinct_labeling,
                              constructive_labeling_q3, destroyed_transpositions,
                              dist_number, exists_distinguishing_labeling,
                              find_color_preserving, is_distinguishing,
-                             is_distinguishing_search, structural_survivors, twin_lower_bound)
+                             structural_survivors, twin_lower_bound)
 from .errors import CapExceededError, NzcError, UnsupportedFieldError
 from .graph import (NzcGraph, build, check_degree_formula,
                     check_degree_formula_general, check_pair_counts,
@@ -22,7 +22,7 @@ from .graph import (NzcGraph, build, check_degree_formula,
 from .reporting import CheckReport
 from .symmetry import (AutGroup, aut_group_oracle, aut_group_structural,
                        check_automorphism_structure, check_extension_isomorphism,
-                       check_orbit_stabilizer, extend_basis_permutation,
+                       check_orbit_stabilizer, explicit_group, extend_basis_permutation,
                        is_automorphism, restrict_to_basis)
 from .vectorspace import (SpaceParams, basis_vector, enumerate_vectors,
                           skeleton, skeleton_class, skeleton_indices,
@@ -40,9 +40,8 @@ __all__ = [
     "check_swap_broken_by_pair", "check_twin_structure",
     "constructive_labeling_q2", "constructive_labeling_q3", "count_distinguishing_pairs",
     "destroyed_transpositions", "dist_number", "enumerate_vectors",
-    "exists_distinguishing_labeling", "extend_basis_permutation",
+    "exists_distinguishing_labeling", "explicit_group", "extend_basis_permutation",
     "find_color_preserving", "is_automorphism", "is_distinguishing",
-    "is_distinguishing_search",
     "restrict_to_basis", "skeleton", "skeleton_class", "skeleton_indices",
     "structural_survivors", "twin_lower_bound", "twin_partition_by_neighborhood",
     "vector_from_id", "vector_id",

@@ -3,7 +3,9 @@
 Subcommands: build, twins, aut, orbits, labeling, dist, verify.
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 cap exceeded,
 4 engine not applicable. NZC_CONFIG may point to a JSON file supplying
-defaults for the flag values (same keys as the long flag names).
+defaults for the flag values (same keys as the long flag names). Every
+setting, from a flag or from the file, is checked before any work starts;
+a bad one exits 2 with a line that names it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ EXIT_CAP = 3
 EXIT_ENGINE = 4
 
 CONFIG_ENV = "NZC_CONFIG"
-CONFIG_KEYS = ("vertex_cap", "oracle_cap", "exact_cap", "seed", "format", "samples")
+DEFAULTS = {"vertex_cap": vs.DEFAULT_VERTEX_CAP, "oracle_cap": sym.DEFAULT_ORACLE_VERTEX_CAP,
+            "exact_cap": dst.DEFAULT_EXACT_CAP, "seed": 0, "samples": 1000, "format": "json"}
+MINIMUM = {"vertex_cap": 1, "oracle_cap": 0, "exact_cap": 0, "seed": 0, "samples": 1}
+FORMATS = {"build": ("json", "dot", "table"), "labeling": ("json", "table")}
 
 
 def _load_config() -> dict:
@@ -37,7 +42,27 @@ def _load_config() -> dict:
         return {}
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return {k: data[k] for k in CONFIG_KEYS if k in data}
+    if not isinstance(data, dict):
+        raise ValueError("the file must hold a JSON object")
+    return {k: data[k] for k in DEFAULTS if k in data}
+
+
+def _settings(args, config) -> dict:
+    """Each setting: its flag, else its config value, else its default.
+
+    The config may hold any JSON value, so a bad setting raises ValueError.
+    """
+    out = {}
+    for key, default in DEFAULTS.items():
+        flag = getattr(args, key, None)
+        value = config.get(key, default) if flag is None else flag
+        if key == "format":
+            if args.command in FORMATS and value not in FORMATS[args.command]:
+                raise ValueError(f"--format must be one of {', '.join(FORMATS[args.command])}")
+        elif isinstance(value, bool) or not isinstance(value, int) or value < MINIMUM[key]:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= {MINIMUM[key]}")
+        out[key] = value
+    return out
 
 
 def _add_common(p: argparse.ArgumentParser, *, ranged: bool = False) -> None:
@@ -64,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("build", help="construct a graph and export it")
     _add_common(p)
-    p.add_argument("--format", choices=("json", "dot", "table"), default=None)
+    p.add_argument("--format", choices=FORMATS["build"], default=None)
 
     p = subs.add_parser("twins", help="print the twin partition")
     _add_common(p)
@@ -80,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("labeling", help="emit the constructive distinguishing labeling")
     _add_common(p)
-    p.add_argument("--format", choices=("json", "table"), default=None)
+    p.add_argument("--format", choices=FORMATS["labeling"], default=None)
 
     p = subs.add_parser("dist", help="distinguishing number (exact or bounds)")
     _add_common(p)
@@ -99,13 +124,6 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _effective(args, config, key, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return config.get(key, default)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -114,9 +132,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _graph(args, config) -> gr.NzcGraph:
-    cap = _effective(args, config, "vertex_cap", vs.DEFAULT_VERTEX_CAP)
-    return gr.build(vs.SpaceParams(args.n, args.q, cap))
+def _graph(args, opts) -> gr.NzcGraph:
+    return gr.build(vs.SpaceParams(args.n, args.q, opts["vertex_cap"]))
 
 
 def _group_for(g, engine, oracle_cap):
@@ -125,9 +142,9 @@ def _group_for(g, engine, oracle_cap):
     return sym.aut_group_oracle(g, vertex_cap=oracle_cap)
 
 
-def cmd_build(args, config) -> int:
-    g = _graph(args, config)
-    fmt = _effective(args, config, "format", "json")
+def cmd_build(args, opts) -> int:
+    g = _graph(args, opts)
+    fmt = opts["format"]
     if fmt == "json":
         _emit(json.dumps(serialize.graph_to_dict(g), indent=2) + "\n", args.out)
     elif fmt == "dot":
@@ -137,8 +154,8 @@ def cmd_build(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_twins(args, config) -> int:
-    g = _graph(args, config)
+def cmd_twins(args, opts) -> int:
+    g = _graph(args, opts)
     lines = [f"{len(g.twin_sets())} twin sets"]
     for ts in g.twin_sets():
         label = vs.format_vector(g.vertices[ts[0]])
@@ -149,9 +166,8 @@ def cmd_twins(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_aut(args, config) -> int:
-    g = _graph(args, config)
-    oracle_cap = _effective(args, config, "oracle_cap", sym.DEFAULT_ORACLE_VERTEX_CAP)
+def cmd_aut(args, opts) -> int:
+    g = _graph(args, opts)
     lines = []
     rc = EXIT_OK
     if args.engine in ("structural", "both"):
@@ -159,7 +175,7 @@ def cmd_aut(args, config) -> int:
         lines.append(f"structural engine: |Aut| = {grp.order}")
         lines.append("orbits: " + " ".join(str(list(o)) for o in grp.orbits()))
     if args.engine in ("oracle", "both"):
-        oracle = sym.aut_group_oracle(g, vertex_cap=oracle_cap)
+        oracle = sym.aut_group_oracle(g, vertex_cap=opts["oracle_cap"])
         lines.append(f"oracle engine: |Aut| = {oracle.order}")
         if args.engine == "oracle":
             lines.append("orbits: " + " ".join(str(list(o)) for o in oracle.orbits()))
@@ -172,11 +188,10 @@ def cmd_aut(args, config) -> int:
     return rc
 
 
-def cmd_orbits(args, config) -> int:
-    g = _graph(args, config)
+def cmd_orbits(args, opts) -> int:
+    g = _graph(args, opts)
     engine = args.engine or ("structural" if args.q == 2 else "oracle")
-    oracle_cap = _effective(args, config, "oracle_cap", sym.DEFAULT_ORACLE_VERTEX_CAP)
-    grp = _group_for(g, engine, oracle_cap)
+    grp = _group_for(g, engine, opts["oracle_cap"])
     lines = [f"{engine} group of order {grp.order}"]
     for orb in grp.orbits():
         labels = " ".join(vs.format_vector(g.vertices[v]) for v in orb)
@@ -188,12 +203,11 @@ def cmd_orbits(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_labeling(args, config) -> int:
-    g = _graph(args, config)
+def cmd_labeling(args, opts) -> int:
+    g = _graph(args, opts)
     f = (dst.constructive_labeling_q2(g) if args.q == 2
          else dst.constructive_labeling_q3(g))
-    fmt = _effective(args, config, "format", "json")
-    if fmt == "json":
+    if opts["format"] == "json":
         _emit(json.dumps({"n": args.n, "q": args.q, "t": f.t,
                           "colors": list(f.colors)}) + "\n", args.out)
     else:
@@ -204,10 +218,10 @@ def cmd_labeling(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_dist(args, config) -> int:
-    g = _graph(args, config)
-    exact_cap = _effective(args, config, "exact_cap", dst.DEFAULT_EXACT_CAP)
-    result = dst.dist_number(g, exact_cap=exact_cap)
+def cmd_dist(args, opts) -> int:
+    g = _graph(args, opts)
+    grp = sym.explicit_group(g, oracle_cap=opts["oracle_cap"], seed=opts["seed"])
+    result = dst.dist_number(g, grp, exact_cap=opts["exact_cap"])
     if result.method == "exact":
         line = f"exact {result.value}"
         if result.refuted:
@@ -224,20 +238,12 @@ def cmd_dist(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, config) -> int:
+def cmd_verify(args, opts) -> int:
     n_values = _parse_range(args.n)
     q_values = _parse_range(args.q)
-    samples = _effective(args, config, "samples", 1000)
-    if not isinstance(samples, int) or samples < 1:  # the config may hold any JSON value
-        raise ValueError("--samples must be >= 1")
     reports = vfy.verify_ranges(
-        n_values, q_values,
-        vertex_cap=_effective(args, config, "vertex_cap", vs.DEFAULT_VERTEX_CAP),
-        oracle_cap=_effective(args, config, "oracle_cap", sym.DEFAULT_ORACLE_VERTEX_CAP),
-        exact_cap=_effective(args, config, "exact_cap", dst.DEFAULT_EXACT_CAP),
-        samples=samples,
-        seed=_effective(args, config, "seed", 0),
-    )
+        n_values, q_values, vertex_cap=opts["vertex_cap"], oracle_cap=opts["oracle_cap"],
+        exact_cap=opts["exact_cap"], samples=opts["samples"], seed=opts["seed"])
     lines = [r.format_line() for r in reports]
     counts = vfy.summarize(reports)
     lines.append(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
@@ -266,11 +272,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config()
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: cannot read {CONFIG_ENV} config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return COMMANDS[args.command](args, config)
+        return COMMANDS[args.command](args, _settings(args, config))
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

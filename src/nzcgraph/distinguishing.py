@@ -12,17 +12,18 @@ envelopes:
   automorphism directly, through the oracle's explicit-stack backtrack over
   a partition refined from (degree, colour), so it works even when the
   group is far too large to enumerate or has thousands of vertices.
+
+The search budgets are module constants, read at call time.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
-from . import symmetry as sym
 from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
 from .reporting import ANOMALY, FAIL, PASS, CheckReport
@@ -30,7 +31,9 @@ from .symmetry import (AutGroup, _color_preserving_images, _extend_images_batch,
                        extend_basis_permutation, is_automorphism)
 
 DEFAULT_EXACT_CAP = 30
-DEFAULT_PERM_BUDGET = 4_000_000
+PERM_BUDGET = 4_000_000  # partial basis permutations alive in the structural scan
+SEARCH_NODE_BUDGET = 2_000_000  # nodes of the colour-preserving search
+EXACT_NODE_BUDGET = 2_000_000  # nodes of each exact labeling search
 SCAN_CHUNK = 4096  # partial permutations per numpy block in the structural scan
 
 
@@ -47,9 +50,6 @@ class Labeling:
         for c in self.colors:
             if not 1 <= c <= self.t:
                 raise ValueError(f"colour {c} outside 1..{self.t}")
-
-    def color(self, v: int) -> int:
-        return self.colors[v]
 
     def used_colors(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.colors)))
@@ -102,8 +102,7 @@ def is_distinguishing(g: NzcGraph, grp: AutGroup, f: Labeling) -> bool:
     return True
 
 
-def structural_survivors(g: NzcGraph, f: Labeling, *,
-                         perm_budget: int = DEFAULT_PERM_BUDGET) -> list[tuple[int, ...]]:
+def structural_survivors(g: NzcGraph, f: Labeling) -> list[tuple[int, ...]]:
     """Basis permutations whose extension preserves the labeling (q = 2).
 
     Builds sigma level by level without enumerating S_n: level k extends each
@@ -111,7 +110,7 @@ def structural_survivors(g: NzcGraph, f: Labeling, *,
     b_k, keeping the extensions under which every class-2 vertex
     {b_i, b_k}, i < k, keeps its colour as {b_sigma(i), b_j}. Both tests are
     necessary, so the search is complete; the survivors of the last level
-    then get the full skeleton-level colour check in chunks. `perm_budget`
+    then get the full skeleton-level colour check in chunks. :data:`PERM_BUDGET`
     bounds the partial permutations alive at any level. The result is in
     lexicographic order and excludes the identity, so an empty result means
     the labeling is distinguishing against every basis-permutation extension.
@@ -138,9 +137,9 @@ def structural_survivors(g: NzcGraph, f: Labeling, *,
             keep = (pair[block[rows], js[:, None]] == pair[:k, k]).all(axis=1)
             rows, js = rows[keep], js[keep]
             alive += len(rows)
-            if alive > perm_budget:
+            if alive > PERM_BUDGET:
                 raise CapExceededError(
-                    f"more than {perm_budget} partial basis permutations at level {k + 1}")
+                    f"more than {PERM_BUDGET} partial basis permutations at level {k + 1}")
             grown.append(np.column_stack([block[rows], js]))
         partial = np.concatenate(grown)
         if not len(partial):
@@ -154,26 +153,22 @@ def structural_survivors(g: NzcGraph, f: Labeling, *,
     return survivors
 
 
-def find_color_preserving(g: NzcGraph, f: Labeling, *,
-                          node_budget: int = 2_000_000) -> tuple[int, ...] | None:
+def find_color_preserving(g: NzcGraph, f: Labeling) -> tuple[int, ...] | None:
     """Search for a non-identity colour-preserving automorphism (any q).
 
     Runs the shared search of :mod:`nzcgraph.symmetry` with the colours of f
     as labels and returns its first non-identity image. The search is
     complete, so a None return proves the labeling is distinguishing. Works
     for groups far too large to enumerate because a distinguishing labeling
-    collapses the refinement to near-singleton cells.
+    collapses the refinement to near-singleton cells. Raises a cap error
+    past :data:`SEARCH_NODE_BUDGET` nodes.
     """
     if len(f.colors) != g.num_vertices:
         raise ValueError("labeling length does not match the vertex count")
-    images = _color_preserving_images(g, f.colors, node_budget, "colour-preserving search")
+    images = _color_preserving_images(g, f.colors, SEARCH_NODE_BUDGET,
+                                      "colour-preserving search")
     return next((image for image in images
                  if any(i != x for i, x in enumerate(image))), None)
-
-
-def is_distinguishing_search(g: NzcGraph, f: Labeling, *,
-                             node_budget: int = 2_000_000) -> bool:
-    return find_color_preserving(g, f, node_budget=node_budget) is None
 
 
 def constructive_labeling_q2(g: NzcGraph) -> Labeling:
@@ -267,7 +262,6 @@ class TranspositionBreakdown:
     tallies: dict[str, int]
     expected: dict[str, int]
     unattributed: list[tuple[int, int]] = field(default_factory=list)
-    per_transposition: dict[tuple[int, int], str | None] = field(default_factory=dict)
 
     @property
     def covers_all(self) -> bool:
@@ -294,7 +288,6 @@ def destroyed_transpositions(g: NzcGraph, f: Labeling) -> TranspositionBreakdown
     members = [(name, np.asarray(classes.get(i, ()), dtype=np.int64))
                for name, i in slots if 1 <= i <= n]
     unattributed = []
-    per_transposition: dict[tuple[int, int], str | None] = {}
     for l in range(1, n + 1):
         for m in range(l + 1, n + 1):
             sigma = list(range(n))
@@ -302,7 +295,6 @@ def destroyed_transpositions(g: NzcGraph, f: Labeling) -> TranspositionBreakdown
             image = extend_basis_permutation(g, sigma)
             hit = next((name for name, vs in members
                         if (colors[image[vs]] != colors[vs]).any()), None)
-            per_transposition[(l, m)] = hit
             if hit is None:
                 unattributed.append((l, m))
             else:
@@ -312,8 +304,7 @@ def destroyed_transpositions(g: NzcGraph, f: Labeling) -> TranspositionBreakdown
     else:
         expected = {"T1": (n * n - 1) // 4, "T(n-1)": n - 2, "T2": (n * n - 6 * n + 9) // 4}
     return TranspositionBreakdown(n=n, tallies=tallies, expected=expected,
-                                  unattributed=unattributed,
-                                  per_transposition=per_transposition)
+                                  unattributed=unattributed)
 
 
 def transposition_report(g: NzcGraph, f: Labeling) -> CheckReport:
@@ -379,8 +370,7 @@ def check_swap_broken_by_pair(g: NzcGraph, grp: AutGroup, f: Labeling,
     return not (swaps & (c[p] == c).all(1)).any()  # no swapping automorphism survives
 
 
-def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int, *,
-                                   node_budget: int = 2_000_000) -> Labeling | None:
+def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int) -> Labeling | None:
     """Exact search: a distinguishing labeling with colours in 1..t, or None.
 
     Vertices are coloured in canonical id order, colours tried in increasing
@@ -388,7 +378,8 @@ def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int, *,
     (colour names are interchangeable, so only the first unused colour is
     tried beyond those already used), and a branch is accepted early once
     every non-identity group element is already broken by the coloured
-    prefix, at which point any completion works.
+    prefix, at which point any completion works. Raises a cap error past
+    :data:`EXACT_NODE_BUDGET` nodes.
     """
     nv = g.num_vertices
     if t < 1:
@@ -403,8 +394,8 @@ def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int, *,
     def dfs(k: int, live: list[int], max_used: int) -> Labeling | None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
-            raise CapExceededError(f"exact search exceeded {node_budget} nodes")
+        if nodes > EXACT_NODE_BUDGET:
+            raise CapExceededError(f"exact search exceeded {EXACT_NODE_BUDGET} nodes")
         if not live:
             witness = tuple(colors[:k]) + (1,) * (nv - k)
             return Labeling(witness, t)
@@ -459,37 +450,27 @@ def _validate_labeling(g: NzcGraph, f: Labeling, grp: AutGroup | None) -> bool:
         return is_distinguishing(g, grp, f)
     if g.params.q == 2:
         return not structural_survivors(g, f)
-    return is_distinguishing_search(g, f)
+    return find_color_preserving(g, f) is None
 
 
-def dist_number(g: NzcGraph, grp: AutGroup | None = None, *,
-                exact_cap: int = DEFAULT_EXACT_CAP,
-                node_budget: int = 2_000_000) -> DistResult:
+def dist_number(g: NzcGraph, grp: AutGroup | None, *,
+                exact_cap: int = DEFAULT_EXACT_CAP) -> DistResult:
     """Distinguishing number: exact where the search is feasible, else bounds.
 
-    Exact mode needs an explicitly enumerated group and at most `exact_cap`
-    vertices; it tries t = 1, 2, ... and returns the least t with a witness,
-    recording the largest refuted colour count. Bounded mode reports the
-    twin-set lower bound (raised to 2 when a non-trivial automorphism is
-    certified) and a validated constructive labeling as the upper bound;
-    when the two meet, the value is exact even though no search ran.
+    `grp` is the explicitly enumerated group of `g`, or None when there is
+    none (see :func:`nzcgraph.symmetry.explicit_group`). Exact mode needs
+    the group and at most `exact_cap` vertices; it tries t = 1, 2, ... and
+    returns the least t with a witness, recording the largest refuted colour
+    count. Bounded mode reports the twin-set lower bound (raised to 2 when a
+    non-trivial automorphism is certified) and a validated constructive
+    labeling as the upper bound; when the two meet, the value is exact even
+    though no search ran.
     """
     n, q = g.params.n, g.params.q
     nv = g.num_vertices
-    if grp is None:
-        if q == 2 and factorial(n) <= sym.DEFAULT_GROUP_BUDGET:
-            grp = sym.aut_group_structural(g)
-        elif nv <= sym.DEFAULT_ORACLE_VERTEX_CAP:
-            try:
-                grp = sym.aut_group_oracle(g)
-            except CapExceededError:
-                grp = None
-
     twin = twin_lower_bound(g)
-    if grp is not None and grp.order > 1:
-        nontrivial = True
-    elif grp is not None:
-        nontrivial = False
+    if grp is not None:
+        nontrivial = grp.order > 1
     else:
         nontrivial = _nontrivial_automorphism(g) is not None
     lower = max(twin, 2 if nontrivial else 1)
@@ -514,7 +495,7 @@ def dist_number(g: NzcGraph, grp: AutGroup | None = None, *,
         try:
             refuted = 0
             for t in range(1, upper + 1):
-                hit = exists_distinguishing_labeling(g, grp, t, node_budget=node_budget)
+                hit = exists_distinguishing_labeling(g, grp, t)
                 if hit is not None:
                     return DistResult(lower=t, upper=t, method="exact", witness=hit,
                                       lower_source="search", upper_source="search",

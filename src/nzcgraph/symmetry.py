@@ -14,6 +14,10 @@ one search, :func:`_color_preserving_images`: an explicit-stack backtrack
 over a partition refined from (degree, label), where the oracle's labels are
 constant. It yields each label-preserving automorphism in turn.
 
+:func:`explicit_group` alone decides whether a graph gets an enumerated
+group; the checks take the groups they are given. Budgets are module
+constants, read at call time.
+
 A vertex permutation is an integer array in one-line notation, and a group
 is an array of such rows (:attr:`AutGroup.perms`). Composition applies the
 right factor first: (p o r)[v] = p[r[v]], i.e. ``p[r]`` in numpy.
@@ -32,8 +36,10 @@ from .graph import NzcGraph, twin_partition_by_neighborhood
 from .reporting import FAIL, PASS, CheckReport
 
 DEFAULT_ORACLE_VERTEX_CAP = 40
-DEFAULT_ORACLE_ELEMENT_BUDGET = 200_000
-DEFAULT_GROUP_BUDGET = 40320  # 8!
+ORACLE_ELEMENT_BUDGET = 200_000
+ORACLE_NODE_BUDGET = 5_000_000
+GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
+FULL_VALIDATION_BUDGET = 2 * 10**8  # order * nv^2 up to which every element is checked
 AXIOM_PAIR_BUDGET = 250_000  # closure is exhaustive when order^2 fits
 
 
@@ -174,7 +180,7 @@ def _row_keys(perms: np.ndarray) -> np.ndarray:
     return perms.view(np.dtype((np.void, perms.shape[1] * perms.itemsize)))[:, 0]
 
 
-def _basis_vertex_id(graph: NzcGraph, i: int) -> int:
+def _basis_vertex_id(i: int) -> int:
     """Vertex id of b_i for q = 2 (1-based i); mask value 2^(i-1) minus one."""
     return (1 << (i - 1)) - 1
 
@@ -239,7 +245,7 @@ def restrict_to_basis(image, graph: NzcGraph) -> tuple[int, ...]:
     n = graph.params.n
     sigma = []
     for i in range(1, n + 1):
-        w = int(image[_basis_vertex_id(graph, i)])
+        w = int(image[_basis_vertex_id(i)])
         mask = w + 1
         if mask.bit_count() != 1:
             raise ValueError(
@@ -250,13 +256,13 @@ def restrict_to_basis(image, graph: NzcGraph) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def aut_group_structural(graph: NzcGraph, *, group_budget: int = DEFAULT_GROUP_BUDGET,
-                         validate: str = "auto", seed: int = 0) -> AutGroup:
+def aut_group_structural(graph: NzcGraph, *, seed: int = 0) -> AutGroup:
     """All n! basis-permutation extensions, in lexicographic sigma order (q = 2).
 
-    `validate` controls the per-element adjacency check: "full" checks every
-    element, "sample" checks 200 seeded elements (used automatically when a
-    full pass would be quadratic-in-|V| times 8! expensive), "none" skips.
+    Raises a cap error past :data:`GROUP_BUDGET` elements. Every element is
+    checked to preserve adjacency while order * |V|^2 stays within
+    :data:`FULL_VALIDATION_BUDGET`; past it, 200 seeded elements plus the
+    first and last are.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError(
@@ -264,26 +270,22 @@ def aut_group_structural(graph: NzcGraph, *, group_budget: int = DEFAULT_GROUP_B
         )
     n = graph.params.n
     order = factorial(n)
-    if order > group_budget:
+    if order > GROUP_BUDGET:
         raise CapExceededError(
-            f"structural group has {order} elements, budget is {group_budget}"
+            f"structural group has {order} elements, budget is {GROUP_BUDGET}"
         )
     sigmas = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     perms = _extend_images_batch(graph, sigmas)
-    grp = AutGroup(graph, perms, source="structural")
     nv = graph.num_vertices
-    if validate == "auto":
-        validate = "full" if order * nv * nv <= 2 * 10**8 else "sample"
-    if validate != "none":
-        if validate == "full":
-            rows = range(order)
-        else:
-            rng = random.Random(seed)
-            rows = sorted({0, order - 1, *(rng.randrange(order) for _ in range(200))})
-        for i in rows:
-            if not is_automorphism(graph, perms[i]):
-                raise ValueError(f"structural engine produced a non-automorphism (row {i})")
-    return grp
+    if order * nv * nv <= FULL_VALIDATION_BUDGET:
+        rows = range(order)
+    else:
+        rng = random.Random(seed)
+        rows = sorted({0, order - 1, *(rng.randrange(order) for _ in range(200))})
+    for i in rows:
+        if not is_automorphism(graph, perms[i]):
+            raise ValueError(f"structural engine produced a non-automorphism (row {i})")
+    return AutGroup(graph, perms, source="structural")
 
 
 def _refine_by_neighbors(a: np.ndarray, colors) -> list[int]:
@@ -369,16 +371,16 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
 
 
 def aut_group_oracle(graph: NzcGraph, *,
-                     vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
-                     element_budget: int = DEFAULT_ORACLE_ELEMENT_BUDGET,
-                     node_budget: int = 5_000_000) -> AutGroup:
+                     vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP) -> AutGroup:
     """Enumerate every adjacency-preserving vertex permutation.
 
     Fully independent of the structural engine: the search gets constant
     labels, so its initial partition uses vertex degrees only (a pure
     adjacency invariant; skeleton classes would presuppose the structure
     under test). Enumeration is exhaustive; rows are returned sorted for
-    determinism.
+    determinism. Raises a cap error past `vertex_cap` vertices,
+    :data:`ORACLE_ELEMENT_BUDGET` elements or :data:`ORACLE_NODE_BUDGET`
+    search nodes.
     """
     nv = graph.num_vertices
     if nv > vertex_cap:
@@ -386,29 +388,51 @@ def aut_group_oracle(graph: NzcGraph, *,
     # fail fast: permutations within a closed-neighbourhood class are always
     # automorphisms, so the product of their factorials bounds |Aut| below
     floor = prod(factorial(len(cls)) for cls in twin_partition_by_neighborhood(graph))
-    if floor > element_budget:
+    if floor > ORACLE_ELEMENT_BUDGET:
         raise CapExceededError(
-            f"group order is at least {floor}, enumeration budget is {element_budget}"
+            f"group order is at least {floor}, enumeration budget is {ORACLE_ELEMENT_BUDGET}"
         )
     found = []
-    for image in _color_preserving_images(graph, (0,) * nv, node_budget, "oracle search"):
-        if len(found) >= element_budget:
-            raise CapExceededError(f"oracle found more than {element_budget} automorphisms")
+    for image in _color_preserving_images(graph, (0,) * nv, ORACLE_NODE_BUDGET, "oracle search"):
+        if len(found) >= ORACLE_ELEMENT_BUDGET:
+            raise CapExceededError(f"oracle found more than {ORACLE_ELEMENT_BUDGET} automorphisms")
         found.append(image)
     return AutGroup(graph, np.array(sorted(found), dtype=np.int64), source="oracle")
 
 
-def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None = None, *,
-                                samples: int = 1000, seed: int = 0,
-                                oracle_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
-                                oracle_budget: int = DEFAULT_ORACLE_ELEMENT_BUDGET) -> CheckReport:
+def explicit_group(graph: NzcGraph, *, oracle_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
+                   seed: int = 0) -> AutGroup | None:
+    """The enumerated group the exact checks run on, or None where none is built.
+
+    It is the structural group at q = 2 and the oracle group at q >= 3, or
+    None when that engine raises a cap error: past :data:`GROUP_BUDGET`
+    elements (n > 8), past `oracle_cap` vertices, or past an oracle budget.
+    """
+    try:
+        if graph.params.q == 2:
+            return aut_group_structural(graph, seed=seed)
+        return aut_group_oracle(graph, vertex_cap=oracle_cap)
+    except CapExceededError:
+        return None
+
+
+def _sample_permutations(n: int, count: int, seed: int) -> np.ndarray:
+    """`count` seeded permutations of range(n), one per row: the argsort of
+    64-bit keys from one :mod:`random` draw (``numpy.random`` adds ~6 MB RSS)."""
+    keys = random.Random(seed).getrandbits(64 * count * n).to_bytes(8 * count * n, "little")
+    return np.argsort(np.frombuffer(keys, dtype="<u8").reshape(count, n), axis=1, kind="stable")
+
+
+def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
+                                oracle: AutGroup | None, *,
+                                samples: int = 1000, seed: int = 0) -> CheckReport:
     """The extension map is a group isomorphism from S_n onto Aut(G) (q = 2).
 
     Checks the homomorphism identity extend(h1 o h2) = extend(h1) o extend(h2)
-    exhaustively for n <= 4 and on `samples` seeded random pairs for larger n;
-    injectivity as n! distinct extensions (n <= 8); surjectivity by set
-    equality against the oracle when the graph fits the oracle cap. `grp`,
-    when given, is the structural group of `graph`; otherwise it is built.
+    exhaustively for n <= 4 and on `samples` seeded random pairs for larger
+    n. Given the structural group `grp`, it checks injectivity as n!
+    distinct extensions, and given the oracle group too, surjectivity by set
+    equality against it. It builds neither group.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError("extension isomorphism is defined for q = 2")
@@ -416,43 +440,33 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None = None, *,
     failures = []
     details: dict = {}
     if n <= 4:
-        all_sigmas = list(itertools.permutations(range(n)))
-        pairs = [(h1, h2) for h1 in all_sigmas for h2 in all_sigmas]
+        sigmas = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        h1s, h2s = np.repeat(sigmas, len(sigmas), 0), np.tile(sigmas, (len(sigmas), 1))
         details["mode"] = "exhaustive"
     else:
-        rng = random.Random(seed)
-        mk = lambda: tuple(rng.sample(range(n), n))
-        pairs = [(mk(), mk()) for _ in range(samples)]
+        h1s, h2s = np.split(_sample_permutations(n, 2 * samples, seed), 2)
         details["mode"] = "sampled"
-    h1s, h2s = np.array(pairs, dtype=np.int64).transpose(1, 0, 2)
     batch = np.stack([np.take_along_axis(h1s, h2s, 1), h1s, h2s], 1)  # h1 o h2 = h1[h2]
     lhs, ext1, ext2 = _extend_images_batch(graph, batch.reshape(-1, n)).reshape(
-        len(pairs), 3, -1).transpose(1, 0, 2)
+        len(h1s), 3, -1).transpose(1, 0, 2)
     for k in np.flatnonzero((lhs != np.take_along_axis(ext1, ext2, 1)).any(1))[:6]:
-        h1, h2 = pairs[k]
+        h1, h2 = tuple(h1s[k].tolist()), tuple(h2s[k].tolist())
         failures.append(f"extend({h1} o {h2}) != extend({h1}) o extend({h2})")
-    details["pairs_checked"] = len(pairs)
-    if factorial(n) <= DEFAULT_GROUP_BUDGET:
-        if grp is None:
-            grp = aut_group_structural(graph, validate="none")
+    details["pairs_checked"] = len(h1s)
+    if grp is not None:
         distinct = grp.distinct_rows()
         details["distinct_extensions"] = distinct
         if distinct != factorial(n):
             failures.append(f"only {distinct} distinct extensions, expected {factorial(n)}")
-        if graph.num_vertices <= oracle_cap:
-            oracle = aut_group_oracle(graph, vertex_cap=oracle_cap,
-                                      element_budget=oracle_budget)
-            details["oracle_order"] = oracle.order
-            if not grp.set_equal(oracle):
-                failures.append("extension image differs from the oracle's automorphism set")
-        else:
-            details["oracle_order"] = None
+        details["oracle_order"] = None if oracle is None else oracle.order
+        if oracle is not None and not grp.set_equal(oracle):
+            failures.append("extension image differs from the oracle's automorphism set")
     return CheckReport(
         claim="basis-extension-isomorphism",
         statement="sigma -> extension(sigma) is an isomorphism from S_n onto Aut(G), q = 2",
         params={"n": n, "q": 2},
         status=PASS if not failures else FAIL,
-        checked=len(pairs),
+        checked=len(h1s),
         failures=failures,
         details=details,
     )
@@ -503,7 +517,7 @@ def check_automorphism_structure(graph: NzcGraph, grp: AutGroup) -> CheckReport:
     sub["basis-family"] = checked_family
 
     if q == 2:
-        basis_ids = [_basis_vertex_id(g_, i) for i in range(1, n + 1)]
+        basis_ids = [_basis_vertex_id(i) for i in range(1, n + 1)]
         checked_transport = 0
         checked_swap = 0
         for idx in range(grp.order):

@@ -5,6 +5,9 @@ from scratch for concrete (n, q) and reported as a pass/fail certificate.
 Claims whose stated closed forms are contradicted by the computation are
 reported with status "anomaly" and exact deviations instead of aborting; see
 ``transposition_report`` for the one known case.
+
+The group certificates and the distinguishing number run on the group
+:func:`nzcgraph.symmetry.explicit_group` picks, and only where it picks one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from . import distinguishing as dst
 from . import graph as gr
 from . import serialize
 from . import symmetry as sym
-from .errors import CapExceededError
 from .graph import NzcGraph
 from .reporting import FAIL, PASS, CheckReport
 from .vectorspace import SpaceParams
@@ -38,9 +40,8 @@ def _report_group_order(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
     )
 
 
-def _report_engines_agree(g: NzcGraph, grp: sym.AutGroup, *, oracle_cap: int,
-                          oracle_budget: int) -> CheckReport:
-    oracle = sym.aut_group_oracle(g, vertex_cap=oracle_cap, element_budget=oracle_budget)
+def _report_engines_agree(g: NzcGraph, grp: sym.AutGroup,
+                          oracle: sym.AutGroup) -> CheckReport:
     failures = []
     if not grp.set_equal(oracle):
         failures.append(
@@ -109,7 +110,7 @@ def _report_two_labeling(g: NzcGraph, grp: sym.AutGroup | None) -> CheckReport:
             failures.append(f"{len(survivors)} basis permutations preserve the scheme")
     if g.num_vertices <= 70:
         engines.append("colour-preserving-search")
-        if not dst.is_distinguishing_search(g, f):
+        if dst.find_color_preserving(g, f) is not None:
             failures.append("search engine found a colour-preserving automorphism")
     return CheckReport(
         claim="two-colour-distinguishing",
@@ -180,7 +181,7 @@ def _report_constructive_q3(g: NzcGraph, grp: sym.AutGroup | None) -> CheckRepor
         if not dst.is_distinguishing(g, grp, f):
             failures.append("a non-identity group element preserves the twin-injective scheme")
     engines.append("colour-preserving-search")
-    if not dst.is_distinguishing_search(g, f):
+    if dst.find_color_preserving(g, f) is not None:
         failures.append("search engine found a colour-preserving automorphism")
     return CheckReport(
         claim="twin-injective-distinguishing",
@@ -240,8 +241,7 @@ def _report_json_roundtrip(g: NzcGraph) -> CheckReport:
 
 
 def verify_params(n: int, q: int, *, vertex_cap: int = 65535, oracle_cap: int = 40,
-                  oracle_budget: int = 200_000, exact_cap: int = 30,
-                  samples: int = 1000, seed: int = 0) -> list[CheckReport]:
+                  exact_cap: int = 30, samples: int = 1000, seed: int = 0) -> list[CheckReport]:
     """Run every applicable certificate for one (n, q)."""
     params = SpaceParams(n, q, vertex_cap)
     g = gr.build(params)
@@ -250,12 +250,12 @@ def verify_params(n: int, q: int, *, vertex_cap: int = 65535, oracle_cap: int = 
         gr.check_twin_structure(g),
         gr.check_degree_formula_general(g),
     ]
-    grp: sym.AutGroup | None = None
+    grp = sym.explicit_group(g, oracle_cap=oracle_cap, seed=seed)
     if q == 2:
         reports.append(gr.check_degree_formula(g))
         reports.append(gr.check_pair_counts(g))
-        if factorial(n) <= sym.DEFAULT_GROUP_BUDGET:
-            grp = sym.aut_group_structural(g, seed=seed)
+        oracle = None
+        if grp is not None:
             reports.append(_report_group_order(g, grp))
             reports.append(grp.check_group_axioms(seed=seed))
             reports.append(_report_orbits_match_classes(g, grp))
@@ -264,21 +264,14 @@ def verify_params(n: int, q: int, *, vertex_cap: int = 65535, oracle_cap: int = 
             if grp.order * g.num_vertices <= 200_000:
                 reports.append(sym.check_automorphism_structure(g, grp))
             if g.num_vertices <= oracle_cap:
-                reports.append(_report_engines_agree(
-                    g, grp, oracle_cap=oracle_cap, oracle_budget=oracle_budget))
-        reports.append(sym.check_extension_isomorphism(
-            g, grp, samples=samples, seed=seed, oracle_cap=oracle_cap,
-            oracle_budget=oracle_budget))
+                oracle = sym.aut_group_oracle(g, vertex_cap=oracle_cap)
+                reports.append(_report_engines_agree(g, grp, oracle))
+        reports.append(sym.check_extension_isomorphism(g, grp, oracle,
+                                                       samples=samples, seed=seed))
         if n >= 3:
             reports.append(_report_two_labeling(g, grp))
             reports.append(dst.transposition_report(g, dst.constructive_labeling_q2(g)))
     else:
-        if g.num_vertices <= oracle_cap:
-            try:
-                grp = sym.aut_group_oracle(g, vertex_cap=oracle_cap,
-                                           element_budget=oracle_budget)
-            except CapExceededError:
-                grp = None
         if grp is not None:
             reports.append(grp.check_group_axioms(seed=seed))
             reports.append(sym.check_orbit_stabilizer(grp))

@@ -60,12 +60,15 @@ def test_criterion_3_extension_isomorphism():
     ok = True
     for n in range(1, 5):
         g = nz.build(SpaceParams(n, 2))
-        rep = nz.check_extension_isomorphism(g)
+        rep = nz.check_extension_isomorphism(g, nz.aut_group_structural(g),
+                                             nz.aut_group_oracle(g))
         ok &= rep.passed and rep.details["mode"] == "exhaustive"
         ok &= rep.details["oracle_order"] == factorial(n)
     for n in range(5, 9):
         g = nz.build(SpaceParams(n, 2))
-        rep = nz.check_extension_isomorphism(g, samples=1000, seed=0)
+        oracle = nz.aut_group_oracle(g) if g.num_vertices <= 40 else None
+        rep = nz.check_extension_isomorphism(g, nz.aut_group_structural(g), oracle,
+                                             samples=1000, seed=0)
         ok &= rep.passed and rep.details["pairs_checked"] >= 1000
     assert report(3, "S_n iso Aut(G): homomorphism/bijectivity", ok)
 
@@ -110,7 +113,8 @@ def test_criterion_6_two_colour_distinguishing():
             ok &= not nz.structural_survivors(g, f)
     # exact search confirms the minimum is 2 where the search is feasible
     for n in (3, 4):
-        r = nz.dist_number(nz.build(SpaceParams(n, 2)))
+        g = nz.build(SpaceParams(n, 2))
+        r = nz.dist_number(g, nz.explicit_group(g))
         ok &= (r.value, r.method, r.refuted) == (2, "exact", 1)
     # per-class tallies: the T1 form holds throughout; the literal class-(n-1)
     # rule selects no vertex, so its slot is 0 and the class-2 slot absorbs
@@ -146,8 +150,8 @@ def test_criterion_7_q3_distinguishing_numbers():
         ok &= nz.twin_lower_bound(g) == want
         f = nz.constructive_labeling_q3(g)
         ok &= len(f.used_colors()) == want
-        ok &= nz.is_distinguishing_search(g, f)
-        result = nz.dist_number(g)
+        ok &= nz.find_color_preserving(g, f) is None
+        result = nz.dist_number(g, nz.explicit_group(g))
         ok &= result.value == want
     # (2,3): the full 192-element group is enumerable, so scan it explicitly
     # and let the exact search refute (q-1)^n - 1 colours

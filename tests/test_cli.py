@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -236,7 +237,8 @@ def test_config_env_supplies_defaults(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags, config", [(["--samples", "0"], None),
-                                           ([], {"samples": -1}), ([], {"samples": "5"})])
+                                           ([], {"samples": -1}), ([], {"samples": "5"}),
+                                           ([], {"samples": True})])
 def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatch,
                                                     flags, config):
     def no_build(params):
@@ -249,6 +251,70 @@ def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatc
         monkeypatch.setenv("NZC_CONFIG", str(cfg))
     argv = ["verify", "-n", "3..10", "-q", "2", *flags]
     assert run(capsys, *argv) == (2, "", "error: --samples must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv, config, err", [
+    (["build", "-n", "3", "-q", "2"], {"vertex_cap": "5"}, "--vertex-cap must be >= 1"),
+    (["build", "-n", "3", "-q", "2"], {"format": "svg"}, "--format must be one of json, dot, table"),
+    (["labeling", "-n", "4", "-q", "2"], {"format": "dot"}, "--format must be one of json, table"),
+    (["dist", "-n", "2", "-q", "3"], {"oracle_cap": -1}, "--oracle-cap must be >= 0"),
+    (["dist", "-n", "2", "-q", "3"], {"exact_cap": None}, "--exact-cap must be >= 0"),
+    (["verify", "-n", "3", "-q", "2"], {"seed": 1.5}, "--seed must be >= 0"),
+    (["verify", "-n", "3", "-q", "2", "--seed", "-1"], None, "--seed must be >= 0"),
+    (["twins", "-n", "2", "-q", "3"], [1, 2],
+     "cannot read NZC_CONFIG config: the file must hold a JSON object"),
+], ids=["vertex-cap-string", "build-format", "labeling-format", "oracle-cap-negative",
+        "exact-cap-null", "seed-float", "seed-flag-negative", "config-not-object"])
+def test_settings_are_checked_before_any_work(capsys, tmp_path, monkeypatch, argv, config, err):
+    def no_build(params):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(nz.graph, "build", no_build)
+    if config is not None:
+        cfg = tmp_path / "nzc.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv("NZC_CONFIG", str(cfg))
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+def test_oracle_cap_bounds_the_distinguishing_number(capsys, tmp_path):
+    # (2,3) has 8 vertices: under --oracle-cap 5 no group is enumerated, so
+    # the value 4 comes from the twin bound and the validated scheme
+    cert = tmp_path / "cert.json"
+    rc, _, _ = run(capsys, "verify", "-n", "2", "-q", "3", "--oracle-cap", "5", "--out", str(cert))
+    assert rc == 0
+    claims = {c["claim"]: c for c in json.loads(cert.read_text())["claims"]}
+    assert "group-axioms" not in claims
+    dist = claims["distinguishing-number"]
+    assert dist["status"] == "pass"
+    assert (dist["details"]["method"], dist["details"]["refuted"]) == ("bounded", None)
+    rc, out, _ = run(capsys, "dist", "-n", "2", "-q", "3", "--oracle-cap", "5")
+    assert rc == 0
+    assert out.startswith("4 (lower=twin-sets 4, upper=twin-injective-scheme 4)\n")
+    rc, out, _ = run(capsys, "dist", "-n", "2", "-q", "3")
+    assert rc == 0
+    assert out.startswith("exact 4 (search refuted 3 colours)\n")
+
+
+def test_verify_runs_the_oracle_once_per_graph(monkeypatch):
+    # at q = 2 the oracle fits n <= 5; one run serves engines-agree and the
+    # extension check
+    from nzcgraph import symmetry, verify
+
+    calls = []
+    oracle = symmetry.aut_group_oracle
+
+    def counted(g, **kwargs):
+        calls.append(g.params.n)
+        return oracle(g, **kwargs)
+
+    monkeypatch.setattr(symmetry, "aut_group_oracle", counted)
+    for n in range(1, 6):
+        claims = {r.claim: r for r in verify.verify_params(n, 2)}
+        assert all(r.status != "fail" for r in claims.values())
+        assert claims["engines-agree"].details["oracle_order"] == factorial(n)
+        assert claims["basis-extension-isomorphism"].details["oracle_order"] == factorial(n)
+    assert calls == [1, 2, 3, 4, 5]
 
 
 def test_deterministic_outputs(capsys):

@@ -9,6 +9,8 @@ import pytest
 
 import nzcgraph as nz
 from nzcgraph import CapExceededError, SpaceParams, UnsupportedFieldError
+from nzcgraph import distinguishing as dst
+from nzcgraph import symmetry as sym
 from nzcgraph.distinguishing import (all_distinct_labeling, constant_labeling,
                                      transposition_report)
 from nzcgraph.symmetry import _extend_images_batch
@@ -63,7 +65,7 @@ def test_two_colour_scheme_distinguishing_small():
         assert nz.is_distinguishing(g, grp, f)
         # cross-engine agreement
         assert not nz.structural_survivors(g, f)
-        assert nz.is_distinguishing_search(g, f)
+        assert nz.find_color_preserving(g, f) is None
 
 
 def test_transposition_tallies_n4():
@@ -131,23 +133,24 @@ def test_swap_broken_precondition_same_colors():
 
 def test_dist_exact_q2():
     g = nz.build(SpaceParams(3, 2))
-    r = nz.dist_number(g)
+    r = nz.dist_number(g, nz.explicit_group(g))
     assert (r.lower, r.upper, r.method) == (2, 2, "exact")
     assert r.refuted == 1
 
     g = nz.build(SpaceParams(2, 2))  # the path on three vertices
-    r = nz.dist_number(g)
+    r = nz.dist_number(g, nz.explicit_group(g))
     assert (r.value, r.method) == (2, "exact")
 
 
 def test_dist_single_vertex():
-    r = nz.dist_number(nz.build(SpaceParams(1, 2)))
+    g = nz.build(SpaceParams(1, 2))
+    r = nz.dist_number(g, nz.explicit_group(g))
     assert r.value == 1
 
 
 def test_dist_2_3_exact_four_with_refutation():
     g = nz.build(SpaceParams(2, 3))
-    r = nz.dist_number(g)
+    r = nz.dist_number(g, nz.explicit_group(g))
     assert (r.value, r.method) == (4, "exact")
     assert r.refuted == 3  # no 3-colour distinguishing labeling exists
     grp = nz.aut_group_oracle(g)
@@ -157,7 +160,7 @@ def test_dist_2_3_exact_four_with_refutation():
 
 def test_dist_3_3_bounds_meet_at_8():
     g = nz.build(SpaceParams(3, 3))
-    r = nz.dist_number(g)
+    r = nz.dist_number(g, nz.explicit_group(g))
     assert r.value == 8
     assert r.method == "bounded"  # squeeze: twin bound meets the validated scheme
     assert r.lower_source == "twin-sets"
@@ -165,7 +168,7 @@ def test_dist_3_3_bounds_meet_at_8():
 
 def test_dist_bounded_mode_above_cap():
     g = nz.build(SpaceParams(5, 2))  # 31 vertices > default exact cap
-    r = nz.dist_number(g)
+    r = nz.dist_number(g, nz.explicit_group(g))
     assert r.method == "bounded"
     assert (r.lower, r.upper) == (2, 2)
     assert r.value == 2
@@ -184,7 +187,7 @@ def test_twin_injective_scheme_2_3():
     f = nz.constructive_labeling_q3(g)
     grp = nz.aut_group_oracle(g)
     assert nz.is_distinguishing(g, grp, f)
-    assert nz.is_distinguishing_search(g, f)
+    assert nz.find_color_preserving(g, f) is None
     assert len(f.used_colors()) == 4
     # twin sets of equal size carry distinct colour sets; identical sets
     # would admit an automorphism exchanging whole twin sets
@@ -213,7 +216,7 @@ def test_twin_injective_scheme_3_3():
     f = nz.constructive_labeling_q3(g)
     assert f.t == 8
     assert len(f.used_colors()) == 8
-    assert nz.is_distinguishing_search(g, f)
+    assert nz.find_color_preserving(g, f) is None
 
 
 def test_twin_injective_rejects_q2():
@@ -262,18 +265,20 @@ def test_structural_survivors_match_brute_force():
             assert nz.structural_survivors(g, f) == brute_force_survivors(g, f)
 
 
-def test_structural_survivors_budget_bounds_partial_perms():
+def test_structural_survivors_budget_bounds_partial_perms(monkeypatch):
     g = nz.build(SpaceParams(5, 2))
     f = nz.Labeling((1,) * g.num_vertices, 1)
+    monkeypatch.setattr(dst, "PERM_BUDGET", 10)
     with pytest.raises(CapExceededError):
-        nz.structural_survivors(g, f, perm_budget=10)
-    assert len(nz.structural_survivors(g, f, perm_budget=120)) == 119
+        nz.structural_survivors(g, f)
+    monkeypatch.setattr(dst, "PERM_BUDGET", 120)
+    assert len(nz.structural_survivors(g, f)) == 119
 
 
 def test_two_colour_scheme_n11_scan_and_dist_number():
     g = nz.build(SpaceParams(11, 2))
     assert nz.structural_survivors(g, nz.constructive_labeling_q2(g)) == []
-    result = nz.dist_number(g)
+    result = nz.dist_number(g, nz.explicit_group(g))
     assert result.value == 2
     assert result.upper_source == "two-colour-scheme"
 
@@ -289,7 +294,7 @@ def test_engines_agree_on_random_labelings():
             for _ in range(8):
                 f = nz.Labeling(tuple(rng.randint(1, t) for _ in range(g.num_vertices)), t)
                 expect = nz.is_distinguishing(g, grp, f)
-                assert nz.is_distinguishing_search(g, f) == expect
+                assert (nz.find_color_preserving(g, f) is None) == expect
                 if q == 2:
                     assert (not nz.structural_survivors(g, f)) == expect
 
@@ -310,26 +315,44 @@ def test_colour_preserving_search_past_the_recursion_limit():
     assert all(colors[w] == colors[v] for v, w in enumerate(witness))
 
 
-def test_search_node_budgets():
+def test_search_node_budgets(monkeypatch):
     # the path b1 - (b1+b2) - b2: the root, the centre, then two assignments
     # per end-point order, so the first non-identity leaf is node 6
     g = nz.build(SpaceParams(2, 2))
     f = constant_labeling(g)
-    assert nz.find_color_preserving(g, f, node_budget=6) == (1, 0, 2)
+    monkeypatch.setattr(dst, "SEARCH_NODE_BUDGET", 6)
+    monkeypatch.setattr(sym, "ORACLE_NODE_BUDGET", 6)
+    assert nz.find_color_preserving(g, f) == (1, 0, 2)
+    assert nz.aut_group_oracle(g).order == 2
+    monkeypatch.setattr(dst, "SEARCH_NODE_BUDGET", 5)
+    monkeypatch.setattr(sym, "ORACLE_NODE_BUDGET", 5)
     with pytest.raises(CapExceededError, match="^colour-preserving search exceeded 5 nodes$"):
-        nz.find_color_preserving(g, f, node_budget=5)
-    assert nz.aut_group_oracle(g, node_budget=6).order == 2
+        nz.find_color_preserving(g, f)
     with pytest.raises(CapExceededError, match="^oracle search exceeded 5 nodes$"):
-        nz.aut_group_oracle(g, node_budget=5)
+        nz.aut_group_oracle(g)
+
+
+def test_exact_search_node_budget(monkeypatch):
+    # (2,3), 3 colours: the search must exhaust its tree to refute them
+    g = nz.build(SpaceParams(2, 3))
+    grp = nz.aut_group_oracle(g)
+    monkeypatch.setattr(dst, "EXACT_NODE_BUDGET", 10)
+    with pytest.raises(CapExceededError, match="^exact search exceeded 10 nodes$"):
+        nz.exists_distinguishing_labeling(g, grp, 3)
+    # dist_number falls back to the bounds when the exact search hits its cap
+    r = nz.dist_number(g, grp)
+    assert (r.value, r.method, r.refuted) == (4, "bounded", None)
 
 
 @pytest.mark.parametrize("n, q", [(9, 2), (6, 3), (4, 5)])
-def test_constructive_search_is_one_path_at_scale(n, q):
+def test_constructive_search_is_one_path_at_scale(n, q, monkeypatch):
     # the refined partition is discrete: the root plus one node per vertex
     g = nz.build(SpaceParams(n, q))
     f = nz.constructive_labeling_q2(g) if q == 2 else nz.constructive_labeling_q3(g)
     nv = g.num_vertices
-    assert nz.find_color_preserving(g, f, node_budget=nv + 1) is None
+    monkeypatch.setattr(dst, "SEARCH_NODE_BUDGET", nv + 1)
+    assert nz.find_color_preserving(g, f) is None
+    monkeypatch.setattr(dst, "SEARCH_NODE_BUDGET", nv)
     with pytest.raises(CapExceededError,
                        match=f"^colour-preserving search exceeded {nv} nodes$"):
-        nz.find_color_preserving(g, f, node_budget=nv)
+        nz.find_color_preserving(g, f)

@@ -82,7 +82,7 @@ def test_distinguishing_engines_agree(nq, t, rng):
     grp = nz.aut_group_structural(g) if q == 2 else nz.aut_group_oracle(g)
     f = nz.Labeling(tuple(rng.randint(1, t) for _ in range(g.num_vertices)), t)
     expect = nz.is_distinguishing(g, grp, f)
-    assert nz.is_distinguishing_search(g, f) == expect
+    assert (nz.find_color_preserving(g, f) is None) == expect
     if q == 2:
         assert (not nz.structural_survivors(g, f)) == expect
 

@@ -11,7 +11,8 @@ import pytest
 import nzcgraph as nz
 from nzcgraph import SpaceParams, UnsupportedFieldError
 from nzcgraph.errors import CapExceededError
-from nzcgraph.symmetry import _refine_by_neighbors
+from nzcgraph import symmetry as sym
+from nzcgraph.symmetry import _refine_by_neighbors, _sample_permutations
 
 
 def vid(g, coeffs):
@@ -99,25 +100,72 @@ def test_oracle_vertex_cap():
         nz.aut_group_oracle(g, vertex_cap=10)
 
 
-def test_oracle_group_budget_guard():
+def test_oracle_group_budget_guard(monkeypatch):
     # (2,4) has >= 9! automorphisms from its 9-vertex twin set alone
     g = nz.build(SpaceParams(2, 4))
     with pytest.raises(CapExceededError, match="group order is at least 13063680, enumeration budget is 200000"):
         nz.aut_group_oracle(g)
+    # (2,3): the twin floor 2! * 2! * 4! = 96 passes a budget of 100, the
+    # enumeration of all 192 elements does not
+    monkeypatch.setattr(sym, "ORACLE_ELEMENT_BUDGET", 100)
+    with pytest.raises(CapExceededError, match="^oracle found more than 100 automorphisms$"):
+        nz.aut_group_oracle(nz.build(SpaceParams(2, 3)))
+
+
+@pytest.mark.parametrize("n, q, order", [(1, 2, 1), (3, 2, 6), (8, 2, 40320), (9, 2, None),
+                                         (10, 2, None), (2, 3, 192), (3, 3, None),
+                                         (2, 4, None), (2, 5, None)])
+def test_explicit_group_policy(n, q, order):
+    # q = 2: the structural group up to 8! elements; q >= 3: the oracle group
+    # where its vertex cap and twin floor allow, which is only (2,3)
+    g = nz.build(SpaceParams(n, q))
+    grp = nz.explicit_group(g)
+    assert (None if grp is None else grp.order) == order
+    if grp is not None:
+        assert grp.source == ("structural" if q == 2 else "oracle")
+
+
+def test_explicit_group_caps(monkeypatch):
+    g = nz.build(SpaceParams(2, 3))
+    assert nz.explicit_group(g, oracle_cap=8).order == 192
+    assert nz.explicit_group(g, oracle_cap=7) is None
+    g = nz.build(SpaceParams(3, 2))
+    monkeypatch.setattr(sym, "GROUP_BUDGET", 5)  # 3! = 6 elements
+    assert nz.explicit_group(g) is None
+    with pytest.raises(CapExceededError, match="^structural group has 6 elements, budget is 5$"):
+        nz.aut_group_structural(g)
 
 
 def test_extension_isomorphism_exhaustive_n3():
-    rep = nz.check_extension_isomorphism(nz.build(SpaceParams(3, 2)))
+    g = nz.build(SpaceParams(3, 2))
+    rep = nz.check_extension_isomorphism(g, nz.aut_group_structural(g), nz.aut_group_oracle(g))
     assert rep.passed
     assert rep.details["mode"] == "exhaustive"
     assert rep.details["pairs_checked"] == 36
 
 
 def test_extension_isomorphism_sampled_n5():
-    rep = nz.check_extension_isomorphism(nz.build(SpaceParams(5, 2)),
+    g = nz.build(SpaceParams(5, 2))
+    rep = nz.check_extension_isomorphism(g, nz.aut_group_structural(g), nz.aut_group_oracle(g),
                                          samples=1000, seed=11)
     assert rep.passed
     assert rep.details["pairs_checked"] == 1000
+
+
+def test_extension_isomorphism_samples_are_seeded_permutations():
+    g = nz.build(SpaceParams(6, 2))
+    grp = nz.aut_group_structural(g)
+    reports = [nz.check_extension_isomorphism(g, grp, None, samples=50, seed=seed).to_dict()
+               for seed in (4, 4, 5)]
+    assert reports[0] == reports[1] == reports[2]
+    assert (reports[0]["checked"], reports[0]["details"]) == (
+        50, {"mode": "sampled", "pairs_checked": 50, "distinct_extensions": 720,
+             "oracle_order": None})
+    drawn = _sample_permutations(6, 100, 4)
+    assert drawn.shape == (100, 6)
+    assert all(nz.symmetry.is_permutation(row, 6) for row in drawn)
+    assert (drawn == _sample_permutations(6, 100, 4)).all()
+    assert not (drawn == _sample_permutations(6, 100, 5)).all()
 
 
 def test_composition_convention():
@@ -176,6 +224,36 @@ def test_structure_property_checks():
     assert nz.check_automorphism_structure(g, nz.aut_group_oracle(g)).passed
 
 
+def _structure_failures(g, row):
+    """Failures of the structure check on the group {identity, row}."""
+    ident = np.arange(g.num_vertices)
+    return nz.check_automorphism_structure(g, nz.AutGroup(g, [ident, row])).failures
+
+
+def test_structure_check_reports_transport_and_moves_two_failures():
+    # (3,2): exchange {b1,b2} (id 2) and {b1,b3} (id 4) with the basis fixed
+    g = nz.build(SpaceParams(3, 2))
+    row = np.arange(g.num_vertices)
+    row[[2, 4]] = 4, 2
+    assert _structure_failures(g, row) == [
+        "element 1: b2 in S_u - S_v but image not in S_v - S_u",
+        "element 1: b3 in S_u - S_v but image not in S_v - S_u",
+        "element 1: non-identity but moves 0 basis vertices",
+    ]
+
+
+def test_structure_check_reports_maps_across_classes():
+    # (3,2): exchange b1 (id 0, class 1) and {b1,b2} (id 2, class 2)
+    g = nz.build(SpaceParams(3, 2))
+    row = np.arange(g.num_vertices)
+    row[[0, 2]] = 2, 0
+    assert _structure_failures(g, row) == [
+        "element 1 maps across skeleton-size classes",
+        "element 1: basis twin set image is not a basis twin set",
+        "element 1: basis vertex leaves the basis class",
+    ]
+
+
 def test_nonidentity_moves_two_basis_vertices_n4():
     g = nz.build(SpaceParams(4, 2))
     basis_ids = [vid(g, nz.basis_vector(g.params, i)) for i in range(1, 5)]
@@ -216,7 +294,7 @@ def test_sampled_extension_isomorphism_memory_n10():
     g = nz.build(SpaceParams(10, 2))
     tracemalloc.start()
     try:
-        report = nz.check_extension_isomorphism(g)
+        report = nz.check_extension_isomorphism(g, None, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -280,18 +358,18 @@ def _traced_peak(call):
 def test_group_kernels_make_no_int64_copy_of_the_group_n8():
     # the group is 40,320 x 255; one int64 copy of it is 82 MB
     g = nz.build(SpaceParams(8, 2))
-    grp = nz.aut_group_structural(g, validate="none")
+    grp = nz.aut_group_structural(g)
     f = nz.constructive_labeling_q2(g)
     assert grp.check_group_axioms().passed  # builds the cached row set untraced
     assert _traced_peak(grp.check_group_axioms) < 40 * 2**20
     assert _traced_peak(lambda: nz.is_distinguishing(g, grp, f)) < 80 * 2**20
-    assert _traced_peak(lambda: nz.aut_group_structural(g, validate="none")) < 128 * 2**20
+    assert _traced_peak(lambda: nz.aut_group_structural(g)) < 128 * 2**20
 
 
 def test_row_set_keeps_the_stored_dtype_n8():
     # 40,320 rows of 255 vertices: 20.6 MB as uint16, 82 MB as int64
     g = nz.build(SpaceParams(8, 2))
-    grp = nz.aut_group_structural(g, validate="none")
+    grp = nz.aut_group_structural(g)
     tracemalloc.start()
     try:
         rows = grp._bytes()
@@ -315,13 +393,13 @@ def test_group_axioms_name_the_first_missing_element(n, edit, failures):
     # exhaustive closure at n = 4, sampled at n = 6; the strings are those of
     # the earlier per-row set lookups
     g = nz.build(SpaceParams(n, 2))
-    perms = nz.aut_group_structural(g, validate="none").perms
+    perms = nz.aut_group_structural(g).perms
     assert nz.AutGroup(g, edit(perms)).check_group_axioms(seed=n).failures == failures
 
 
 def test_distinct_rows_and_set_equal_compare_whole_rows():
     g = nz.build(SpaceParams(4, 2))
-    perms = nz.aut_group_structural(g, validate="none").perms
+    perms = nz.aut_group_structural(g).perms
     grp = nz.AutGroup(g, perms)
     assert grp.distinct_rows() == 24
     assert nz.AutGroup(g, np.vstack([perms, perms[:3]])).distinct_rows() == 24

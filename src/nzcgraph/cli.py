@@ -2,7 +2,8 @@
 
 Subcommands: build, twins, aut, orbits, labeling, dist, verify.
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 cap exceeded,
-4 engine not applicable. NZC_CONFIG may point to a JSON file supplying
+4 engine not applicable, 5 crash (out of memory or any other uncaught
+error, reported in one line). NZC_CONFIG may point to a JSON file supplying
 defaults for the flag values (same keys as the long flag names). Every
 setting, from a flag or from the file, is checked before any work starts;
 a bad one exits 2 with a line that names it.
@@ -28,6 +29,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_ENGINE = 4
+EXIT_CRASH = 5
 
 CONFIG_ENV = "NZC_CONFIG"
 DEFAULTS = {"vertex_cap": vs.DEFAULT_VERTEX_CAP, "oracle_cap": sym.DEFAULT_ORACLE_VERTEX_CAP,
@@ -159,7 +161,7 @@ def cmd_twins(args, opts) -> int:
     lines = [f"{len(g.twin_sets())} twin sets"]
     for ts in g.twin_sets():
         label = vs.format_vector(g.vertices[ts[0]])
-        skel = ",".join(str(i) for i in vs.skeleton_indices(g.skeletons[ts[0]]))
+        skel = ",".join(str(i) for i in vs.skeleton_indices(int(g.skeletons[ts[0]])))
         lines.append(f"  skeleton {{{skel}}} size {len(ts)}: "
                      + " ".join(str(v) for v in ts) + f"  (e.g. {label})")
     _emit("\n".join(lines) + "\n", args.out)
@@ -241,14 +243,15 @@ def cmd_dist(args, opts) -> int:
 def cmd_verify(args, opts) -> int:
     n_values = _parse_range(args.n)
     q_values = _parse_range(args.q)
-    reports = vfy.verify_ranges(
-        n_values, q_values, vertex_cap=opts["vertex_cap"], oracle_cap=opts["oracle_cap"],
-        exact_cap=opts["exact_cap"], samples=opts["samples"], seed=opts["seed"])
-    lines = [r.format_line() for r in reports]
+    reports = []
+    for report in vfy.verify_ranges(
+            n_values, q_values, vertex_cap=opts["vertex_cap"], oracle_cap=opts["oracle_cap"],
+            exact_cap=opts["exact_cap"], samples=opts["samples"], seed=opts["seed"]):
+        print(report.format_line(), flush=True)
+        reports.append(report)
     counts = vfy.summarize(reports)
-    lines.append(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
-                 f"{counts['anomaly']} anomaly")
-    print("\n".join(lines))
+    print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
+          f"{counts['anomaly']} anomaly", flush=True)
     if args.out:
         payload = {"claims": [r.to_dict() for r in reports], "summary": counts}
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -286,6 +289,10 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash gets one line and its own exit code
+        detail = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}{': ' if detail else ''}{detail}", file=sys.stderr)
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

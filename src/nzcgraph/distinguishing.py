@@ -27,8 +27,8 @@ import numpy as np
 from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
 from .reporting import ANOMALY, FAIL, PASS, CheckReport
-from .symmetry import (AutGroup, _color_preserving_images, _extend_images_batch,
-                       extend_basis_permutation, is_automorphism)
+from .symmetry import (AutGroup, _basis_ids, _color_preserving_images,
+                       _extend_images_batch, extend_basis_permutation, is_automorphism)
 
 DEFAULT_EXACT_CAP = 30
 PERM_BUDGET = 4_000_000  # partial basis permutations alive in the structural scan
@@ -55,19 +55,32 @@ class Labeling:
         return tuple(sorted(set(self.colors)))
 
 
+@dataclass(frozen=True)
+class SchemeVerdict:
+    """A constructive labeling, the strongest feasible engine that checked it,
+    and how many non-identity automorphisms keeping its colours that engine
+    found (the group scan and the search stop at the first)."""
+
+    labeling: Labeling
+    engine: str
+    preservers: int
+
+
 @dataclass
 class DistResult:
     """Distinguishing-number outcome: an exact value or a bound pair.
 
     `witness` always passes the distinguishing check with `upper` colours.
-    `refuted` is the largest colour count the exact search ruled out, when
-    the search ran.
+    `scheme` is the constructive labeling's verdict, or None where no scheme
+    applies (q = 2 with n < 3). `refuted` is the largest colour count the
+    exact search ruled out, when the search ran.
     """
 
     lower: int
     upper: int
     method: str  # "exact" | "bounded"
     witness: Labeling | None
+    scheme: SchemeVerdict | None
     lower_source: str = ""
     upper_source: str = ""
     refuted: int | None = None
@@ -188,26 +201,13 @@ def constructive_labeling_q2(g: NzcGraph) -> Labeling:
     if n < 3:
         raise ValueError("the 2-colour scheme requires n >= 3")
     half = n // 2
-    colors = [2] * g.num_vertices
-    for i in range(1, half + 1):
-        colors[(1 << (i - 1)) - 1] = 1
-    named_1 = 0
-    for i in range(2, half + 1):
-        named_1 |= 1 << (i - 1)
-    named_2 = 0
-    for i in range(half + 2, n + 1):
-        named_2 |= 1 << (i - 1)
-    classes = g.t_classes()
-    for v in classes.get(n - 1, ()):
-        s = g.skeletons[v]
-        if s in (named_1, named_2) and s:
-            colors[v] = 1
-    for v in classes.get(2, ()):
-        s = g.skeletons[v]
-        low = s & -s
-        if s == low | (low << 1):  # consecutive pair {i, i+1}
-            colors[v] = 1
-    return Labeling(tuple(colors), 2)
+    s, sizes = g.skeletons, g.sizes
+    named = ((1 << half) - 2, (1 << n) - (1 << (half + 1)))  # {b_2..b_half}, {b_half+2..b_n}
+    low = s & -s
+    one = (((sizes == n - 1) & np.isin(s, named))
+           | ((sizes == 2) & (s == low | low << 1)))  # consecutive pair {i, i+1}
+    one[_basis_ids(half)] = True
+    return Labeling(tuple(np.where(one, 1, 2).tolist()), 2)
 
 
 def constructive_labeling_q3(g: NzcGraph) -> Labeling:
@@ -281,12 +281,10 @@ def destroyed_transpositions(g: NzcGraph, f: Labeling) -> TranspositionBreakdown
     if g.params.q != 2:
         raise UnsupportedFieldError("transposition accounting requires q = 2")
     n = g.params.n
-    classes = g.t_classes()
     slots = [("T1", 1), ("T(n-1)", n - 1), ("T2", 2)]
     tallies = {name: 0 for name, _ in slots}
     colors = np.asarray(f.colors)
-    members = [(name, np.asarray(classes.get(i, ()), dtype=np.int64))
-               for name, i in slots if 1 <= i <= n]
+    members = [(name, np.flatnonzero(g.sizes == i)) for name, i in slots if 1 <= i <= n]
     unattributed = []
     for l in range(1, n + 1):
         for m in range(l + 1, n + 1):
@@ -353,9 +351,9 @@ def check_swap_broken_by_pair(g: NzcGraph, grp: AutGroup, f: Labeling,
     """
     if g.params.q != 2:
         raise UnsupportedFieldError("swap-breaking check requires q = 2")
-    if g.class_of(u) != g.class_of(v):
+    if g.sizes[u] != g.sizes[v]:
         raise ValueError("u and v must lie in the same skeleton-size class")
-    su, sv = g.skeletons[u], g.skeletons[v]
+    su, sv = int(g.skeletons[u]), int(g.skeletons[v])
     lbit, mbit = 1 << (l - 1), 1 << (m - 1)
     if not (su & lbit and not sv & lbit):
         raise ValueError(f"b{l} must lie in S_u but not S_v")
@@ -444,13 +442,14 @@ def _nontrivial_automorphism(g: NzcGraph) -> np.ndarray | None:
     return None
 
 
-def _validate_labeling(g: NzcGraph, f: Labeling, grp: AutGroup | None) -> bool:
+def _scheme_verdict(g: NzcGraph, f: Labeling, grp: AutGroup | None) -> SchemeVerdict:
     """Check a labeling with the strongest feasible engine."""
     if grp is not None:
-        return is_distinguishing(g, grp, f)
+        return SchemeVerdict(f, "explicit-group-scan", int(not is_distinguishing(g, grp, f)))
     if g.params.q == 2:
-        return not structural_survivors(g, f)
-    return find_color_preserving(g, f) is None
+        return SchemeVerdict(f, "structural-scan", len(structural_survivors(g, f)))
+    return SchemeVerdict(f, "colour-preserving-search",
+                         int(find_color_preserving(g, f) is not None))
 
 
 def dist_number(g: NzcGraph, grp: AutGroup | None, *,
@@ -477,19 +476,17 @@ def dist_number(g: NzcGraph, grp: AutGroup | None, *,
     lower_source = "twin-sets" if twin >= 2 else (
         "non-trivial-automorphism" if nontrivial else "trivial")
 
-    witness: Labeling | None = None
-    upper = nv
-    upper_source = "all-distinct"
+    scheme = None
     if q == 2 and n >= 3:
-        candidate = constructive_labeling_q2(g)
-        if _validate_labeling(g, candidate, grp):
-            witness, upper, upper_source = candidate, 2, "two-colour-scheme"
+        scheme = _scheme_verdict(g, constructive_labeling_q2(g), grp)
+        source = "two-colour-scheme"
     elif q >= 3:
-        candidate = constructive_labeling_q3(g)
-        if _validate_labeling(g, candidate, grp):
-            witness, upper, upper_source = candidate, candidate.t, "twin-injective-scheme"
-    if witness is None:
-        witness = all_distinct_labeling(g)
+        scheme = _scheme_verdict(g, constructive_labeling_q3(g), grp)
+        source = "twin-injective-scheme"
+    if scheme is not None and not scheme.preservers:
+        witness, upper, upper_source = scheme.labeling, scheme.labeling.t, source
+    else:
+        witness, upper, upper_source = all_distinct_labeling(g), nv, "all-distinct"
 
     if grp is not None and nv <= exact_cap:
         try:
@@ -498,10 +495,11 @@ def dist_number(g: NzcGraph, grp: AutGroup | None, *,
                 hit = exists_distinguishing_labeling(g, grp, t)
                 if hit is not None:
                     return DistResult(lower=t, upper=t, method="exact", witness=hit,
-                                      lower_source="search", upper_source="search",
+                                      scheme=scheme, lower_source="search",
+                                      upper_source="search",
                                       refuted=refuted if refuted else None)
                 refuted = t
         except CapExceededError:
             pass
     return DistResult(lower=lower, upper=upper, method="bounded", witness=witness,
-                      lower_source=lower_source, upper_source=upper_source)
+                      scheme=scheme, lower_source=lower_source, upper_source=upper_source)

@@ -14,25 +14,24 @@ from .reporting import FAIL, PASS, CheckReport
 class NzcGraph:
     """Graph on the non-zero vectors: u ~ v iff their skeletons intersect, u != v.
 
-    Vertices are kept in canonical id order. The adjacency is one read-only
-    (nv, nv) boolean matrix: entry [v, u] is True iff u ~ v. Instances are
-    immutable after build and safe for shared read-only use.
+    Vertices are kept in canonical id order. `skeletons` is the read-only
+    int64 array of masks (bit i-1 for b_i), `sizes` the read-only |S_v|, and
+    the adjacency one read-only (nv, nv) boolean matrix: entry [v, u] is True
+    iff u ~ v. Instances are immutable and safe for shared read-only use.
     """
 
-    __slots__ = ("params", "vertices", "skeletons", "_matrix",
+    __slots__ = ("params", "vertices", "skeletons", "sizes", "_matrix",
                  "_t_classes", "_twin_sets")
 
     def __init__(self, params, vertices, skeletons, matrix):
         self.params = params
         self.vertices = list(vertices)
-        self.skeletons = list(skeletons)
         nv = len(self.vertices)
-        # a read-only view: the caller's array keeps its own flags
-        matrix = np.asarray(matrix, dtype=bool).view()
-        if matrix.shape != (nv, nv):
-            raise ValueError(f"adjacency matrix has shape {matrix.shape}, expected ({nv}, {nv})")
-        matrix.setflags(write=False)
-        self._matrix = matrix
+        # copied, so that `sizes` and the partitions cannot go stale
+        self.skeletons = _read_only(np.array(skeletons, dtype=np.int64), (nv,), "skeleton array")
+        self.sizes = mask_bits(self.skeletons, np.arange(params.n)).sum(axis=1, dtype=np.int64)
+        self.sizes.setflags(write=False)
+        self._matrix = _read_only(np.asarray(matrix, dtype=bool), (nv, nv), "adjacency matrix")
         self._t_classes = None
         self._twin_sets = None
 
@@ -40,10 +39,9 @@ class NzcGraph:
     def build(cls, params: vs.SpaceParams) -> "NzcGraph":
         """Build the graph for `params`. Deterministic; cap errors propagate."""
         vertices = vs.enumerate_vectors(params)
-        skeletons = [vs.skeleton(v) for v in vertices]
+        s = np.array([vs.skeleton(v) for v in vertices], dtype=np.int64)
         nv = len(vertices)
         full = 1 << params.n
-        s = np.asarray(skeletons, dtype=np.int64)
         # union[d, u]: S_u is a subset of d; seeded with S_u == d, then a
         # subset-sum pass per bit ORs row d - bit into row d
         union = np.zeros((full, nv), dtype=bool)
@@ -55,7 +53,7 @@ class NzcGraph:
         matrix = union[(full - 1) ^ s]
         np.logical_not(matrix, out=matrix)
         np.fill_diagonal(matrix, False)
-        return cls(params, vertices, skeletons, matrix)
+        return cls(params, vertices, s, matrix)
 
     @property
     def num_vertices(self) -> int:
@@ -69,26 +67,18 @@ class NzcGraph:
     def is_adjacent(self, u: int, v: int) -> bool:
         return bool(self._matrix[v, u])
 
-    def class_of(self, v: int) -> int:
-        return self.skeletons[v].bit_count()
-
     def t_classes(self) -> dict[int, tuple[int, ...]]:
         """Skeleton-size partition: class index i -> vertex ids with |S_v| = i."""
         if self._t_classes is None:
-            buckets: dict[int, list[int]] = {}
-            for v, s in enumerate(self.skeletons):
-                buckets.setdefault(s.bit_count(), []).append(v)
-            self._t_classes = {i: tuple(vs_) for i, vs_ in sorted(buckets.items())}
+            runs = _runs(np.argsort(self.sizes, kind="stable"), self.sizes)
+            self._t_classes = {int(self.sizes[r[0]]): r for r in runs}
         return self._t_classes
 
     def twin_sets(self) -> tuple[tuple[int, ...], ...]:
         """Partition by equal skeleton, ordered by (skeleton size, mask)."""
         if self._twin_sets is None:
-            groups: dict[int, list[int]] = {}
-            for v, s in enumerate(self.skeletons):
-                groups.setdefault(s, []).append(v)
-            order = sorted(groups, key=lambda s: (s.bit_count(), s))
-            self._twin_sets = tuple(tuple(groups[s]) for s in order)
+            order = np.lexsort((self.skeletons, self.sizes))  # stable: ids ascend
+            self._twin_sets = tuple(_runs(order, self.skeletons))
         return self._twin_sets
 
     def edges(self) -> list[tuple[int, int]]:
@@ -103,6 +93,26 @@ class NzcGraph:
     def adjacency_matrix(self) -> np.ndarray:
         """The boolean adjacency matrix (read-only)."""
         return self._matrix
+
+
+def _read_only(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """A read-only view of `arr`; the caller's array keeps its own flags."""
+    arr = arr.view()
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _runs(order: np.ndarray, keys: np.ndarray) -> list[tuple[int, ...]]:
+    """Split `order` wherever `keys[order]` changes: one tuple of ids per run."""
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    return [tuple(run.tolist()) for run in np.split(order, cuts)]
+
+
+def mask_bits(masks, positions) -> np.ndarray:
+    """Entry [..., k]: bit positions[..., k] of masks[...] (bit i is b_(i+1)); both broadcast."""
+    return (np.asarray(masks, dtype=np.int64)[..., None] >> positions & 1).astype(bool)
 
 
 def build(params: vs.SpaceParams) -> NzcGraph:
@@ -150,16 +160,12 @@ def check_degree_formula(g: NzcGraph) -> CheckReport:
         raise UnsupportedFieldError(
             f"degree formula check is stated for q = 2 only, got q = {g.params.q}"
         )
-    n = g.params.n
-    failures = []
-    per_vertex = []
-    degrees = np.count_nonzero(g.adjacency_matrix(), axis=1).tolist()
-    for v, got in enumerate(degrees):
-        s = g.class_of(v)
-        want = (2**s - 1) * 2 ** (n - s) - 1
-        per_vertex.append((v, got, want))
-        if got != want:
-            failures.append(f"vertex {v} (class {s}): degree {got} != formula {want}")
+    n, s = g.params.n, g.sizes
+    degrees = np.count_nonzero(g.adjacency_matrix(), axis=1)
+    want = (2**s - 1) * 2 ** (n - s) - 1
+    failures = [f"vertex {v} (class {s[v]}): degree {degrees[v]} != formula {want[v]}"
+                for v in np.flatnonzero(degrees != want).tolist()]
+    per_vertex = list(zip(range(g.num_vertices), degrees.tolist(), want.tolist()))
     return CheckReport(
         claim="degree-formula-q2",
         statement="deg(v) = (2^s - 1)*2^(n-s) - 1 for skeleton size s, q = 2",
@@ -177,14 +183,11 @@ def check_degree_formula_general(g: NzcGraph) -> CheckReport:
     Not part of the verified claim catalog for q >= 3; shipped as a
     generalization that the builder can be checked against.
     """
-    n, q = g.params.n, g.params.q
-    failures = []
-    degrees = np.count_nonzero(g.adjacency_matrix(), axis=1).tolist()
-    for v, got in enumerate(degrees):
-        s = g.class_of(v)
-        want = q**n - q ** (n - s) - 1
-        if got != want:
-            failures.append(f"vertex {v} (class {s}): degree {got} != {want}")
+    n, q, s = g.params.n, g.params.q, g.sizes
+    degrees = np.count_nonzero(g.adjacency_matrix(), axis=1)
+    want = q**n - q ** (n - s) - 1
+    failures = [f"vertex {v} (class {s[v]}): degree {degrees[v]} != {want[v]}"
+                for v in np.flatnonzero(degrees != want).tolist()]
     return CheckReport(
         claim="degree-formula-general",
         statement="derived cross-check: deg(v) = q^n - q^(n-s) - 1 for skeleton size s",
@@ -220,20 +223,20 @@ def check_twin_structure(g: NzcGraph) -> CheckReport:
     by_neighborhood = twin_partition_by_neighborhood(g)
     if by_skeleton != by_neighborhood:
         failures.append("skeleton grouping differs from closed-neighbourhood grouping")
-    classes = g.t_classes()
+    class_size = np.bincount(g.sizes, minlength=n + 1)
+    # one entry per twin set, in mask order (the twin-set order within a class)
+    _, first, set_size = np.unique(g.skeletons, return_index=True, return_counts=True)
+    set_class = g.sizes[first]
     for i in range(1, n + 1):
-        members = classes.get(i, ())
         want_size = comb(n, i) * (q - 1) ** i
-        if len(members) != want_size:
-            failures.append(f"|T_{i}| = {len(members)} != C(n,i)*(q-1)^i = {want_size}")
-        sets_in_class = [ts for ts in g.twin_sets()
-                         if g.class_of(ts[0]) == i]
-        if len(sets_in_class) != comb(n, i):
-            failures.append(f"class {i}: {len(sets_in_class)} twin sets != C(n,i) = {comb(n, i)}")
-        for ts in sets_in_class:
-            if len(ts) != (q - 1) ** i:
-                failures.append(f"class {i}: twin set size {len(ts)} != (q-1)^i = {(q - 1) ** i}")
-                break
+        if class_size[i] != want_size:
+            failures.append(f"|T_{i}| = {class_size[i]} != C(n,i)*(q-1)^i = {want_size}")
+        sizes_in_class = set_size[set_class == i]
+        if len(sizes_in_class) != comb(n, i):
+            failures.append(f"class {i}: {len(sizes_in_class)} twin sets != C(n,i) = {comb(n, i)}")
+        bad = sizes_in_class[sizes_in_class != (q - 1) ** i]
+        if bad.size:
+            failures.append(f"class {i}: twin set size {bad[0]} != (q-1)^i = {(q - 1) ** i}")
     return CheckReport(
         claim="twin-structure",
         statement="twin sets = closed-neighbourhood classes; C(n,i) sets of size (q-1)^i in class i",
@@ -259,32 +262,32 @@ def count_distinguishing_pairs(g: NzcGraph, l: int, m: int, i: int) -> int:
         raise ValueError(f"basis positions must lie in 1..{n}")
     if not 1 <= i <= n - 1:
         raise ValueError(f"class index must lie in 1..{n - 1}")
-    lbit = 1 << (l - 1)
-    mbit = 1 << (m - 1)
-    return sum(1 for v in g.t_classes().get(i, ())
-               if g.skeletons[v] & lbit and not g.skeletons[v] & mbit)
+    return int(_pair_counts(g, i)[l - 1, m - 1])
+
+
+def _pair_counts(g: NzcGraph, i: int) -> np.ndarray:
+    """Entry [l-1, m-1]: vertices u of class i with b_l in S_u and b_m not (q = 2)."""
+    if g.params.q != 2:
+        raise UnsupportedFieldError("pair counting is stated for q = 2 only")
+    bits = mask_bits(g.skeletons[g.sizes == i], np.arange(g.params.n)).astype(np.int64)
+    return bits.T @ (1 - bits)
 
 
 def check_pair_counts(g: NzcGraph) -> CheckReport:
     """count_distinguishing_pairs equals C(n-1,i-1) - C(n-2,i-2) for all l != m."""
     n = g.params.n
     failures = []
-    checked = 0
+    off_diagonal = ~np.eye(n, dtype=bool)
     for i in range(1, n):
         want = comb(n - 1, i - 1) - (comb(n - 2, i - 2) if i >= 2 else 0)
-        for l in range(1, n + 1):
-            for m in range(1, n + 1):
-                if l == m:
-                    continue
-                got = count_distinguishing_pairs(g, l, m, i)
-                checked += 1
-                if got != want:
-                    failures.append(f"i={i} l={l} m={m}: count {got} != {want}")
+        counts = _pair_counts(g, i)
+        for l, m in np.argwhere((counts != want) & off_diagonal).tolist():
+            failures.append(f"i={i} l={l + 1} m={m + 1}: count {counts[l, m]} != {want}")
     return CheckReport(
         claim="separating-pair-count",
         statement="#{u in T_i : b_l in S_u, b_m not in S_u} = C(n-1,i-1) - C(n-2,i-2)",
         params={"n": n, "q": g.params.q},
         status=PASS if not failures else FAIL,
-        checked=checked,
+        checked=(n - 1) * n * (n - 1),
         failures=failures,
     )

@@ -13,6 +13,7 @@ from .graph import NzcGraph, skeleton_intersections
 
 def graph_to_dict(g: NzcGraph) -> dict:
     """JSON-ready dict: n, q, vertices (id/coeffs/skeleton/class), edges, twin sets."""
+    skeletons, sizes = g.skeletons.tolist(), g.sizes.tolist()
     return {
         "n": g.params.n,
         "q": g.params.q,
@@ -20,8 +21,8 @@ def graph_to_dict(g: NzcGraph) -> dict:
             {
                 "id": v,
                 "coeffs": list(g.vertices[v]),
-                "skeleton": list(vs.skeleton_indices(g.skeletons[v])),
-                "class": g.class_of(v),
+                "skeleton": list(vs.skeleton_indices(skeletons[v])),
+                "class": sizes[v],
             }
             for v in range(g.num_vertices)
         ],
@@ -104,10 +105,11 @@ def graph_to_table(g: NzcGraph) -> str:
         f"{g.edge_count()} edges, {len(g.twin_sets())} twin sets",
         f"{'id':>4}  {'vector':<18} {'skeleton':<14} class degree",
     ]
+    skeletons, sizes = g.skeletons.tolist(), g.sizes.tolist()
     for v in range(g.num_vertices):
-        skel = ",".join(str(i) for i in vs.skeleton_indices(g.skeletons[v]))
+        skel = ",".join(str(i) for i in vs.skeleton_indices(skeletons[v]))
         lines.append(
             f"{v:>4}  {vs.format_vector(g.vertices[v]):<18} {{{skel}}}"
-            f"{'':<{max(0, 12 - len(skel))}} {g.class_of(v):>5} {g.degree(v):>6}"
+            f"{'':<{max(0, 12 - len(skel))}} {sizes[v]:>5} {g.degree(v):>6}"
         )
     return "\n".join(lines) + "\n"

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import comb, factorial, prod
+from math import factorial, prod
 
 import numpy as np
 
 from .errors import CapExceededError, UnsupportedFieldError
-from .graph import NzcGraph, twin_partition_by_neighborhood
+from .graph import NzcGraph, mask_bits, twin_partition_by_neighborhood
 from .reporting import FAIL, PASS, CheckReport
 
 DEFAULT_ORACLE_VERTEX_CAP = 40
@@ -41,6 +41,8 @@ ORACLE_NODE_BUDGET = 5_000_000
 GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
 FULL_VALIDATION_BUDGET = 2 * 10**8  # order * nv^2 up to which every element is checked
 AXIOM_PAIR_BUDGET = 250_000  # closure is exhaustive when order^2 fits
+EXTENSION_CHUNK = 512  # sampled pairs extended per numpy block
+STRUCTURE_CELLS = 1 << 20  # (element, vertex, basis index) cells per block of the structure check
 
 
 def is_permutation(image, size: int) -> bool:
@@ -180,15 +182,9 @@ def _row_keys(perms: np.ndarray) -> np.ndarray:
     return perms.view(np.dtype((np.void, perms.shape[1] * perms.itemsize)))[:, 0]
 
 
-def _basis_vertex_id(i: int) -> int:
-    """Vertex id of b_i for q = 2 (1-based i); mask value 2^(i-1) minus one."""
-    return (1 << (i - 1)) - 1
-
-
-def _mask_bit_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of mask bits: row m gives the bit pattern of mask m."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    return (masks[:, None] >> np.arange(n)[None, :]) & 1
+def _basis_ids(n: int) -> np.ndarray:
+    """Vertex ids of b_1 .. b_n for q = 2: mask 2^(i-1), id = mask - 1."""
+    return (1 << np.arange(n)) - 1
 
 
 def _extend_images_batch(graph: NzcGraph, sigmas: np.ndarray) -> np.ndarray:
@@ -198,7 +194,7 @@ def _extend_images_batch(graph: NzcGraph, sigmas: np.ndarray) -> np.ndarray:
     sigma(i), computed as a bit-matrix / power-weight product.
     """
     n = graph.params.n
-    bits = _mask_bit_matrix(n)[1:]          # rows for masks 1 .. 2^n - 1
+    bits = mask_bits(np.arange(1, 1 << n), np.arange(n))  # rows for masks 1 .. 2^n - 1
     weights = (1 << sigmas.astype(np.int64))  # (m, n)
     images = bits @ weights.T
     images -= 1  # in place: at n = 8 each copy is 82 MB
@@ -225,8 +221,7 @@ def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
     image = _extend_images_batch(graph, np.asarray([sigma], dtype=np.int64))[0]
     if not is_automorphism(graph, image):
         raise ValueError("image is not an adjacency-preserving permutation of the vertex ids")
-    cls = np.array([s.bit_count() for s in graph.skeletons])
-    bad = np.flatnonzero(cls[image] != cls)
+    bad = np.flatnonzero(graph.sizes[image] != graph.sizes)
     if bad.size:
         raise ValueError(
             f"vertex {bad[0]} mapped across skeleton-size classes to {image[bad[0]]}")
@@ -243,17 +238,14 @@ def restrict_to_basis(image, graph: NzcGraph) -> tuple[int, ...]:
     if graph.params.q != 2:
         raise UnsupportedFieldError("basis restriction is defined for q = 2")
     n = graph.params.n
-    sigma = []
-    for i in range(1, n + 1):
-        w = int(image[_basis_vertex_id(i)])
-        mask = w + 1
-        if mask.bit_count() != 1:
-            raise ValueError(
-                f"automorphism maps basis vertex b{i} to a class-"
-                f"{mask.bit_count()} vertex; not an automorphism of this graph"
-            )
-        sigma.append(mask.bit_length() - 1)
-    return tuple(sigma)
+    w = np.asarray(image)[_basis_ids(n)]
+    bad = np.flatnonzero(graph.sizes[w] != 1)
+    if bad.size:
+        raise ValueError(
+            f"automorphism maps basis vertex b{bad[0] + 1} to a class-"
+            f"{graph.sizes[w[bad[0]]]} vertex; not an automorphism of this graph"
+        )
+    return tuple(mask_bits(graph.skeletons[w], np.arange(n)).argmax(axis=1).tolist())
 
 
 def aut_group_structural(graph: NzcGraph, *, seed: int = 0) -> AutGroup:
@@ -446,10 +438,15 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
     else:
         h1s, h2s = np.split(_sample_permutations(n, 2 * samples, seed), 2)
         details["mode"] = "sampled"
-    batch = np.stack([np.take_along_axis(h1s, h2s, 1), h1s, h2s], 1)  # h1 o h2 = h1[h2]
-    lhs, ext1, ext2 = _extend_images_batch(graph, batch.reshape(-1, n)).reshape(
-        len(h1s), 3, -1).transpose(1, 0, 2)
-    for k in np.flatnonzero((lhs != np.take_along_axis(ext1, ext2, 1)).any(1))[:6]:
+    bad: list[int] = []
+    for lo in range(0, len(h1s), EXTENSION_CHUNK):
+        h1, h2 = h1s[lo:lo + EXTENSION_CHUNK], h2s[lo:lo + EXTENSION_CHUNK]
+        batch = np.stack([np.take_along_axis(h1, h2, 1), h1, h2], 1)  # h1 o h2 = h1[h2]
+        lhs, ext1, ext2 = _extend_images_batch(graph, batch.reshape(-1, n)).reshape(
+            len(h1), 3, -1).transpose(1, 0, 2)
+        wrong = np.flatnonzero((lhs != np.take_along_axis(ext1, ext2, 1)).any(1))
+        bad += (lo + wrong[:6 - len(bad)]).tolist()
+    for k in bad:
         h1, h2 = tuple(h1s[k].tolist()), tuple(h2s[k].tolist())
         failures.append(f"extend({h1} o {h2}) != extend({h1}) o extend({h2})")
     details["pairs_checked"] = len(h1s)
@@ -484,101 +481,25 @@ def check_automorphism_structure(graph: NzcGraph, grp: AutGroup) -> CheckReport:
       moves-two    every non-identity element moves >= 2 basis vertices (q = 2);
       basis-family the family of basis twin sets maps onto itself through an
                    induced index permutation (any q).
+
+    Failures are listed by sub-check (classes, basis-family, then the q = 2
+    checks element by element) and cut to the first 20.
     """
-    g_ = graph
-    n, q = g_.params.n, g_.params.q
-    failures = []
-    sub: dict[str, int] = {}
-
-    perms = grp.perms
-    cls = np.array([g_.class_of(v) for v in range(g_.num_vertices)])
-    bad = (cls[perms.astype(np.int64)] != cls[None, :]).any(axis=1)
-    sub["classes"] = grp.order
-    for i in np.nonzero(bad)[0]:
-        failures.append(f"element {int(i)} maps across skeleton-size classes")
-
-    basis_sets = [ts for ts in g_.twin_sets() if g_.class_of(ts[0]) == 1]
-    basis_lookup = {frozenset(ts): k for k, ts in enumerate(basis_sets)}
-    checked_family = 0
-    for idx in range(grp.order):
-        p = perms[idx]
-        target = []
-        for ts in basis_sets:
-            img = frozenset(int(p[v]) for v in ts)
-            k = basis_lookup.get(img)
-            if k is None:
-                failures.append(f"element {idx}: basis twin set image is not a basis twin set")
-                break
-            target.append(k)
-        else:
-            if sorted(target) != list(range(len(basis_sets))):
-                failures.append(f"element {idx}: induced basis-set map is not a permutation")
-        checked_family += 1
-    sub["basis-family"] = checked_family
-
+    n, q = graph.params.n, graph.params.q
+    perms, sizes = grp.perms, graph.sizes
+    bad = (sizes[perms] != sizes).any(axis=1)
+    failures = [f"element {i} maps across skeleton-size classes" for i in np.flatnonzero(bad)]
+    failures += _basis_family_failures(graph, perms)
+    sub = {"classes": grp.order, "basis-family": grp.order}
     if q == 2:
-        basis_ids = [_basis_vertex_id(i) for i in range(1, n + 1)]
-        checked_transport = 0
-        checked_swap = 0
-        for idx in range(grp.order):
-            p = [int(x) for x in perms[idx]]
-            sigma = []
-            for i, b in enumerate(basis_ids):
-                w = p[b] + 1
-                sigma.append(w.bit_length() - 1 if w.bit_count() == 1 else -1)
-            if any(s < 0 for s in sigma):
-                failures.append(f"element {idx}: basis vertex leaves the basis class")
-                continue
-            # transport of basis membership for vertices mapped on each other
-            # (g(u) = v and g(v) = u; one-directional images may leak, e.g.
-            # under a 3-cycle of basis indices)
-            for u in range(g_.num_vertices):
-                v = p[u]
-                if p[v] != u:
-                    continue
-                su, sv = g_.skeletons[u], g_.skeletons[v]
-                if su.bit_count() != sv.bit_count() or su.bit_count() == n:
-                    continue
-                for i in range(n):
-                    gi = sigma[i]
-                    in_u = su >> i & 1
-                    in_v = sv >> i & 1
-                    if in_u and in_v:
-                        if not (su >> gi & 1 and sv >> gi & 1):
-                            failures.append(
-                                f"element {idx}: b{i + 1} in both skeletons but image leaves them")
-                    elif in_u and not in_v:
-                        if not (sv >> gi & 1 and not su >> gi & 1):
-                            failures.append(
-                                f"element {idx}: b{i + 1} in S_u - S_v but image not in S_v - S_u")
-                checked_transport += 1
-            # exchanged basis pairs transfer skeleton membership
-            for l in range(n):
-                m = sigma[l]
-                if m == l or sigma[m] != l:
-                    continue
-                lbit, mbit = 1 << l, 1 << m
-                for u in range(g_.num_vertices):
-                    su = g_.skeletons[u]
-                    sv = g_.skeletons[p[u]]
-                    if su & lbit and not su & mbit:
-                        if sv & lbit or not sv & mbit:
-                            failures.append(
-                                f"element {idx}: swap b{l + 1}<->b{m + 1} fails membership transfer")
-                    both_u = (su & lbit) and (su & mbit)
-                    both_v = (sv & lbit) and (sv & mbit)
-                    if bool(both_u) != bool(both_v):
-                        failures.append(
-                            f"element {idx}: swap b{l + 1}<->b{m + 1} breaks joint membership")
-                    checked_swap += 1
-            if any(i != x for i, x in enumerate(p)):
-                moved = sum(1 for i, b in enumerate(basis_ids) if p[b] != b)
-                if moved < 2:
-                    failures.append(f"element {idx}: non-identity but moves {moved} basis vertices")
-        sub["transport"] = checked_transport
-        sub["swap"] = checked_swap
+        sub["transport"] = sub["swap"] = 0
+        step = max(1, STRUCTURE_CELLS // (graph.num_vertices * n))
+        for lo in range(0, grp.order, step):
+            transport, swap, lines = _basis_action_failures(graph, perms[lo:lo + step], lo)
+            sub["transport"] += transport
+            sub["swap"] += swap
+            failures += lines
         sub["moves-two"] = grp.order
-
     return CheckReport(
         claim="automorphism-structure",
         statement="automorphisms preserve classes, transport skeleton membership, "
@@ -589,6 +510,76 @@ def check_automorphism_structure(graph: NzcGraph, grp: AutGroup) -> CheckReport:
         failures=failures[:20],
         details={"sub_checks": sub},
     )
+
+
+def _basis_family_failures(graph: NzcGraph, perms: np.ndarray) -> list[str]:
+    """Elements that do not permute the basis twin sets, one line each."""
+    basis_sets = [list(ts) for ts in graph.twin_sets() if graph.sizes[ts[0]] == 1]
+    which = np.full(graph.num_vertices, -1)
+    for k, ts in enumerate(basis_sets):
+        which[ts] = k
+    set_len = np.array([len(ts) for ts in basis_sets] + [0])  # [-1]: no set
+    is_set = np.ones(len(perms), dtype=bool)
+    target = np.empty((len(perms), len(basis_sets)), dtype=np.int64)
+    for k, ts in enumerate(basis_sets):
+        image = np.sort(perms[:, ts], axis=1)
+        hit = which[image]
+        distinct = 1 + np.count_nonzero(np.diff(image, axis=1), axis=1)
+        # the image set is basis set k' iff it lies in k' and has |k'| members
+        is_set &= (hit == hit[:, :1]).all(axis=1) & (distinct == set_len[hit[:, 0]])
+        target[:, k] = hit[:, 0]
+    not_perm = is_set & (np.sort(target, axis=1) != np.arange(len(basis_sets))).any(axis=1)
+    return [f"element {i}: " + ("induced basis-set map is not a permutation" if not_perm[i]
+                                else "basis twin set image is not a basis twin set")
+            for i in np.flatnonzero(~is_set | not_perm)]
+
+
+def _basis_action_failures(graph: NzcGraph, p: np.ndarray, offset: int):
+    """The q = 2 transport, swap and moves-two checks on the rows `p`.
+
+    Returns the transport and swap counts and the first 20 failure lines,
+    row by row; rows are numbered from `offset`.
+    """
+    n, nv, sizes = graph.params.n, graph.num_vertices, graph.sizes
+    ids, ar, basis = np.arange(nv), np.arange(n), _basis_ids(n)
+    su, sv = graph.skeletons, graph.skeletons[p]  # S_u and S_p(u)
+    image_b = p[:, basis]
+    leaves = (sizes[image_b] != 1).any(axis=1)
+    sigma = np.where(leaves[:, None], ar, mask_bits(sv[:, basis], ar).argmax(axis=2))
+    at = sigma[:, None, :]  # b_i -> b_sigma(i)
+    in_u, in_v = mask_bits(su, ar), mask_bits(sv, ar)
+    img_u, img_v = mask_bits(su, at), mask_bits(sv, at)  # bit sigma(i) of each
+    # transport over u with p(p(u)) = u in one class below n: one-directional
+    # images may leak, e.g. under a 3-cycle of basis indices
+    mutual = ((np.take_along_axis(p, p.astype(np.intp), axis=1) == ids)
+              & (sizes[p] == sizes) & (sizes != n) & ~leaves[:, None])
+    lose = mutual[..., None] & in_u & in_v & ~(img_u & img_v)
+    leak = mutual[..., None] & in_u & ~in_v & ~(img_v & ~img_u)
+    # exchanged basis pairs l <-> sigma(l) transfer skeleton membership
+    exchange = (sigma != ar) & (np.take_along_axis(sigma, sigma, axis=1) == ar) & ~leaves[:, None]
+    swap = exchange[:, None, :, None] & np.stack(
+        [in_u & ~img_u & (in_v | ~img_v), (in_u & img_u) != (in_v & img_v)], axis=3)
+    moved = np.count_nonzero(image_b != basis, axis=1)
+    few = (p != ids).any(axis=1) & (moved < 2) & ~leaves
+    bad = leaves | (lose | leak).any(axis=(1, 2)) | swap.any(axis=(1, 2, 3)) | few
+
+    def lines(j):
+        e = f"element {offset + j}:"
+        if leaves[j]:
+            return [f"{e} basis vertex leaves the basis class"]
+        out = [f"{e} b{i + 1} in both skeletons but image leaves them" if lose[j, u, i]
+               else f"{e} b{i + 1} in S_u - S_v but image not in S_v - S_u"
+               for u, i in np.argwhere(lose[j] | leak[j])]
+        out += [f"{e} swap b{l + 1}<->b{sigma[j, l] + 1} "
+                + ("fails membership transfer" if kind == 0 else "breaks joint membership")
+                for l, u, kind in np.argwhere(swap[j].transpose(1, 0, 2))]
+        if few[j]:
+            out.append(f"{e} non-identity but moves {moved[j]} basis vertices")
+        return out
+
+    first = itertools.chain.from_iterable(map(lines, np.flatnonzero(bad)))
+    return (int(np.count_nonzero(mutual)), nv * int(np.count_nonzero(exchange)),
+            list(itertools.islice(first, 20)))
 
 
 def check_orbit_stabilizer(grp: AutGroup) -> CheckReport:

@@ -22,6 +22,9 @@ from .graph import NzcGraph
 from .reporting import FAIL, PASS, CheckReport
 from .vectorspace import SpaceParams
 
+STRUCTURE_CHECK_BUDGET = 200_000  # group order * vertices up to which the structure check runs
+SEARCH_CROSS_CHECK_VERTICES = 70  # vertices up to which the 2-colour scheme is also searched
+
 
 def _report_group_order(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
     n = g.params.n
@@ -95,20 +98,15 @@ def _report_top_class_fixed(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
     )
 
 
-def _report_two_labeling(g: NzcGraph, grp: sym.AutGroup | None) -> CheckReport:
-    f = dst.constructive_labeling_q2(g)
+def _report_two_labeling(g: NzcGraph, scheme: dst.SchemeVerdict) -> CheckReport:
+    f = scheme.labeling
     failures = []
-    engines = []
-    if grp is not None:
-        engines.append("explicit-group-scan")
-        if not dst.is_distinguishing(g, grp, f):
-            failures.append("a non-identity group element preserves the 2-colour scheme")
-    else:
-        engines.append("structural-scan")
-        survivors = dst.structural_survivors(g, f)
-        if survivors:
-            failures.append(f"{len(survivors)} basis permutations preserve the scheme")
-    if g.num_vertices <= 70:
+    engines = [scheme.engine]
+    if scheme.preservers:
+        failures.append("a non-identity group element preserves the 2-colour scheme"
+                        if scheme.engine == "explicit-group-scan"
+                        else f"{scheme.preservers} basis permutations preserve the scheme")
+    if g.num_vertices <= SEARCH_CROSS_CHECK_VERTICES:
         engines.append("colour-preserving-search")
         if dst.find_color_preserving(g, f) is not None:
             failures.append("search engine found a colour-preserving automorphism")
@@ -123,8 +121,7 @@ def _report_two_labeling(g: NzcGraph, grp: sym.AutGroup | None) -> CheckReport:
     )
 
 
-def _report_dist_number(g: NzcGraph, grp: sym.AutGroup | None, *,
-                        exact_cap: int) -> CheckReport:
+def _report_dist_number(g: NzcGraph, result: dst.DistResult) -> CheckReport:
     n, q = g.params.n, g.params.q
     if q == 2:
         want = 1 if n == 1 else 2
@@ -132,7 +129,6 @@ def _report_dist_number(g: NzcGraph, grp: sym.AutGroup | None, *,
     else:
         want = (q - 1) ** n
         claim_text = "Dist(G) = (q-1)^n for q >= 3"
-    result = dst.dist_number(g, grp, exact_cap=exact_cap)
     failures = []
     if result.value != want:
         failures.append(
@@ -169,19 +165,21 @@ def _report_twin_bound(g: NzcGraph) -> CheckReport:
     )
 
 
-def _report_constructive_q3(g: NzcGraph, grp: sym.AutGroup | None) -> CheckReport:
+def _report_constructive_q3(g: NzcGraph, scheme: dst.SchemeVerdict) -> CheckReport:
     n, q = g.params.n, g.params.q
-    f = dst.constructive_labeling_q3(g)
+    f = scheme.labeling
     failures = []
-    engines = []
     if len(f.used_colors()) != (q - 1) ** n:
         failures.append(f"scheme uses {len(f.used_colors())} colours, wanted {(q - 1) ** n}")
-    if grp is not None:
-        engines.append("explicit-group-scan")
-        if not dst.is_distinguishing(g, grp, f):
+    engines = [scheme.engine]
+    if scheme.engine == "explicit-group-scan":
+        if scheme.preservers:
             failures.append("a non-identity group element preserves the twin-injective scheme")
-    engines.append("colour-preserving-search")
-    if dst.find_color_preserving(g, f) is not None:
+        engines.append("colour-preserving-search")
+        found = dst.find_color_preserving(g, f) is not None
+    else:  # without a group the search is the verdict itself
+        found = bool(scheme.preservers)
+    if found:
         failures.append("search engine found a colour-preserving automorphism")
     return CheckReport(
         claim="twin-injective-distinguishing",
@@ -241,54 +239,53 @@ def _report_json_roundtrip(g: NzcGraph) -> CheckReport:
 
 
 def verify_params(n: int, q: int, *, vertex_cap: int = 65535, oracle_cap: int = 40,
-                  exact_cap: int = 30, samples: int = 1000, seed: int = 0) -> list[CheckReport]:
-    """Run every applicable certificate for one (n, q)."""
+                  exact_cap: int = 30, samples: int = 1000, seed: int = 0):
+    """Yield every applicable certificate for one (n, q), each as it finishes."""
     params = SpaceParams(n, q, vertex_cap)
     g = gr.build(params)
-    reports = [
-        gr.check_adjacency_invariants(g),
-        gr.check_twin_structure(g),
-        gr.check_degree_formula_general(g),
-    ]
+    yield gr.check_adjacency_invariants(g)
+    yield gr.check_twin_structure(g)
+    yield gr.check_degree_formula_general(g)
     grp = sym.explicit_group(g, oracle_cap=oracle_cap, seed=seed)
     if q == 2:
-        reports.append(gr.check_degree_formula(g))
-        reports.append(gr.check_pair_counts(g))
+        yield gr.check_degree_formula(g)
+        yield gr.check_pair_counts(g)
         oracle = None
         if grp is not None:
-            reports.append(_report_group_order(g, grp))
-            reports.append(grp.check_group_axioms(seed=seed))
-            reports.append(_report_orbits_match_classes(g, grp))
-            reports.append(_report_top_class_fixed(g, grp))
-            reports.append(sym.check_orbit_stabilizer(grp))
-            if grp.order * g.num_vertices <= 200_000:
-                reports.append(sym.check_automorphism_structure(g, grp))
+            yield _report_group_order(g, grp)
+            yield grp.check_group_axioms(seed=seed)
+            yield _report_orbits_match_classes(g, grp)
+            yield _report_top_class_fixed(g, grp)
+            yield sym.check_orbit_stabilizer(grp)
+            if grp.order * g.num_vertices <= STRUCTURE_CHECK_BUDGET:
+                yield sym.check_automorphism_structure(g, grp)
             if g.num_vertices <= oracle_cap:
                 oracle = sym.aut_group_oracle(g, vertex_cap=oracle_cap)
-                reports.append(_report_engines_agree(g, grp, oracle))
-        reports.append(sym.check_extension_isomorphism(g, grp, oracle,
-                                                       samples=samples, seed=seed))
-        if n >= 3:
-            reports.append(_report_two_labeling(g, grp))
-            reports.append(dst.transposition_report(g, dst.constructive_labeling_q2(g)))
+                yield _report_engines_agree(g, grp, oracle)
+        yield sym.check_extension_isomorphism(g, grp, oracle, samples=samples, seed=seed)
     else:
         if grp is not None:
-            reports.append(grp.check_group_axioms(seed=seed))
-            reports.append(sym.check_orbit_stabilizer(grp))
-            reports.append(_report_observed_group_order(g, grp))
-        reports.append(_report_twin_bound(g))
-        reports.append(_report_constructive_q3(g, grp))
-    reports.append(_report_dist_number(g, grp, exact_cap=exact_cap))
-    reports.append(_report_json_roundtrip(g))
-    return reports
+            yield grp.check_group_axioms(seed=seed)
+            yield sym.check_orbit_stabilizer(grp)
+            yield _report_observed_group_order(g, grp)
+        yield _report_twin_bound(g)
+    # the scheme certificates read the verdict dist_number reached, so the
+    # constructive labeling is built and checked once
+    result = dst.dist_number(g, grp, exact_cap=exact_cap)
+    if result.scheme is not None and q == 2:
+        yield _report_two_labeling(g, result.scheme)
+        yield dst.transposition_report(g, result.scheme.labeling)
+    elif result.scheme is not None:
+        yield _report_constructive_q3(g, result.scheme)
+    yield _report_dist_number(g, result)
+    yield _report_json_roundtrip(g)
 
 
-def verify_ranges(n_values, q_values, **kwargs) -> list[CheckReport]:
-    reports = []
+def verify_ranges(n_values, q_values, **kwargs):
+    """Yield the certificates of every (n, q), q outermost, each as it finishes."""
     for q in q_values:
         for n in n_values:
-            reports.extend(verify_params(n, q, **kwargs))
-    return reports
+            yield from verify_params(n, q, **kwargs)
 
 
 def summarize(reports) -> dict[str, int]:

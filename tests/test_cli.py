@@ -317,6 +317,48 @@ def test_verify_runs_the_oracle_once_per_graph(monkeypatch):
     assert calls == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("engine,ranges,want", [
+    ("find_color_preserving", ("2..5", "3"), [2, 3, 4, 5]),
+    ("structural_survivors", ("9", "2"), [9]),
+])
+def test_verify_checks_the_constructive_scheme_once_per_graph(capsys, monkeypatch,
+                                                              engine, ranges, want):
+    # the scheme certificate reads the verdict dist_number reached; at (2,3)
+    # the verdict is the group scan and the search runs as the cross-check
+    from nzcgraph import distinguishing
+
+    calls = []
+    search = getattr(distinguishing, engine)
+
+    def counted(g, f):
+        calls.append(g.params.n)
+        return search(g, f)
+
+    monkeypatch.setattr(distinguishing, engine, counted)
+    rc, out, _ = run(capsys, "verify", "-n", ranges[0], "-q", ranges[1])
+    assert rc == 0 and " 0 fail" in out
+    assert calls == want
+
+
+def test_verify_streams_its_lines_and_a_crash_exits_5(capsys, monkeypatch):
+    rc, before, _ = run(capsys, "verify", "-n", "3", "-q", "2")
+    assert rc == 0
+    emit = serialize.graph_to_dict
+
+    def out_of_memory_at_n4(g):
+        if g.params.n == 4:
+            raise MemoryError("Unable to allocate 2.00 GiB\nfor an array")
+        return emit(g)
+
+    monkeypatch.setattr(serialize, "graph_to_dict", out_of_memory_at_n4)
+    rc, out, err = run(capsys, "verify", "-n", "3..4", "-q", "2")
+    assert rc == 5
+    n3_lines = before.rsplit("summary:", 1)[0]
+    assert out.startswith(n3_lines) and "n=4 q=2 degree-formula-q2" in out
+    assert "summary:" not in out
+    assert err == "error: MemoryError: Unable to allocate 2.00 GiB for an array\n"
+
+
 def test_deterministic_outputs(capsys):
     rc1, out1, _ = run(capsys, "build", "-n", "3", "-q", "3", "--format", "json")
     rc2, out2, _ = run(capsys, "build", "-n", "3", "-q", "3", "--format", "json")

@@ -50,6 +50,28 @@ def test_two_colour_scheme_consecutive_pairs_n6():
                if g.skeletons[v] not in want)
 
 
+def _two_colour_scheme_reference(n):
+    """The scheme rule by rule, over skeleton masks (vertex id = mask - 1 at q = 2)."""
+    half = n // 2
+    named = {sum(1 << (i - 1) for i in range(2, half + 1)),
+             sum(1 << (i - 1) for i in range(half + 2, n + 1))}
+    colors = []
+    for mask in range(1, 1 << n):
+        size = bin(mask).count("1")
+        low = mask & -mask
+        one = ((size == 1 and mask < 1 << half)
+               or (size == n - 1 and mask in named)
+               or (size == 2 and mask == low | low << 1))
+        colors.append(1 if one else 2)
+    return tuple(colors)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_two_colour_scheme_matches_the_rule_by_rule_reference(n):
+    f = nz.constructive_labeling_q2(nz.build(SpaceParams(n, 2)))
+    assert f.colors == _two_colour_scheme_reference(n) and f.t == 2
+
+
 def test_two_colour_scheme_guards():
     with pytest.raises(UnsupportedFieldError):
         nz.constructive_labeling_q2(nz.build(SpaceParams(3, 3)))
@@ -227,7 +249,7 @@ def test_twin_injective_rejects_q2():
 def test_structural_survivors_find_preserving_perms():
     g = nz.build(SpaceParams(3, 2))
     # colour only by class: every basis permutation survives
-    colors = tuple(g.class_of(v) for v in range(g.num_vertices))
+    colors = tuple(g.sizes.tolist())
     f = nz.Labeling(colors, 3)
     assert len(nz.structural_survivors(g, f)) == 5  # all of S_3 minus identity
     assert nz.structural_survivors(g, f)

@@ -196,3 +196,21 @@ def test_graph_rejects_a_matrix_that_is_not_square_on_the_vertices():
     copy = nz.NzcGraph(g.params, g.vertices, g.skeletons, m.astype(np.uint8))
     assert copy.adjacency_matrix().dtype == bool and not copy.adjacency_matrix().flags.writeable
     assert (copy.adjacency_matrix() == m).all()
+
+
+def test_graph_owns_read_only_skeleton_and_size_arrays():
+    g = nz.build(SpaceParams(3, 3))
+    assert g.skeletons.dtype == np.int64 and g.sizes.dtype == np.int64
+    assert not g.skeletons.flags.writeable and not g.sizes.flags.writeable
+    masks = [nz.skeleton(v) for v in g.vertices]
+    assert g.skeletons.tolist() == masks
+    assert g.sizes.tolist() == [bin(s).count("1") for s in masks]
+    for bad in (g.skeletons[:-1], g.skeletons[None], [masks[0]] * 27):
+        with pytest.raises(ValueError, match=r"^skeleton array has shape \(.*\), "
+                                             r"expected \(26,\)$"):
+            nz.NzcGraph(g.params, g.vertices, bad, g.adjacency_matrix())
+    mine = np.array(masks)
+    copy = nz.NzcGraph(g.params, g.vertices, mine, g.adjacency_matrix())
+    mine[0] = 7  # the graph keeps its own masks, so its sizes stay in step
+    assert copy.skeletons.tolist() == masks and not copy.skeletons.flags.writeable
+    assert copy.t_classes() == g.t_classes() and copy.twin_sets() == g.twin_sets()

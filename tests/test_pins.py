@@ -1,0 +1,205 @@
+"""Byte-for-byte pins of the certificate output and of failure reports.
+
+The files under ``tests/data`` hold what the certificate suite printed and
+wrote on the reference ranges, and what the skeleton-reading checks report
+on hand-corrupted inputs, when the pins were taken. Any change of a
+certificate, an output line or a failure string fails here. Rewrite the
+files only for a deliberate, documented change of output, with
+``PYTHONPATH=src python tests/test_pins.py``.
+"""
+
+import collections
+import contextlib
+import itertools
+import json
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nzcgraph as nz
+from nzcgraph import SpaceParams, cli
+from nzcgraph import distinguishing as dst
+from nzcgraph.distinguishing import Labeling
+
+DATA = Path(__file__).parent / "data"
+RANGES = (("3..10", "2"), ("2..6", "3"), ("2..4", "4"), ("2..4", "5"))
+
+
+def _stem(n, q):
+    return f"verify_n{n.replace('..', '-')}_q{q}"
+
+
+@pytest.mark.parametrize("n,q", RANGES)
+def test_verify_output_is_pinned(n, q, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "-n", n, "-q", q, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (DATA / f"{_stem(n, q)}.txt").read_text(encoding="utf-8")
+    assert out.read_bytes() == (DATA / f"{_stem(n, q)}.json").read_bytes()
+
+
+def _graph(n, q):
+    return nz.build(SpaceParams(n, q))
+
+
+def _swapped(n, q, u, v):
+    """The (n, q) graph with the skeletons of u and v exchanged, matrix kept."""
+    g = _graph(n, q)
+    s = [int(x) for x in g.skeletons]
+    s[u], s[v] = s[v], s[u]
+    return nz.NzcGraph(g.params, g.vertices, s, g.adjacency_matrix())
+
+
+def _relabelled(n, q, u, v):
+    """The (n, q) graph with vertex u given the skeleton of v, matrix kept."""
+    g = _graph(n, q)
+    s = [int(x) for x in g.skeletons]
+    s[u] = s[v]
+    return nz.NzcGraph(g.params, g.vertices, s, g.adjacency_matrix())
+
+
+def _corrupt_rows(rows, count, seed):
+    """`count` rows of `rows`, each with two seeded entries exchanged."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        row = np.array(rows[rng.randrange(len(rows))])
+        a, b = rng.sample(range(len(row)), 2)
+        row[[a, b]] = row[[b, a]]
+        out.append(row)
+    return out
+
+
+def _structure(g, rows):
+    return nz.check_automorphism_structure(g, nz.AutGroup(g, rows)).to_dict()
+
+
+def _structure_3_2():
+    g = _graph(3, 2)
+    ident = np.arange(7)
+    grp = nz.aut_group_structural(g).perms
+    rows = [ident, grp[1]]
+    bad = ident.copy()
+    bad[[2, 4]] = 4, 2  # class-2 exchange, basis fixed: transport, moves-two
+    rows.append(bad)
+    bad = ident.copy()
+    bad[[0, 1]] = 1, 0  # basis exchange alone: swap and transport
+    rows.append(bad)
+    bad = ident.copy()
+    bad[[0, 2]] = 2, 0  # across classes: classes, basis family, leaves the basis
+    rows.append(bad)
+    bad = grp[3].copy()
+    bad[[5, 6]] = bad[[6, 5]]  # a 3-cycle extension, broken across classes 2 and 3
+    rows.append(bad)
+    bad = grp[1].copy()
+    bad[6] = bad[5]  # not a permutation
+    rows.append(bad)
+    return _structure(g, rows)
+
+
+def _structure_4_2():
+    g = _graph(4, 2)
+    grp = nz.aut_group_structural(g).perms
+    return _structure(g, [grp[0], *_corrupt_rows(grp, 9, 7), grp[5], grp[23]])
+
+
+def _structure_2_3():
+    g = _graph(2, 3)
+    grp = nz.aut_group_oracle(g).perms
+    rows = [grp[0], *_corrupt_rows(grp, 5, 11), grp[100]]
+    bad = np.arange(8)
+    bad[[0, 7]] = 7, 0  # a basis vertex onto the class-2 vertex with the same coefficients
+    rows.append(bad)
+    return _structure(g, rows)
+
+
+def _raises(call):
+    try:
+        return call()
+    except (ValueError, nz.UnsupportedFieldError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _graph_checks(g):
+    out = {
+        "skeletons": [int(x) for x in g.skeletons],
+        "t_classes": g.t_classes(),
+        "twin_sets": g.twin_sets(),
+        "adjacency": nz.graph.check_adjacency_invariants(g).to_dict(),
+        "degree_general": nz.check_degree_formula_general(g).to_dict(),
+        "twins": nz.check_twin_structure(g).to_dict(),
+    }
+    if g.params.q == 2:
+        out["degree"] = nz.check_degree_formula(g).to_dict()
+        out["pairs"] = nz.check_pair_counts(g).to_dict()
+        if g.params.n >= 3:
+            f = dst.constructive_labeling_q2(g)
+            out["labeling_q2"] = f.colors
+            out["transpositions"] = _raises(lambda: dst.transposition_report(g, f).to_dict())
+    return out
+
+
+def _swap_broken(g, grp, marked):
+    """Outcome counts of the swap-breaking check over every (u, v, l, m),
+    with colour 2 on the vertices whose ids satisfy `marked`."""
+    n, nv = g.params.n, g.num_vertices
+    f = Labeling(tuple(2 if marked(v) else 1 for v in range(nv)), 2)
+    counts = collections.Counter(
+        str(_raises(lambda: dst.check_swap_broken_by_pair(g, grp, f, *args)))
+        for args in itertools.product(range(nv), range(nv), range(1, n + 1), range(1, n + 1)))
+    return sorted(counts.items())
+
+
+def _swap_broken_corrupted():
+    g = _swapped(4, 2, 2, 9)
+    rows = np.array([np.arange(15)] * 3)
+    rows[1, [0, 1]] = 1, 0  # the basis exchange b1 <-> b2 alone
+    rows[2, [0, 3, 1, 2]] = 3, 0, 2, 1  # b1 <-> b3, colour-blind elsewhere
+    return _swap_broken(g, nz.AutGroup(g, rows), lambda v: v == 9)
+
+
+def _extend_swapped():
+    g = _swapped(4, 2, 0, 6)
+    return [_raises(lambda: nz.extend_basis_permutation(g, s).tolist())
+            for s in ((0, 1, 2, 3), (1, 0, 2, 3), (0, 2, 1, 3), (3, 1, 2, 0))]
+
+
+CASES = {
+    "structure_3_2": _structure_3_2,
+    "structure_4_2": _structure_4_2,
+    "structure_2_3": _structure_2_3,
+    "swapped_4_2": lambda: _graph_checks(_swapped(4, 2, 0, 6)),
+    "swapped_5_2": lambda: _graph_checks(_swapped(5, 2, 2, 7)),
+    "swapped_3_3": lambda: _graph_checks(_swapped(3, 3, 0, 25)),
+    "intact_4_3": lambda: _graph_checks(_graph(4, 3)),
+    "duplicate_4_2": lambda: _graph_checks(_relabelled(4, 2, 0, 2)),
+    "duplicate_3_3": lambda: _graph_checks(_relabelled(3, 3, 2, 0)),
+    "swap_broken_3_2": lambda: _swap_broken(_graph(3, 2), nz.aut_group_structural(_graph(3, 2)),
+                                            lambda v: (v * 7 + v // 3) % 2),
+    "swap_broken_4_2": lambda: _swap_broken(_graph(4, 2), nz.aut_group_structural(_graph(4, 2)),
+                                            lambda v: (v * 7 + v // 3) % 2),
+    "swap_broken_corrupted": _swap_broken_corrupted,
+    "extend_swapped_4_2": _extend_swapped,
+}
+
+
+def _result(name):
+    return json.loads(json.dumps(CASES[name](), default=list))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_failure_reports_are_pinned(name):
+    pins = json.loads((DATA / "failure_pins.json").read_text(encoding="utf-8"))
+    assert _result(name) == pins[name]
+
+
+if __name__ == "__main__":
+    for n, q in RANGES:
+        stem = DATA / _stem(n, q)
+        with open(f"{stem}.txt", "w", encoding="utf-8") as fh:
+            with contextlib.redirect_stdout(fh):
+                cli.main(["verify", "-n", n, "-q", q, "--out", f"{stem}.json"])
+    pins = {name: _result(name) for name in sorted(CASES)}
+    (DATA / "failure_pins.json").write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")

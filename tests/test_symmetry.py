@@ -277,7 +277,7 @@ def test_extension_rejects_non_automorphisms():
 
 def test_extension_rejects_maps_across_skeleton_classes():
     g = nz.build(SpaceParams(2, 2))
-    assert g.skeletons == [1, 2, 3]
+    assert g.skeletons.tolist() == [1, 2, 3]
     swapped = nz.NzcGraph(g.params, g.vertices, [1, 3, 2],
                           g.adjacency_matrix())  # b2 and b1+b2 mislabelled
     with pytest.raises(ValueError, match="^vertex 0 mapped across skeleton-size classes to 1$"):
@@ -299,6 +299,19 @@ def test_sampled_extension_isomorphism_memory_n10():
     finally:
         tracemalloc.stop()
     assert report.passed and report.details["mode"] == "sampled"
+    assert peak < 100 * 2**20
+
+
+def test_sampled_extension_isomorphism_memory_does_not_grow_with_samples():
+    # the pairs are extended in blocks; all at once they take about 650 MB here
+    g = nz.build(SpaceParams(10, 2))
+    tracemalloc.start()
+    try:
+        report = nz.check_extension_isomorphism(g, None, None, samples=20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.details["pairs_checked"] == report.checked == 20000
     assert peak < 100 * 2**20
 
 

@@ -36,6 +36,8 @@ DEFAULTS = {"vertex_cap": vs.DEFAULT_VERTEX_CAP, "oracle_cap": sym.DEFAULT_ORACL
             "exact_cap": dst.DEFAULT_EXACT_CAP, "seed": 0, "samples": 1000, "format": "json"}
 MINIMUM = {"vertex_cap": 1, "oracle_cap": 0, "exact_cap": 0, "seed": 0, "samples": 1}
 FORMATS = {"build": ("json", "dot", "table"), "labeling": ("json", "table")}
+GRAPH_WRITERS = {"json": serialize.graph_to_json, "dot": serialize.graph_to_dot,
+                 "table": serialize.graph_to_table}
 
 
 def _load_config() -> dict:
@@ -64,7 +66,16 @@ def _settings(args, config) -> dict:
         elif isinstance(value, bool) or not isinstance(value, int) or value < MINIMUM[key]:
             raise ValueError(f"--{key.replace('_', '-')} must be >= {MINIMUM[key]}")
         out[key] = value
+    if args.out:
+        _check_out(args.out)
     return out
+
+
+def _check_out(path: str) -> None:
+    """Raise ValueError for an --out that cannot be written, creating nothing."""
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ValueError(f"--out {path} cannot be written")
 
 
 def _add_common(p: argparse.ArgumentParser, *, ranged: bool = False) -> None:
@@ -119,11 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _parse_range(flag: str, text: str) -> list[int]:
+    lo, dots, hi = text.partition("..")
+    values = list(range(int(lo), int(hi if dots else lo) + 1))
+    if not values:
+        raise ValueError(f"{flag} {text} is an empty range")
+    return values
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -145,14 +157,7 @@ def _group_for(g, engine, oracle_cap):
 
 
 def cmd_build(args, opts) -> int:
-    g = _graph(args, opts)
-    fmt = opts["format"]
-    if fmt == "json":
-        _emit(json.dumps(serialize.graph_to_dict(g), indent=2) + "\n", args.out)
-    elif fmt == "dot":
-        _emit(serialize.graph_to_dot(g), args.out)
-    else:
-        _emit(serialize.graph_to_table(g), args.out)
+    _emit(GRAPH_WRITERS[opts["format"]](_graph(args, opts)), args.out)
     return EXIT_OK
 
 
@@ -241,8 +246,8 @@ def cmd_dist(args, opts) -> int:
 
 
 def cmd_verify(args, opts) -> int:
-    n_values = _parse_range(args.n)
-    q_values = _parse_range(args.q)
+    n_values = _parse_range("-n", args.n)
+    q_values = _parse_range("-q", args.q)
     reports = []
     for report in vfy.verify_ranges(
             n_values, q_values, vertex_cap=opts["vertex_cap"], oracle_cap=opts["oracle_cap"],

@@ -81,11 +81,9 @@ class NzcGraph:
             self._twin_sets = tuple(_runs(order, self.skeletons))
         return self._twin_sets
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges (v, u) with v < u, in row-major order."""
-        v, u = np.nonzero(np.triu(self._matrix, 1))
-        # tuples of ints drop out of the cyclic GC; lists would stay tracked
-        return list(zip(v.tolist(), u.tolist()))
+    def edges(self) -> np.ndarray:
+        """The (E, 2) integer array of edges (v, u) with v < u, in row-major order."""
+        return np.argwhere(np.triu(self._matrix, 1))
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self._matrix)) // 2

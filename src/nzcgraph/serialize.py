@@ -1,9 +1,8 @@
-"""Graph serialization: JSON dict schema and DOT output for the CLI."""
+"""Graph serialization: JSON dict schema, JSON text and DOT output for the CLI."""
 
 from __future__ import annotations
 
-import itertools
-import operator
+import json
 
 import numpy as np
 
@@ -12,7 +11,7 @@ from .graph import NzcGraph, skeleton_intersections
 
 
 def graph_to_dict(g: NzcGraph) -> dict:
-    """JSON-ready dict: n, q, vertices (id/coeffs/skeleton/class), edges, twin sets."""
+    """Dict schema: n, q, vertices (id/coeffs/skeleton/class), the (E, 2) edge array, twin sets."""
     skeletons, sizes = g.skeletons.tolist(), g.sizes.tolist()
     return {
         "n": g.params.n,
@@ -31,11 +30,17 @@ def graph_to_dict(g: NzcGraph) -> dict:
     }
 
 
+def graph_to_json(g: NzcGraph) -> str:
+    """The dict schema as indented JSON text, one ``[v, u]`` list per edge."""
+    return json.dumps(graph_to_dict(g), indent=2, default=np.ndarray.tolist) + "\n"
+
+
 def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcGraph:
     """Reconstruct a graph from the dict schema, validating consistency.
 
-    Vertices must match their canonical ids, skeletons and classes; the edge
-    list must be exactly the skeleton-intersection graph, each edge once.
+    Vertices must match their canonical ids, skeletons and classes; the edges
+    (an (E, 2) array or JSON-loaded pairs) must be exactly the
+    skeleton-intersection graph, each edge once.
     """
     params = vs.SpaceParams(int(data["n"]), int(data["q"]), vertex_cap)
     entries = sorted(data["vertices"], key=lambda e: e["id"])
@@ -55,22 +60,24 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
         vertices.append(coeffs)
         skeletons.append(mask)
     nv = params.num_vertices
-    edges = data["edges"]
+    try:
+        edges = np.asarray(data["edges"])
+    except ValueError:  # entries of different lengths
+        raise ValueError("edge entry is not a pair") from None
     # count first, before any nv x nv allocation: deg v = q^n - q^(n - |S_v|) - 1
     q, n = params.q, params.n
     want = sum(q**n - q ** (n - s.bit_count()) - 1 for s in skeletons) // 2
     if len(edges) != want:
         raise ValueError(f"edge list has {len(edges)} entries, the graph has {want} edges")
-    try:
-        if not set(map(len, edges)) <= {2}:
-            raise ValueError("edge entry is not a pair")
-        flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(edges)),
-                           dtype=np.int64, count=2 * len(edges))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"edge entries must be pairs of vertex ids: {exc}") from None
-    if ((flat < 0) | (flat >= nv)).any():
+    if not want:  # an empty JSON list loads as a float array of shape (0,)
+        edges = np.empty((0, 2), dtype=np.intp)
+    if edges.shape[1:] != (2,):
+        raise ValueError("edge entry is not a pair")
+    if edges.dtype.kind not in "iu":
+        raise ValueError(f"edge entries must be pairs of vertex ids, not {edges.dtype}")
+    if ((edges < 0) | (edges >= nv)).any():
         raise ValueError(f"edge endpoint outside 0..{nv - 1}")
-    u, w = flat.reshape(-1, 2).T
+    u, w = edges.T
     m = np.zeros((nv, nv), dtype=bool)
     m[u, w] = m[w, u] = True
     # with the count above, equality also rules out self-loops and duplicates
@@ -92,7 +99,7 @@ def graph_to_dot(g: NzcGraph) -> str:
     lines = ["graph nzc {"]
     for v in range(g.num_vertices):
         lines.append(f'  v{v} [label="{vs.format_vector(g.vertices[v])}"];')
-    for u, w in g.edges():
+    for u, w in g.edges().tolist():
         lines.append(f"  v{u} -- v{w};")
     lines.append("}")
     return "\n".join(lines) + "\n"

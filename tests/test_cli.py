@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import combinations
 from math import factorial
 
+import numpy as np
 import pytest
 
 import nzcgraph as nz
@@ -132,7 +133,7 @@ def test_verify_range_exit_0_with_anomalies(capsys, tmp_path):
 def test_json_roundtrip_identical():
     for n, q in [(3, 2), (2, 3), (3, 3)]:
         g = nz.build(SpaceParams(n, q))
-        data = json.loads(json.dumps(serialize.graph_to_dict(g)))
+        data = json.loads(serialize.graph_to_json(g))
         back = serialize.graph_from_dict(data)
         assert serialize.graphs_equal(g, back) is True
         m = g.adjacency_matrix().copy()
@@ -144,7 +145,7 @@ def test_json_roundtrip_identical():
 def test_roundtrip_rejects_tampered_edges():
     g = nz.build(SpaceParams(2, 2))
     data = serialize.graph_to_dict(g)
-    data["edges"].append([0, 0])
+    data["edges"] = np.append(data["edges"], [[0, 0]], axis=0)
     with pytest.raises(ValueError):
         serialize.graph_from_dict(data)
 
@@ -154,14 +155,23 @@ def test_roundtrip_accepts_tuple_and_list_pairs():
         g = nz.build(SpaceParams(n, q))
         data = serialize.graph_to_dict(g)
         assert serialize.graphs_equal(g, serialize.graph_from_dict(data))
-        loaded = json.loads(json.dumps(data))
-        assert loaded["edges"] == [list(e) for e in data["edges"]]
+        loaded = json.loads(serialize.graph_to_json(g))
+        assert loaded["edges"] == data["edges"].tolist()
         assert serialize.graphs_equal(g, serialize.graph_from_dict(loaded))
+        tuples = {**loaded, "edges": [tuple(e) for e in loaded["edges"]]}
+        assert serialize.graphs_equal(g, serialize.graph_from_dict(tuples))
+
+
+def test_roundtrip_of_a_graph_without_edges():
+    g = nz.build(SpaceParams(1, 2))
+    assert g.edges().shape == (0, 2)
+    for data in (serialize.graph_to_dict(g), json.loads(serialize.graph_to_json(g))):
+        assert serialize.graphs_equal(g, serialize.graph_from_dict(data))
 
 
 def _tampered(edit):
     g = nz.build(SpaceParams(4, 2))
-    data = json.loads(json.dumps(serialize.graph_to_dict(g)))
+    data = json.loads(serialize.graph_to_json(g))
     edit(data["edges"], g.num_vertices)
     return data
 
@@ -181,8 +191,13 @@ NOT_THE_GRAPH = "not the skeleton-intersection graph, each edge once"
     (lambda es, nv: es.__setitem__(0, es[0] + [0]), "not a pair"),
     (lambda es, nv: es.__setitem__(0, [es[0][0]] * 2), NOT_THE_GRAPH),
     (lambda es, nv: es.__setitem__(0, [es[0][0], float(es[0][1])]), "pairs of vertex ids"),
+    (lambda es, nv: es.__setitem__(0, [es[0][0], 2**70]), "pairs of vertex ids"),
+    (lambda es, nv: es.__setitem__(0, [es[0][0], None]), "pairs of vertex ids"),
+    (lambda es, nv: es.__setitem__(0, [es[0][0], "3"]), "pairs of vertex ids"),
+    (lambda es, nv: es.__setitem__(slice(None), [[bool(v), bool(u)] for v, u in es]),
+     "pairs of vertex ids"),
 ], ids=["missing", "extra", "duplicate", "duplicate-reversed", "non-edge", "out-of-range",
-        "negative", "triple", "self-loop", "float"])
+        "negative", "triple", "self-loop", "float", "huge", "null", "string", "all-bool"])
 def test_graph_from_dict_rejects_bad_edges(edit, reason):
     with pytest.raises(ValueError, match=reason):
         serialize.graph_from_dict(_tampered(edit))
@@ -203,6 +218,22 @@ def test_graph_from_dict_rejects_short_edge_list_before_dense_matrices():
         assert peak < 2 * 2**20
 
 
+def test_roundtrip_report_builds_no_object_per_edge():
+    # (11,2) has 2,007,555 edges: one (E, 2) int64 array is 32 MB, a Python
+    # list of pairs several times that
+    from nzcgraph import verify
+
+    g = nz.build(SpaceParams(11, 2))
+    tracemalloc.start()
+    try:
+        rep = verify._report_json_roundtrip(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "pass"
+    assert peak < 120 * 2**20
+
+
 def test_roundtrip_report_fails_on_rejected_json(monkeypatch):
     from nzcgraph import verify
 
@@ -211,7 +242,7 @@ def test_roundtrip_report_fails_on_rejected_json(monkeypatch):
 
     def drop_an_edge(graph):
         data = emit(graph)
-        data["edges"].pop()
+        data["edges"] = data["edges"][:-1]
         return data
 
     monkeypatch.setattr(serialize, "graph_to_dict", drop_an_edge)
@@ -263,8 +294,11 @@ def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatc
     (["verify", "-n", "3", "-q", "2", "--seed", "-1"], None, "--seed must be >= 0"),
     (["twins", "-n", "2", "-q", "3"], [1, 2],
      "cannot read NZC_CONFIG config: the file must hold a JSON object"),
+    (["verify", "-n", "5..3", "-q", "2"], None, "-n 5..3 is an empty range"),
+    (["verify", "-n", "2", "-q", "2..1"], None, "-q 2..1 is an empty range"),
 ], ids=["vertex-cap-string", "build-format", "labeling-format", "oracle-cap-negative",
-        "exact-cap-null", "seed-float", "seed-flag-negative", "config-not-object"])
+        "exact-cap-null", "seed-float", "seed-flag-negative", "config-not-object",
+        "empty-n-range", "empty-q-range"])
 def test_settings_are_checked_before_any_work(capsys, tmp_path, monkeypatch, argv, config, err):
     def no_build(params):
         raise AssertionError("a graph was built")
@@ -275,6 +309,29 @@ def test_settings_are_checked_before_any_work(capsys, tmp_path, monkeypatch, arg
         cfg.write_text(json.dumps(config))
         monkeypatch.setenv("NZC_CONFIG", str(cfg))
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "-n", "3..8", "-q", "2"],
+                                  ["build", "-n", "3", "-q", "2"]])
+def test_unwritable_out_exits_2_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    def no_build(params):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(nz.graph, "build", no_build)
+    out = tmp_path / "missing" / "report.json"
+    assert run(capsys, *argv, "--out", str(out)) == (
+        2, "", f"error: --out {out} cannot be written\n")
+    assert not out.parent.exists()
+    assert run(capsys, *argv, "--out", str(tmp_path)) == (
+        2, "", f"error: --out {tmp_path} cannot be written\n")
+
+
+def test_rejected_range_leaves_out_file_untouched(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("kept")
+    assert run(capsys, "verify", "-n", "5..3", "-q", "2", "--out", str(out)) == (
+        2, "", "error: -n 5..3 is an empty range\n")
+    assert out.read_text() == "kept"
 
 
 def test_oracle_cap_bounds_the_distinguishing_number(capsys, tmp_path):

@@ -144,11 +144,11 @@ def test_vertices_in_canonical_order():
 def test_edges_match_skeleton_reference_in_order():
     for n, q in [(3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3)]:
         g = nz.build(SpaceParams(n, q))
-        want = [(v, u) for v, u in combinations(range(g.num_vertices), 2)
+        want = [[v, u] for v, u in combinations(range(g.num_vertices), 2)
                 if g.skeletons[v] & g.skeletons[u]]
         got = g.edges()
-        assert got == want
-        assert all(type(e) is tuple and type(e[0]) is int for e in got)
+        assert got.tolist() == want
+        assert got.shape == (len(want), 2) and got.dtype.kind == "i"
 
 
 def test_skeleton_intersections_across_row_blocks():

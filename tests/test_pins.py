@@ -1,8 +1,9 @@
 """Byte-for-byte pins of the certificate output and of failure reports.
 
 The files under ``tests/data`` hold what the certificate suite printed and
-wrote on the reference ranges, and what the skeleton-reading checks report
-on hand-corrupted inputs, when the pins were taken. Any change of a
+wrote on the reference ranges, what ``nzc build`` wrote in each format on
+three small graphs, and what the skeleton-reading checks report on
+hand-corrupted inputs, when the pins were taken. Any change of a
 certificate, an output line or a failure string fails here. Rewrite the
 files only for a deliberate, documented change of output, with
 ``PYTHONPATH=src python tests/test_pins.py``.
@@ -25,6 +26,7 @@ from nzcgraph.distinguishing import Labeling
 
 DATA = Path(__file__).parent / "data"
 RANGES = (("3..10", "2"), ("2..6", "3"), ("2..4", "4"), ("2..4", "5"))
+BUILDS = [(n, q, fmt) for n, q in ((1, 2), (4, 2), (2, 3)) for fmt in ("json", "dot", "table")]
 
 
 def _stem(n, q):
@@ -38,6 +40,18 @@ def test_verify_output_is_pinned(n, q, capsys, tmp_path, monkeypatch):
     assert cli.main(["verify", "-n", n, "-q", q, "--out", str(out)]) == 0
     assert capsys.readouterr().out == (DATA / f"{_stem(n, q)}.txt").read_text(encoding="utf-8")
     assert out.read_bytes() == (DATA / f"{_stem(n, q)}.json").read_bytes()
+
+
+def _build_args(n, q, fmt, out):
+    return ["build", "-n", str(n), "-q", str(q), "--format", fmt, "--out", str(out)]
+
+
+@pytest.mark.parametrize("n,q,fmt", BUILDS)
+def test_build_output_is_pinned(n, q, fmt, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    out = tmp_path / f"graph.{fmt}"
+    assert cli.main(_build_args(n, q, fmt, out)) == 0
+    assert out.read_bytes() == (DATA / f"build_n{n}_q{q}.{fmt}").read_bytes()
 
 
 def _graph(n, q):
@@ -201,5 +215,7 @@ if __name__ == "__main__":
         with open(f"{stem}.txt", "w", encoding="utf-8") as fh:
             with contextlib.redirect_stdout(fh):
                 cli.main(["verify", "-n", n, "-q", q, "--out", f"{stem}.json"])
+    for n, q, fmt in BUILDS:
+        cli.main(_build_args(n, q, fmt, DATA / f"build_n{n}_q{q}.{fmt}"))
     pins = {name: _result(name) for name in sorted(CASES)}
     (DATA / "failure_pins.json").write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")

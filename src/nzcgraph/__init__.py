@@ -10,10 +10,9 @@ suite in :mod:`nzcgraph.verify` or the ``nzc verify`` command.
 
 from .distinguishing import (DistResult, Labeling, all_distinct_labeling,
                              check_swap_broken_by_pair, constructive_labeling_q2,
-                             constructive_labeling_q3, destroyed_transpositions,
-                             dist_number, exists_distinguishing_labeling,
-                             find_color_preserving, is_distinguishing,
-                             structural_survivors, twin_lower_bound)
+                             constructive_labeling_q3, dist_number,
+                             exists_distinguishing_labeling, find_color_preserving,
+                             is_distinguishing, structural_survivors, twin_lower_bound)
 from .errors import CapExceededError, NzcError, UnsupportedFieldError
 from .graph import (NzcGraph, build, check_degree_formula,
                     check_degree_formula_general, check_pair_counts,
@@ -39,7 +38,7 @@ __all__ = [
     "check_extension_isomorphism", "check_orbit_stabilizer", "check_pair_counts",
     "check_swap_broken_by_pair", "check_twin_structure",
     "constructive_labeling_q2", "constructive_labeling_q3", "count_distinguishing_pairs",
-    "destroyed_transpositions", "dist_number", "enumerate_vectors",
+    "dist_number", "enumerate_vectors",
     "exists_distinguishing_labeling", "explicit_group", "extend_basis_permutation",
     "find_color_preserving", "is_automorphism", "is_distinguishing",
     "restrict_to_basis", "skeleton", "skeleton_class", "skeleton_indices",

@@ -19,7 +19,7 @@ The search budgets are module constants, read at call time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
 from .reporting import ANOMALY, FAIL, PASS, CheckReport
 from .symmetry import (AutGroup, _basis_ids, _color_preserving_images,
-                       _extend_images_batch, extend_basis_permutation, is_automorphism)
+                       _extend_images_batch, extend_basis_permutation)
 
 DEFAULT_EXACT_CAP = 30
 PERM_BUDGET = 4_000_000  # partial basis permutations alive in the structural scan
@@ -247,66 +247,14 @@ def twin_lower_bound(g: NzcGraph) -> int:
     return max(len(ts) for ts in g.twin_sets())
 
 
-@dataclass
-class TranspositionBreakdown:
-    """Which basis transpositions a labeling destroys, class by class.
+def transposition_report(g: NzcGraph, f: Labeling) -> CheckReport:
+    """Certificate for the per-class destroyed-transposition tallies (q = 2).
 
     Every transposition (l m) of basis indices extends to an automorphism;
-    the breakdown attributes each destroyed transposition to the first slot
-    in the fixed order T1, T(n-1), T2 whose vertices witness a colour change.
-    `expected` holds the claimed closed forms n^2/4 (or (n^2-1)/4), n-2 and
-    (n^2-6n+8)/4 (or (n^2-6n+9)/4); `matches` compares them per slot.
-    """
-
-    n: int
-    tallies: dict[str, int]
-    expected: dict[str, int]
-    unattributed: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def covers_all(self) -> bool:
-        return not self.unattributed
-
-    @property
-    def matches(self) -> dict[str, bool]:
-        return {slot: self.tallies[slot] == self.expected[slot] for slot in self.tallies}
-
-    @property
-    def total(self) -> int:
-        return comb(self.n, 2)
-
-
-def destroyed_transpositions(g: NzcGraph, f: Labeling) -> TranspositionBreakdown:
-    """Tally destroyed basis transpositions per class slot (q = 2)."""
-    if g.params.q != 2:
-        raise UnsupportedFieldError("transposition accounting requires q = 2")
-    n = g.params.n
-    slots = [("T1", 1), ("T(n-1)", n - 1), ("T2", 2)]
-    tallies = {name: 0 for name, _ in slots}
-    colors = np.asarray(f.colors)
-    members = [(name, np.flatnonzero(g.sizes == i)) for name, i in slots if 1 <= i <= n]
-    unattributed = []
-    for l in range(1, n + 1):
-        for m in range(l + 1, n + 1):
-            sigma = list(range(n))
-            sigma[l - 1], sigma[m - 1] = sigma[m - 1], sigma[l - 1]
-            image = extend_basis_permutation(g, sigma)
-            hit = next((name for name, vs in members
-                        if (colors[image[vs]] != colors[vs]).any()), None)
-            if hit is None:
-                unattributed.append((l, m))
-            else:
-                tallies[hit] += 1
-    if n % 2 == 0:
-        expected = {"T1": n * n // 4, "T(n-1)": n - 2, "T2": (n * n - 6 * n + 8) // 4}
-    else:
-        expected = {"T1": (n * n - 1) // 4, "T(n-1)": n - 2, "T2": (n * n - 6 * n + 9) // 4}
-    return TranspositionBreakdown(n=n, tallies=tallies, expected=expected,
-                                  unattributed=unattributed)
-
-
-def transposition_report(g: NzcGraph, f: Labeling) -> CheckReport:
-    """Certificate for the per-class destroyed-transposition tallies.
+    all C(n, 2) are extended in one stack, and each destroyed one is
+    attributed to the first slot in the fixed order T1, T(n-1), T2 whose
+    vertices witness a colour change. The closed forms are n^2/4 (or
+    (n^2-1)/4), n-2 and (n^2-6n+8)/4 (or (n^2-6n+9)/4).
 
     Pass when every slot matches its closed form and all C(n, 2)
     transpositions are covered. When the closed forms fail but coverage
@@ -315,14 +263,27 @@ def transposition_report(g: NzcGraph, f: Labeling) -> CheckReport:
     vertex when read literally, so its tally is 0 instead of n - 2 for every
     n >= 4 and the class-2 slot absorbs the difference).
     """
-    bd = destroyed_transpositions(g, f)
-    failures = []
-    for slot, ok in bd.matches.items():
-        if not ok:
-            failures.append(
-                f"{slot}: destroyed {bd.tallies[slot]}, stated form gives {bd.expected[slot]}")
-    if not bd.covers_all:
-        failures.append(f"uncovered transpositions: {bd.unattributed}")
+    if g.params.q != 2:
+        raise UnsupportedFieldError("transposition accounting requires q = 2")
+    n = g.params.n
+    l, m = np.triu_indices(n, 1)  # (l, m) order, 0-based
+    sigmas = np.tile(np.arange(n), (len(l), 1))
+    sigmas[np.arange(len(l)), l], sigmas[np.arange(len(l)), m] = m, l
+    images, colors = extend_basis_permutation(g, sigmas), np.asarray(f.colors)
+    slots = {"T1": 1, "T(n-1)": n - 1, "T2": 2}
+    members = [np.flatnonzero(g.sizes == i) for i in slots.values()]
+    hits = np.stack([(colors[images[:, vs]] != colors[vs]).any(axis=1) for vs in members], axis=1)
+    first = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+    tallies = {slot: int(np.count_nonzero(first == k)) for k, slot in enumerate(slots)}
+    if n % 2 == 0:
+        expected = {"T1": n * n // 4, "T(n-1)": n - 2, "T2": (n * n - 6 * n + 8) // 4}
+    else:
+        expected = {"T1": (n * n - 1) // 4, "T(n-1)": n - 2, "T2": (n * n - 6 * n + 9) // 4}
+    failures = [f"{slot}: destroyed {tallies[slot]}, stated form gives {expected[slot]}"
+                for slot in slots if tallies[slot] != expected[slot]]
+    uncovered = [(a + 1, b + 1) for a, b in zip(l[first < 0].tolist(), m[first < 0].tolist())]
+    if uncovered:
+        failures.append(f"uncovered transpositions: {uncovered}")
         status = FAIL
     elif failures:
         status = ANOMALY
@@ -332,12 +293,11 @@ def transposition_report(g: NzcGraph, f: Labeling) -> CheckReport:
         claim="transposition-tallies",
         statement="destroyed transpositions per class slot match n^2/4 | (n^2-1)/4, "
                   "n-2, (n^2-6n+8)/4 | (n^2-6n+9)/4 and jointly cover all C(n,2)",
-        params={"n": bd.n, "q": 2},
+        params={"n": n, "q": 2},
         status=status,
-        checked=bd.total,
+        checked=len(l),
         failures=failures,
-        details={"tallies": bd.tallies, "expected": bd.expected,
-                 "covers_all": bd.covers_all},
+        details={"tallies": tallies, "expected": expected, "covers_all": not uncovered},
     )
 
 
@@ -423,23 +383,13 @@ def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int) -> Labeli
 
 
 def _nontrivial_automorphism(g: NzcGraph) -> np.ndarray | None:
-    """A validated non-identity automorphism, or None if none was found.
-
-    For q = 2 the swap of the first two basis indices extends; for q >= 3 the
-    first twin pair swaps. Either witness certifies a non-trivial group.
-    """
-    n, q = g.params.n, g.params.q
-    if q == 2 and n >= 2:
-        sigma = list(range(n))
-        sigma[0], sigma[1] = 1, 0
-        return extend_basis_permutation(g, sigma)
-    for ts in g.twin_sets():
-        if len(ts) >= 2:
-            image = np.arange(g.num_vertices)
-            image[[ts[0], ts[1]]] = ts[1], ts[0]
-            if is_automorphism(g, image):
-                return image
-    return None
+    """The swap of the first two basis indices, extended and validated (q = 2,
+    n >= 2), or None. At q >= 3 a twin pair swaps, which the twin bound that
+    :func:`dist_number` raises this witness against already counts."""
+    n = g.params.n
+    if g.params.q != 2 or n < 2:
+        return None
+    return extend_basis_permutation(g, [1, 0, *range(2, n)])
 
 
 def _scheme_verdict(g: NzcGraph, f: Labeling, grp: AutGroup | None) -> SchemeVerdict:

@@ -42,20 +42,45 @@ GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
 FULL_VALIDATION_BUDGET = 2 * 10**8  # order * nv^2 up to which every element is checked
 AXIOM_PAIR_BUDGET = 250_000  # closure is exhaustive when order^2 fits
 EXTENSION_CHUNK = 512  # sampled pairs extended per numpy block
-STRUCTURE_CELLS = 1 << 20  # (element, vertex, basis index) cells per block of the structure check
+STRUCTURE_CELLS = 1 << 20  # cells per numpy block of the row-stack checks and column counts
 
 
 def is_permutation(image, size: int) -> bool:
+    """True iff `image` is an integer permutation of range(size), or a 2-d stack of them."""
     img = np.asarray(image)
-    return (img.shape == (size,) and img.dtype.kind in "iu"
+    return (img.ndim in (1, 2) and img.shape[-1:] == (size,) and img.dtype.kind in "iu"
             and bool((np.sort(img) == np.arange(size)).all()))
 
 
 def is_automorphism(graph: NzcGraph, image) -> bool:
     """True iff `image` is a vertex bijection preserving (non-)adjacency."""
     img = np.asarray(image)
+    return (img.shape == (graph.num_vertices,) and img.dtype.kind in "iu"
+            and bool(_automorphism_rows(graph, img[None])[0]))
+
+
+def _automorphism_rows(graph: NzcGraph, images: np.ndarray) -> np.ndarray:
+    """Per row of a 2-d integer stack of width |V|, whether it is an automorphism.
+
+    A non-permutation row is False and indexes nothing. A bijection permutes
+    the ordered vertex pairs, so if it maps every False matrix entry to a False
+    entry, it maps the False set, and so the True set, onto itself. No index
+    temporary passes 1 MiB: a freed block of several MiB raises glibc's mmap
+    threshold and keeps more memory resident (+4% peak RSS at (13,2)).
+    """
     a = graph.adjacency_matrix()
-    return is_permutation(img, len(a)) and bool((a.take(img, 0).take(img, 1) == a).all())
+    ok = (np.sort(images, axis=1) == np.arange(len(a))).all(axis=1)
+    cells = STRUCTURE_CELLS // 8  # int64 index cells per 1 MiB temporary
+    step = max(1, cells // len(a))
+    for lo in range(0, len(a), step):
+        u, v = np.divmod(np.flatnonzero(~a[lo:lo + step]), len(a))  # 2-d nonzero is slower
+        u += lo
+        rows = np.flatnonzero(ok)
+        per = max(1, cells // max(1, len(u)))
+        for at in range(0, len(rows), per):
+            block = images[rows[at:at + per]]
+            ok[rows[at:at + per]] = ~a[block[:, u], block[:, v]].any(axis=1)
+    return ok
 
 
 class AutGroup:
@@ -119,10 +144,15 @@ class AutGroup:
         keep = self.perms[:, v] == v
         return AutGroup(self.graph, self.perms[keep], source=f"{self.source}-stab")
 
+    def orbit_sizes(self) -> np.ndarray:
+        """|orbit(v)| per vertex v, counted on column blocks sorted along the
+        elements (sorting the whole group at once would copy it)."""
+        return np.concatenate([1 + np.count_nonzero(np.diff(np.sort(block, axis=0), axis=0), axis=0)
+                               for _, block in _column_blocks(self.perms)])
+
     def moved_set(self) -> tuple[int, ...]:
         """Vertices with orbit size >= 2."""
-        return tuple(v for v in range(self.graph.num_vertices)
-                     if len(self.orbit_of(v)) >= 2)
+        return tuple(np.flatnonzero(self.orbit_sizes() >= 2).tolist())
 
     def same_orbit_pairs(self) -> list[tuple[int, int]]:
         """Ordered pairs (u, w), u != w, lying in a common orbit."""
@@ -176,6 +206,13 @@ class AutGroup:
         )
 
 
+def _column_blocks(perms: np.ndarray):
+    """Yield (column ids, columns) of `perms` in blocks of about STRUCTURE_CELLS cells."""
+    step = max(1, STRUCTURE_CELLS // max(1, len(perms)))
+    for lo in range(0, perms.shape[1], step):
+        yield np.arange(lo, lo + step)[:perms.shape[1] - lo], perms[:, lo:lo + step]
+
+
 def _row_keys(perms: np.ndarray) -> np.ndarray:
     """Each row of a 2-d array as one opaque (void) scalar, comparable bytewise."""
     perms = np.ascontiguousarray(perms)
@@ -202,12 +239,14 @@ def _extend_images_batch(graph: NzcGraph, sigmas: np.ndarray) -> np.ndarray:
 
 
 def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
-    """Extend a basis-index permutation to a vertex automorphism (q = 2 only).
+    """Extend basis-index permutations to vertex automorphisms (q = 2 only).
 
     A vertex with skeleton S maps to the unique vertex with skeleton
-    sigma(S). `sigma` is 0-based one-line notation on range(n). The image is
-    checked to preserve adjacency and skeleton-size classes before it is
-    returned as an int64 row.
+    sigma(S). `sigma` is 0-based one-line notation on range(n), or a 2-d
+    stack of such rows. The images are checked in one pass to preserve
+    adjacency and skeleton-size classes; the first failing row raises, its
+    adjacency ahead of its classes. Returns an int64 image row, or one row
+    per sigma of a stack.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError(
@@ -215,17 +254,19 @@ def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
             f"vertex, which requires q = 2 (got q = {graph.params.q})"
         )
     n = graph.params.n
-    sigma = tuple(int(x) for x in sigma)
-    if not is_permutation(sigma, n):
+    sigmas = np.array(sigma, dtype=np.int64)
+    if not is_permutation(sigmas, n):
         raise ValueError(f"sigma must be a permutation of range({n})")
-    image = _extend_images_batch(graph, np.asarray([sigma], dtype=np.int64))[0]
-    if not is_automorphism(graph, image):
+    images = _extend_images_batch(graph, sigmas.reshape(-1, n))
+    broken = ~_automorphism_rows(graph, images)
+    across = graph.sizes[images] != graph.sizes
+    bad = np.flatnonzero(broken | across.any(axis=1))
+    if bad.size and broken[bad[0]]:
         raise ValueError("image is not an adjacency-preserving permutation of the vertex ids")
-    bad = np.flatnonzero(graph.sizes[image] != graph.sizes)
     if bad.size:
-        raise ValueError(
-            f"vertex {bad[0]} mapped across skeleton-size classes to {image[bad[0]]}")
-    return image
+        image, v = images[bad[0]], np.flatnonzero(across[bad[0]])[0]
+        raise ValueError(f"vertex {v} mapped across skeleton-size classes to {image[v]}")
+    return images if sigmas.ndim == 2 else images[0]
 
 
 def restrict_to_basis(image, graph: NzcGraph) -> tuple[int, ...]:
@@ -269,14 +310,13 @@ def aut_group_structural(graph: NzcGraph, *, seed: int = 0) -> AutGroup:
     sigmas = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     perms = _extend_images_batch(graph, sigmas)
     nv = graph.num_vertices
-    if order * nv * nv <= FULL_VALIDATION_BUDGET:
-        rows = range(order)
-    else:
+    rows = np.arange(order)
+    if order * nv * nv > FULL_VALIDATION_BUDGET:
         rng = random.Random(seed)
-        rows = sorted({0, order - 1, *(rng.randrange(order) for _ in range(200))})
-    for i in rows:
-        if not is_automorphism(graph, perms[i]):
-            raise ValueError(f"structural engine produced a non-automorphism (row {i})")
+        rows = np.array(sorted({0, order - 1, *(rng.randrange(order) for _ in range(200))}))
+    bad = rows[~_automorphism_rows(graph, perms[rows])]
+    if bad.size:
+        raise ValueError(f"structural engine produced a non-automorphism (row {bad[0]})")
     return AutGroup(graph, perms, source="structural")
 
 
@@ -422,34 +462,36 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
 
     Checks the homomorphism identity extend(h1 o h2) = extend(h1) o extend(h2)
     exhaustively for n <= 4 and on `samples` seeded random pairs for larger
-    n. Given the structural group `grp`, it checks injectivity as n!
+    n, drawn and extended :data:`EXTENSION_CHUNK` pairs at a time, so memory
+    does not grow with `samples`. Given the structural group `grp`, it checks injectivity as n!
     distinct extensions, and given the oracle group too, surjectivity by set
     equality against it. It builds neither group.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError("extension isomorphism is defined for q = 2")
     n = graph.params.n
-    failures = []
     details: dict = {}
     if n <= 4:
         sigmas = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        h1s, h2s = np.repeat(sigmas, len(sigmas), 0), np.tile(sigmas, (len(sigmas), 1))
+        blocks = [(np.repeat(sigmas, len(sigmas), 0), np.tile(sigmas, (len(sigmas), 1)))]
         details["mode"] = "exhaustive"
     else:
-        h1s, h2s = np.split(_sample_permutations(n, 2 * samples, seed), 2)
+        rng = random.Random(seed)  # one draw seeds each block's keys
+        blocks = (np.split(_sample_permutations(n, 2 * min(EXTENSION_CHUNK, samples - lo),
+                                                rng.getrandbits(64)), 2)
+                  for lo in range(0, samples, EXTENSION_CHUNK))
         details["mode"] = "sampled"
-    bad: list[int] = []
-    for lo in range(0, len(h1s), EXTENSION_CHUNK):
-        h1, h2 = h1s[lo:lo + EXTENSION_CHUNK], h2s[lo:lo + EXTENSION_CHUNK]
+    failures, checked = [], 0
+    for h1, h2 in blocks:
         batch = np.stack([np.take_along_axis(h1, h2, 1), h1, h2], 1)  # h1 o h2 = h1[h2]
         lhs, ext1, ext2 = _extend_images_batch(graph, batch.reshape(-1, n)).reshape(
             len(h1), 3, -1).transpose(1, 0, 2)
         wrong = np.flatnonzero((lhs != np.take_along_axis(ext1, ext2, 1)).any(1))
-        bad += (lo + wrong[:6 - len(bad)]).tolist()
-    for k in bad:
-        h1, h2 = tuple(h1s[k].tolist()), tuple(h2s[k].tolist())
-        failures.append(f"extend({h1} o {h2}) != extend({h1}) o extend({h2})")
-    details["pairs_checked"] = len(h1s)
+        for k in wrong[:6 - len(failures)]:
+            h1k, h2k = tuple(h1[k].tolist()), tuple(h2[k].tolist())
+            failures.append(f"extend({h1k} o {h2k}) != extend({h1k}) o extend({h2k})")
+        checked += len(h1)
+    details["pairs_checked"] = checked
     if grp is not None:
         distinct = grp.distinct_rows()
         details["distinct_extensions"] = distinct
@@ -463,7 +505,7 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
         statement="sigma -> extension(sigma) is an isomorphism from S_n onto Aut(G), q = 2",
         params={"n": n, "q": 2},
         status=PASS if not failures else FAIL,
-        checked=len(h1s),
+        checked=checked,
         failures=failures,
         details=details,
     )
@@ -585,14 +627,11 @@ def _basis_action_failures(graph: NzcGraph, p: np.ndarray, offset: int):
 def check_orbit_stabilizer(grp: AutGroup) -> CheckReport:
     """|orbit(v)| * |stabilizer(v)| equals the group order, for every vertex."""
     g_ = grp.graph
-    failures = []
-    perms = grp.perms
-    for v in range(g_.num_vertices):
-        orbit_size = len(np.unique(perms[:, v]))
-        stab_size = int((perms[:, v] == v).sum())
-        if orbit_size * stab_size != grp.order:
-            failures.append(
-                f"vertex {v}: |orbit| {orbit_size} * |stab| {stab_size} != {grp.order}")
+    orbit = grp.orbit_sizes()
+    stab = np.concatenate([np.count_nonzero(block == ids, axis=0)
+                           for ids, block in _column_blocks(grp.perms)])
+    failures = [f"vertex {v}: |orbit| {orbit[v]} * |stab| {stab[v]} != {grp.order}"
+                for v in np.flatnonzero(orbit * stab != grp.order)]
     return CheckReport(
         claim="orbit-stabilizer",
         statement="|orbit(v)| * |stabilizer(v)| = |group| for every vertex",

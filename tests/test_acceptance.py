@@ -124,14 +124,14 @@ def test_criterion_6_two_colour_distinguishing():
     for n in range(3, 11):
         g = nz.build(SpaceParams(n, 2))
         f = nz.constructive_labeling_q2(g)
-        bd = nz.destroyed_transpositions(g, f)
-        ok &= bd.covers_all
-        ok &= bd.matches["T1"]
+        rep = transposition_report(g, f)
+        bd = rep.details
+        ok &= bd["covers_all"]
+        ok &= bd["tallies"]["T1"] == bd["expected"]["T1"]
         if n >= 4:
             half = n // 2
-            ok &= bd.tallies["T(n-1)"] == 0
-            ok &= bd.tallies["T2"] == comb(half, 2) + comb(n - half, 2)
-        rep = transposition_report(g, f)
+            ok &= bd["tallies"]["T(n-1)"] == 0
+            ok &= bd["tallies"]["T2"] == comb(half, 2) + comb(n - half, 2)
         if rep.status == "anomaly":
             anomalous.append(n)
         elif not rep.passed:

@@ -92,23 +92,24 @@ def test_two_colour_scheme_distinguishing_small():
 
 def test_transposition_tallies_n4():
     g = nz.build(SpaceParams(4, 2))
-    bd = nz.destroyed_transpositions(g, nz.constructive_labeling_q2(g))
-    assert bd.tallies["T1"] == 4  # n^2/4
+    rep = transposition_report(g, nz.constructive_labeling_q2(g))
+    bd = rep.details
+    assert bd["tallies"]["T1"] == 4  # n^2/4
     # the literal class-(n-1) rule selects nothing for n >= 4, so its slot
     # stays empty and the class-2 slot absorbs the stated n-2
-    assert bd.tallies["T(n-1)"] == 0
-    assert bd.tallies["T2"] == 2
-    assert bd.expected == {"T1": 4, "T(n-1)": 2, "T2": 0}
-    assert bd.covers_all
-    assert transposition_report(g, nz.constructive_labeling_q2(g)).status == "anomaly"
+    assert bd["tallies"]["T(n-1)"] == 0
+    assert bd["tallies"]["T2"] == 2
+    assert bd["expected"] == {"T1": 4, "T(n-1)": 2, "T2": 0}
+    assert bd["covers_all"]
+    assert rep.status == "anomaly"
 
 
 def test_transposition_tallies_n5():
     g = nz.build(SpaceParams(5, 2))
-    bd = nz.destroyed_transpositions(g, nz.constructive_labeling_q2(g))
-    assert bd.tallies == {"T1": 6, "T(n-1)": 0, "T2": 4}
-    assert bd.expected == {"T1": 6, "T(n-1)": 3, "T2": 1}
-    assert bd.covers_all
+    bd = transposition_report(g, nz.constructive_labeling_q2(g)).details
+    assert bd["tallies"] == {"T1": 6, "T(n-1)": 0, "T2": 4}
+    assert bd["expected"] == {"T1": 6, "T(n-1)": 3, "T2": 1}
+    assert bd["covers_all"]
 
 
 def test_transposition_tallies_n3_match():
@@ -121,9 +122,19 @@ def test_transposition_tallies_n3_match():
 
 def test_transpositions_constant_labeling_breaks_nothing():
     g = nz.build(SpaceParams(3, 2))
-    bd = nz.destroyed_transpositions(g, constant_labeling(g))
-    assert all(t == 0 for t in bd.tallies.values())
-    assert len(bd.unattributed) == 3
+    rep = transposition_report(g, constant_labeling(g))
+    assert all(t == 0 for t in rep.details["tallies"].values())
+    assert rep.failures[-1] == "uncovered transpositions: [(1, 2), (1, 3), (2, 3)]"
+
+
+def test_transposition_report_checks_one_stack(monkeypatch):
+    g = nz.build(SpaceParams(6, 2))
+    calls = []
+    check = sym._automorphism_rows
+    monkeypatch.setattr(sym, "_automorphism_rows", lambda g, images: calls.append(
+        len(images)) or check(g, images))
+    assert transposition_report(g, nz.constructive_labeling_q2(g)).status == "anomaly"
+    assert calls == [15]
 
 
 def test_swap_broken_by_pair_n3():

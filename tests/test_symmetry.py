@@ -321,34 +321,112 @@ def _preserves_adjacency(g, image):
                for u in range(nv) for v in range(nv))
 
 
+def _candidate_images(g, rng):
+    """The automorphisms of g, then 200 random permutations and 40 shuffles."""
+    n, nv = g.params.n, g.num_vertices
+    if g.params.q == 2:
+        autos = [nz.extend_basis_permutation(g, s) for s in itertools.permutations(range(n))]
+    else:
+        autos = list(nz.aut_group_oracle(g).perms)
+    randoms = [tuple(rng.sample(range(nv), nv)) for _ in range(200)]
+    # shuffles inside twin sets are automorphisms; inside skeleton classes, mostly not
+    shuffles = []
+    for blocks in (g.twin_sets(), g.t_classes().values()):
+        for _ in range(20):
+            image = list(range(nv))
+            for block in blocks:
+                moved = rng.sample(block, len(block))
+                for v, w in zip(block, moved):
+                    image[v] = w
+            shuffles.append(tuple(image))
+    return autos, randoms + shuffles
+
+
 def test_is_automorphism_matches_pairwise_definition():
     rng = random.Random(7)
     for n, q in [(4, 2), (2, 3)]:
         g = nz.build(SpaceParams(n, q))
-        nv = g.num_vertices
-        if q == 2:
-            autos = [nz.extend_basis_permutation(g, s)
-                     for s in itertools.permutations(range(n))]
-        else:
-            autos = list(nz.aut_group_oracle(g).perms)
-        randoms = [tuple(rng.sample(range(nv), nv)) for _ in range(200)]
-        # shuffles inside twin sets are automorphisms; inside skeleton classes, mostly not
-        shuffles = []
-        for blocks in (g.twin_sets(), g.t_classes().values()):
-            for _ in range(20):
-                image = list(range(nv))
-                for block in blocks:
-                    moved = rng.sample(block, len(block))
-                    for v, w in zip(block, moved):
-                        image[v] = w
-                shuffles.append(tuple(image))
+        autos, others = _candidate_images(g, rng)
         verdicts = []
-        for image in autos + randoms + shuffles:
+        for image in autos + others:
             want = _preserves_adjacency(g, image)
             assert nz.is_automorphism(g, image) == want
             assert nz.is_automorphism(g, np.asarray(image, dtype=np.uint16)) == want
             verdicts.append(want)
         assert all(verdicts[:len(autos)]) and not all(verdicts)
+
+
+def test_stacked_check_matches_pairwise_definition():
+    rng = random.Random(7)
+    for n, q in [(4, 2), (2, 3)]:
+        g = nz.build(SpaceParams(n, q))
+        nv = g.num_vertices
+        autos, others = _candidate_images(g, rng)
+        images = [tuple(int(x) for x in image) for image in autos + others]
+        want = [_preserves_adjacency(g, image) for image in images]
+        ident = list(range(nv))
+        bad = [[0] * nv, ident[:-1] + [nv], [-1] + ident[1:], ident[1:] + [1]]  # no permutations
+        mixed = list(zip(images, want)) + [(tuple(row), False) for row in bad]
+        rng.shuffle(mixed)
+        stack = np.array([image for image, _ in mixed], dtype=np.int64)
+        assert sym._automorphism_rows(g, stack).tolist() == [ok for _, ok in mixed]
+        assert all(want[:len(autos)]) and not all(want)
+
+
+def test_extension_stack_raises_its_first_failing_row():
+    g = nz.build(SpaceParams(4, 2))
+    stack = [(0, 1, 2, 3), (0, 2, 1, 3), (3, 1, 2, 0), (1, 0, 2, 3)]
+    assert nz.extend_basis_permutation(g, stack).tolist() == [
+        nz.extend_basis_permutation(g, s).tolist() for s in stack]
+    s = g.skeletons.tolist()
+    s[0], s[6] = s[6], s[0]
+    swapped = nz.NzcGraph(g.params, g.vertices, s, g.adjacency_matrix())
+    # rows 2 and 3 map across classes; row 2 comes first
+    with pytest.raises(ValueError, match="^vertex 0 mapped across skeleton-size classes to 7$"):
+        nz.extend_basis_permutation(swapped, stack)
+    with pytest.raises(ValueError, match="^sigma must be a permutation of range\\(4\\)$"):
+        nz.extend_basis_permutation(g, [(0, 1, 2, 3), (0, 0, 2, 3)])
+    # (2,2) with edge 1-2 gone and b2, b1+b2 mislabelled: the swap of b1 and
+    # b2 breaks adjacency and classes alike, and adjacency is named
+    g = nz.build(SpaceParams(2, 2))
+    no_12 = [[False, False, True], [False, False, False], [True, False, False]]
+    both = nz.NzcGraph(g.params, g.vertices, [1, 3, 2], no_12)
+    with pytest.raises(ValueError, match="^image is not an adjacency-preserving "):
+        nz.extend_basis_permutation(both, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="^vertex 0 mapped across skeleton-size classes to 1$"):
+        nz.extend_basis_permutation(nz.NzcGraph(g.params, g.vertices, [1, 3, 2],
+                                                g.adjacency_matrix()), [(0, 1), (1, 0)])
+
+
+def test_orbit_sizes_count_each_column():
+    g = nz.build(SpaceParams(8, 2))
+    grp = nz.aut_group_structural(g)
+    perms = grp.perms
+    assert grp.orbit_sizes().tolist() == [len(np.unique(perms[:, v])) for v in range(255)]
+    assert _traced_peak(grp.orbit_sizes) < 8 * 2**20
+    # a non-closed set of rows: every fourth element, one with a reversed row
+    rows = np.vstack([perms[::4], perms[-1][::-1]])
+    part = nz.AutGroup(g, rows)
+    want = [len(np.unique(rows[:, v])) for v in range(255)]
+    stab = [int((rows[:, v] == v).sum()) for v in range(255)]
+    assert part.orbit_sizes().tolist() == want
+    assert part.moved_set() == tuple(v for v in range(255) if want[v] >= 2)
+    assert nz.check_orbit_stabilizer(part).failures == [
+        f"vertex {v}: |orbit| {want[v]} * |stab| {stab[v]} != {part.order}"
+        for v in range(255) if want[v] * stab[v] != part.order]
+
+
+def test_sampled_extension_isomorphism_memory_n6_many_samples():
+    # the pairs are drawn block by block; all 400,000 keys at once took 38 MB
+    g = nz.build(SpaceParams(6, 2))
+    tracemalloc.start()
+    try:
+        report = nz.check_extension_isomorphism(g, None, None, samples=200000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.details["pairs_checked"] == report.checked == 200000
+    assert peak < 10 * 2**20
 
 
 def test_is_automorphism_rejects_non_permutations():

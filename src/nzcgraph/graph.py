@@ -197,15 +197,26 @@ def check_degree_formula_general(g: NzcGraph) -> CheckReport:
     )
 
 
-def twin_partition_by_neighborhood(g: NzcGraph) -> list[tuple[int, ...]]:
-    """Independent oracle: group vertices by equal closed neighbourhood."""
-    closed = g.adjacency_matrix().copy()
-    np.fill_diagonal(closed, True)
+def closed_twin_partition(a: np.ndarray) -> list[tuple[int, ...]]:
+    """Vertices grouped by equal closed neighbourhood in the adjacency matrix
+    `a`, ordered by (size, members).
+
+    Reads the matrix alone. The diagonal is set in the bit-packed rows, so no
+    second |V|^2 boolean array is made.
+    """
+    ids = np.arange(len(a))
+    packed = np.packbits(a, axis=1)
+    packed[ids, ids >> 3] |= (0x80 >> (ids & 7)).astype(np.uint8)  # big-endian bit order
     groups: dict[bytes, list[int]] = {}
-    for v, row in enumerate(np.packbits(closed, axis=1)):
+    for v, row in enumerate(packed):
         groups.setdefault(row.tobytes(), []).append(v)
     return sorted((tuple(ms) for ms in groups.values()),
                   key=lambda ms: (len(ms), ms))
+
+
+def twin_partition_by_neighborhood(g: NzcGraph) -> list[tuple[int, ...]]:
+    """Independent oracle: group vertices by equal closed neighbourhood."""
+    return closed_twin_partition(g.adjacency_matrix())
 
 
 def check_twin_structure(g: NzcGraph) -> CheckReport:

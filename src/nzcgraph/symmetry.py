@@ -32,7 +32,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import CapExceededError, UnsupportedFieldError
-from .graph import NzcGraph, mask_bits, twin_partition_by_neighborhood
+from .graph import NzcGraph, closed_twin_partition, mask_bits
 from .reporting import FAIL, PASS, CheckReport
 
 DEFAULT_ORACLE_VERTEX_CAP = 40
@@ -41,7 +41,6 @@ ORACLE_NODE_BUDGET = 5_000_000
 GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
 FULL_VALIDATION_BUDGET = 2 * 10**8  # order * nv^2 up to which every element is checked
 AXIOM_PAIR_BUDGET = 250_000  # closure is exhaustive when order^2 fits
-EXTENSION_CHUNK = 512  # sampled pairs extended per numpy block
 STRUCTURE_CELLS = 1 << 20  # cells per numpy block of the row-stack checks and column counts
 
 
@@ -320,70 +319,103 @@ def aut_group_structural(graph: NzcGraph, *, seed: int = 0) -> AutGroup:
     return AutGroup(graph, perms, source="structural")
 
 
-def _refine_by_neighbors(a: np.ndarray, colors) -> list[int]:
+def _refine_by_neighbors(a: np.ndarray, colors, twins=None) -> list[int]:
     """Iterated refinement by multisets of neighbour colours, to a fixpoint.
 
     Colour ids are renumbered by sorted signature (own colour, sorted tuple
-    of neighbour colours) at each pass, so the result is deterministic. Each
-    pass counts a vertex's neighbours per colour from the matrix `a`. The
+    of neighbour colours) at each pass, so the result is deterministic. The
     input colours must be ids 0..k-1, all in use, and every vertex of one
     colour must have the same degree, which refinement keeps: then sorted
-    tuples compare like count rows with larger counts first, so rows of
-    (colour, inverted counts) rank exactly like them.
+    tuples compare like count rows with larger counts first.
+
+    Each pass counts on the closed-twin classes `twins` of `a` (from
+    :func:`nzcgraph.graph.closed_twin_partition` when not given): closed
+    twins see every other vertex alike, so one closed row per class gives
+    the neighbour counts of all its members, plus one in their own colour.
+    That shift is the same for every vertex of a colour, so (colour, rank of
+    the class row) ranks like (colour, vertex row).
     """
+    if twins is None:
+        twins = closed_twin_partition(a)
+    classes = [0] * len(a)  # the class of each vertex
+    for t, members in enumerate(twins):
+        for v in members:
+            classes[v] = t
+    classes = np.array(classes)
+    first = [members[0] for members in twins]
+    closed = a[first]
+    closed[np.arange(len(first)), first] = True
     colors = np.asarray(colors, dtype=np.min_scalar_type(len(a)))
-    while True:
+    while (k := int(colors.max()) + 1) < len(a):  # a discrete partition is stable
         order = np.argsort(colors, kind="stable")
-        starts = np.searchsorted(colors[order], np.arange(int(colors.max()) + 1))
-        counts = np.add.reduceat(a[:, order], starts, axis=1, dtype=colors.dtype)
+        starts = np.searchsorted(colors[order], np.arange(k))
+        counts = np.add.reduceat(closed[:, order], starts, axis=1, dtype=colors.dtype)
         np.invert(counts, out=counts)
         # big-endian rows compare bytewise in numeric order
-        keys = np.column_stack([colors, counts]).astype(colors.dtype.newbyteorder(">"))
+        big = colors.dtype.newbyteorder(">")
+        rank = np.unique(_row_keys(counts.astype(big)), return_inverse=True)[1]
+        keys = np.column_stack([colors, rank[classes]]).astype(big)
         new = np.unique(_row_keys(keys), return_inverse=True)[1].astype(colors.dtype)
         if np.array_equal(new, colors):
-            return colors.tolist()
+            break
         colors = new
+    return colors.tolist()
 
 
-def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: str):
+def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: str,
+                             twins=None):
     """Yield every automorphism that keeps each vertex's label, as a tuple.
 
     Individualization-refinement with an explicit stack, so the depth is not
     bound by the recursion limit. The partition is seeded by (degree, label)
-    and refined once by neighbour-colour multisets; vertices are assigned in
+    and refined once by neighbour-colour multisets on the closed-twin classes
+    `twins` (taken from the matrix when not given); vertices are assigned in
     (cell size, cell, id) order, each only into its own refined cell, with
     adjacency to every earlier assigned vertex preserved. Images come out in
     depth-first order. The root and each assignment count as one node
     against `node_budget`; `what` names the search in the cap message.
+
+    The refined partition is equitable, so a singleton cell is a fixed
+    point and every vertex of a cell has the same adjacency to it: the
+    singletons, first in the order, are assigned to themselves at one node
+    each, and candidates are compared on the other vertices alone.
     """
     nv = graph.num_vertices
     a = graph.adjacency_matrix()
     keys = list(zip(np.count_nonzero(a, axis=1).tolist(), labels))
     remap = {key: i for i, key in enumerate(sorted(set(keys)))}
-    colors = _refine_by_neighbors(a, [remap[key] for key in keys])
-    rows = [r.tobytes() for r in a]  # rows[v][u] is 1 iff u ~ v
-    cells: dict[int, list[int]] = {}
-    for v in range(nv):
-        cells.setdefault(colors[v], []).append(v)
-    order = sorted(range(nv), key=lambda v: (len(cells[colors[v]]), colors[v], v))
-    image = [-1] * nv
-    used = [False] * nv
-    nodes = 1  # the root
+    colors = np.array(_refine_by_neighbors(a, [remap[key] for key in keys], twins))
+    cell_size = np.bincount(colors)[colors]
+    cell = cell_size * nv + colors  # sorts cells by (size, colour)
+    order = np.argsort(cell, kind="stable")  # ids ascend inside a cell
+    fixed = int(np.count_nonzero(cell_size == 1))
+    nodes = 1 + fixed  # the root, and each fixed point assigned to itself
     if nodes > node_budget:
         raise CapExceededError(f"{what} exceeded {node_budget} nodes")
-    stack = [iter(cells[colors[order[0]]])]  # untried candidates per depth
+    full = list(range(nv))  # the fixed points keep their own image
+    free = order[fixed:]
+    if not len(free):
+        yield tuple(full)
+        return
+    # position i stands for vertex free[i]; its cell is the run of positions lo[i] .. hi[i] - 1
+    rows = [r.tobytes() for r in a[np.ix_(free, free)]]  # rows[i][j] is 1 iff free[j] ~ free[i]
+    lo = np.searchsorted(cell[free], cell[free])
+    lo, hi = lo.tolist(), (lo + cell_size[free]).tolist()
+    free = free.tolist()
+    image = [-1] * len(free)
+    used = [False] * len(free)
+    stack = [iter(range(lo[0], hi[0]))]  # untried candidates per depth
     while stack:
         depth = len(stack) - 1
-        v = order[depth]
-        if image[v] >= 0:  # back from the subtree of the previous candidate
-            used[image[v]] = False
-            image[v] = -1
-        row_v = rows[v]
+        if image[depth] >= 0:  # back from the subtree of the previous candidate
+            used[image[depth]] = False
+            image[depth] = -1
+        row_v = rows[depth]
         for u in stack[-1]:
             if used[u]:
                 continue
             row_u = rows[u]
-            for w in order[:depth]:
+            for w in range(depth):
                 if row_v[w] != row_u[image[w]]:
                     break
             else:  # u keeps adjacency to every assigned vertex
@@ -391,15 +423,17 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
         else:  # candidates exhausted: back up one depth
             stack.pop()
             continue
-        image[v] = u
+        image[depth] = u
         used[u] = True
         nodes += 1
         if nodes > node_budget:
             raise CapExceededError(f"{what} exceeded {node_budget} nodes")
-        if depth + 1 == nv:
-            yield tuple(image)
+        if depth + 1 == len(free):
+            for v, u in zip(free, image):
+                full[v] = free[u]
+            yield tuple(full)
         else:
-            stack.append(iter(cells[colors[order[depth + 1]]]))
+            stack.append(iter(range(lo[depth + 1], hi[depth + 1])))
 
 
 def aut_group_oracle(graph: NzcGraph, *,
@@ -419,13 +453,15 @@ def aut_group_oracle(graph: NzcGraph, *,
         raise CapExceededError(f"oracle supports up to {vertex_cap} vertices, got {nv}")
     # fail fast: permutations within a closed-neighbourhood class are always
     # automorphisms, so the product of their factorials bounds |Aut| below
-    floor = prod(factorial(len(cls)) for cls in twin_partition_by_neighborhood(graph))
+    twins = closed_twin_partition(graph.adjacency_matrix())
+    floor = prod(factorial(len(members)) for members in twins)
     if floor > ORACLE_ELEMENT_BUDGET:
         raise CapExceededError(
             f"group order is at least {floor}, enumeration budget is {ORACLE_ELEMENT_BUDGET}"
         )
     found = []
-    for image in _color_preserving_images(graph, (0,) * nv, ORACLE_NODE_BUDGET, "oracle search"):
+    for image in _color_preserving_images(graph, (0,) * nv, ORACLE_NODE_BUDGET, "oracle search",
+                                          twins):
         if len(found) >= ORACLE_ELEMENT_BUDGET:
             raise CapExceededError(f"oracle found more than {ORACLE_ELEMENT_BUDGET} automorphisms")
         found.append(image)
@@ -462,10 +498,11 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
 
     Checks the homomorphism identity extend(h1 o h2) = extend(h1) o extend(h2)
     exhaustively for n <= 4 and on `samples` seeded random pairs for larger
-    n, drawn and extended :data:`EXTENSION_CHUNK` pairs at a time, so memory
-    does not grow with `samples`. Given the structural group `grp`, it checks injectivity as n!
-    distinct extensions, and given the oracle group too, surjectivity by set
-    equality against it. It builds neither group.
+    n, drawn and extended in blocks of about 1 MiB of int64 images (three
+    rows of |V| per pair), so memory does not grow with `samples`. Given the
+    structural group `grp`, it checks injectivity as n! distinct extensions,
+    and given the oracle group too, surjectivity by set equality against it.
+    It builds neither group.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError("extension isomorphism is defined for q = 2")
@@ -477,9 +514,10 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
         details["mode"] = "exhaustive"
     else:
         rng = random.Random(seed)  # one draw seeds each block's keys
-        blocks = (np.split(_sample_permutations(n, 2 * min(EXTENSION_CHUNK, samples - lo),
+        step = max(1, (STRUCTURE_CELLS // 8) // (3 * graph.num_vertices))
+        blocks = (np.split(_sample_permutations(n, 2 * min(step, samples - lo),
                                                 rng.getrandbits(64)), 2)
-                  for lo in range(0, samples, EXTENSION_CHUNK))
+                  for lo in range(0, samples, step))
         details["mode"] = "sampled"
     failures, checked = [], 0
     for h1, h2 in blocks:

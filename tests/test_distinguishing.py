@@ -377,7 +377,7 @@ def test_exact_search_node_budget(monkeypatch):
     assert (r.value, r.method, r.refuted) == (4, "bounded", None)
 
 
-@pytest.mark.parametrize("n, q", [(9, 2), (6, 3), (4, 5)])
+@pytest.mark.parametrize("n, q", [(9, 2), (6, 3), (4, 5), (6, 4)])
 def test_constructive_search_is_one_path_at_scale(n, q, monkeypatch):
     # the refined partition is discrete: the root plus one node per vertex
     g = nz.build(SpaceParams(n, q))

@@ -531,3 +531,77 @@ def test_counting_refinement_matches_sorted_signatures(n, q):
         remap = {key: i for i, key in enumerate(sorted(set(keys)))}
         seed = [remap[key] for key in keys]
         assert _refine_by_neighbors(a, seed) == _reference_refinement(a, seed)
+
+
+def _reference_search(g, labels):
+    """The colour-preserving search as a plain backtrack over every vertex,
+    fixed points included, on the reference refinement. Yields (image,
+    nodes so far) at each leaf, then (None, total nodes)."""
+    nv, a = g.num_vertices, g.adjacency_matrix()
+    keys = list(zip(a.sum(axis=1).tolist(), labels))
+    remap = {key: i for i, key in enumerate(sorted(set(keys)))}
+    colors = _reference_refinement(a, [remap[key] for key in keys])
+    rows = [r.tobytes() for r in a]
+    cells = {}
+    for v in range(nv):
+        cells.setdefault(colors[v], []).append(v)
+    order = sorted(range(nv), key=lambda v: (len(cells[colors[v]]), colors[v], v))
+    image, used, nodes = [-1] * nv, [False] * nv, 1
+    stack = [iter(cells[colors[order[0]]])]
+    while stack:
+        depth = len(stack) - 1
+        v = order[depth]
+        if image[v] >= 0:
+            used[image[v]] = False
+            image[v] = -1
+        for u in stack[-1]:
+            if not used[u] and all(rows[v][w] == rows[u][image[w]] for w in order[:depth]):
+                break
+        else:
+            stack.pop()
+            continue
+        image[v], used[u] = u, True
+        nodes += 1
+        if depth + 1 == nv:
+            yield tuple(image), nodes
+        else:
+            stack.append(iter(cells[colors[order[depth + 1]]]))
+    yield None, nodes
+
+
+def _sigma_constant_labeling(g, rng):
+    """Random colours constant on the cycles of a random coordinate permutation."""
+    n = g.params.n
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    image = [vid(g, tuple(c[sigma[i]] for i in range(n))) for c in g.vertices]
+    colors = [0] * g.num_vertices
+    for v in range(g.num_vertices):
+        if not colors[v]:
+            c, w = rng.randint(1, 3), v
+            while not colors[w]:
+                colors[w], w = c, image[w]
+    return tuple(colors)
+
+
+@pytest.mark.parametrize("n, q", [(n, 2) for n in (3, 4, 5)] + [(n, 3) for n in (2, 3, 4)]
+                         + [(2, 4), (3, 4)])
+def test_search_matches_reference_images_and_nodes(n, q):
+    # the same images in the same order, and the same node count at the
+    # 20th image or at the end of the search, read from the cap message
+    g = nz.build(SpaceParams(n, q))
+    nv, rng = g.num_vertices, random.Random(10 * n + q)
+    constructive = (nz.constructive_labeling_q2(g) if q == 2 else nz.constructive_labeling_q3(g))
+    for labels in [(1,) * nv, tuple(rng.randint(1, 2) for _ in range(nv)),
+                   _sigma_constant_labeling(g, rng), constructive.colors]:
+        want = []
+        for image, nodes in _reference_search(g, labels):
+            if image is None:
+                break
+            want.append(image)
+            if len(want) == 20:
+                break
+        search = sym._color_preserving_images(g, labels, nodes, "search")
+        assert list(itertools.islice(search, 20)) == want
+        with pytest.raises(CapExceededError, match=f"^search exceeded {nodes - 1} nodes$"):
+            list(itertools.islice(sym._color_preserving_images(g, labels, nodes - 1, "search"), 20))

@@ -204,8 +204,8 @@ def cmd_orbits(args, opts) -> int:
         labels = " ".join(vs.format_vector(g.vertices[v]) for v in orb)
         lines.append(f"  orbit size {len(orb)}: {labels}")
     moved = grp.moved_set()
-    lines.append(f"moved vertices: {len(moved)}; same-orbit ordered pairs: "
-                 f"{len(grp.same_orbit_pairs())}")
+    pairs = int((grp.orbit_sizes() - 1).sum())  # sum of |o|(|o| - 1): |o| - 1 per vertex
+    lines.append(f"moved vertices: {len(moved)}; same-orbit ordered pairs: {pairs}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
 from .reporting import ANOMALY, FAIL, PASS, CheckReport
 from .symmetry import (AutGroup, _basis_ids, _color_preserving_images,
-                       _extend_images_batch, extend_basis_permutation)
+                       _extend_images_batch, _row_step, extend_basis_permutation)
 
 DEFAULT_EXACT_CAP = 30
 PERM_BUDGET = 4_000_000  # partial basis permutations alive in the structural scan
@@ -105,12 +105,12 @@ def is_distinguishing(g: NzcGraph, grp: AutGroup, f: Labeling) -> bool:
     nv = g.num_vertices
     if len(f.colors) != nv:
         raise ValueError("labeling length does not match the vertex count")
-    c = np.asarray(f.colors, dtype=np.int32)
-    perms = grp.perms
-    preserved = (c[perms] == c[None, :]).all(axis=1)
-    ident = np.arange(nv)
-    for i in np.nonzero(preserved)[0]:
-        if not (perms[i] == ident).all():
+    c = np.asarray(f.colors, dtype=np.min_scalar_type(f.t))
+    ident = np.arange(nv, dtype=grp.perms.dtype)
+    step = _row_step(nv)
+    for lo in range(0, grp.order, step):  # a block of rows, and its gather, at a time
+        block = grp.perms[lo:lo + step]
+        if (block[(c[block] == c).all(axis=1)] != ident).any():  # a preserved row moves a vertex
             return False
     return True
 

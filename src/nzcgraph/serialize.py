@@ -31,8 +31,25 @@ def graph_to_dict(g: NzcGraph) -> dict:
 
 
 def graph_to_json(g: NzcGraph) -> str:
-    """The dict schema as indented JSON text, one ``[v, u]`` list per edge."""
-    return json.dumps(graph_to_dict(g), indent=2, default=np.ndarray.tolist) + "\n"
+    """The dict schema as indented JSON text, one ``[v, u]`` list per edge.
+
+    The text is that of ``json.dumps(graph_to_dict(g), indent=2)``, but only
+    the header and the twin sets go through the encoder. The edges are
+    written in blocks of 2^16 rows, one ``%`` format per block, in the same
+    four lines per pair, so no Python list is made per edge.
+    """
+    data = graph_to_dict(g)
+    edges, data["edges"] = data["edges"], None
+    head, tail = json.dumps(data, indent=2).split('"edges": null')
+    if not len(edges):
+        return head + '"edges": []' + tail + "\n"
+    pair = "    [\n      %d,\n      %d\n    ]"
+    parts = [head, '"edges": [\n']
+    for lo in range(0, len(edges), 1 << 16):
+        block = edges[lo:lo + (1 << 16)]
+        parts += [",\n" if lo else "", ",\n".join([pair] * len(block)) % tuple(block.ravel().tolist())]
+    parts += ["\n  ]", tail, "\n"]
+    return "".join(parts)
 
 
 def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcGraph:

@@ -41,7 +41,13 @@ ORACLE_NODE_BUDGET = 5_000_000
 GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
 FULL_VALIDATION_BUDGET = 2 * 10**8  # order * nv^2 up to which every element is checked
 AXIOM_PAIR_BUDGET = 250_000  # closure is exhaustive when order^2 fits
-STRUCTURE_CELLS = 1 << 20  # cells per numpy block of the row-stack checks and column counts
+STRUCTURE_CELLS = 1 << 20  # cells per numpy block of the row-stack checks and group kernels
+
+
+def _row_step(width: int) -> int:
+    """Rows per block of a row-stack kernel: an int64 index temporary over the
+    block stays within 1 MiB (STRUCTURE_CELLS // 8 cells)."""
+    return max(1, (STRUCTURE_CELLS // 8) // max(1, width))
 
 
 def is_permutation(image, size: int) -> bool:
@@ -68,14 +74,15 @@ def _automorphism_rows(graph: NzcGraph, images: np.ndarray) -> np.ndarray:
     threshold and keeps more memory resident (+4% peak RSS at (13,2)).
     """
     a = graph.adjacency_matrix()
-    ok = (np.sort(images, axis=1) == np.arange(len(a))).all(axis=1)
-    cells = STRUCTURE_CELLS // 8  # int64 index cells per 1 MiB temporary
-    step = max(1, cells // len(a))
+    step = _row_step(len(a))
+    ok = np.empty(len(images), dtype=bool)
+    for lo in range(0, len(images), step):  # the sorted copy a block at a time
+        ok[lo:lo + step] = (np.sort(images[lo:lo + step], axis=1) == np.arange(len(a))).all(axis=1)
     for lo in range(0, len(a), step):
         u, v = np.divmod(np.flatnonzero(~a[lo:lo + step]), len(a))  # 2-d nonzero is slower
         u += lo
         rows = np.flatnonzero(ok)
-        per = max(1, cells // max(1, len(u)))
+        per = _row_step(len(u))
         for at in range(0, len(rows), per):
             block = images[rows[at:at + per]]
             ok[rows[at:at + per]] = ~a[block[:, u], block[:, v]].any(axis=1)
@@ -85,18 +92,22 @@ def _automorphism_rows(graph: NzcGraph, images: np.ndarray) -> np.ndarray:
 class AutGroup:
     """Explicitly enumerated automorphism group.
 
-    Elements are the rows of ``perms`` (one-line notation). Row order is the
+    Elements are the rows of ``perms`` (one-line notation), one C-ordered
+    block of uint16 (uint32 past 65,535 vertices), so a row is contiguous
+    and the kernels below read the group in blocks of rows. Row order is the
     engine's deterministic enumeration order; the identity is always a row.
     """
 
     def __init__(self, graph: NzcGraph, perms, source: str = "explicit"):
-        arr = np.asarray(perms, dtype=np.uint16 if graph.num_vertices <= 65535 else np.uint32)
+        arr = np.ascontiguousarray(perms, dtype=np.uint16 if graph.num_vertices <= 65535
+                                   else np.uint32)
         if arr.ndim != 2 or arr.shape[1] != graph.num_vertices:
             raise ValueError("perms must be a (m, num_vertices) array")
         self.graph = graph
         self.perms = arr
         self.source = source
         self._sorted_rows: np.ndarray | None = None
+        self._counts: np.ndarray | None = None
 
     @property
     def order(self) -> int:
@@ -124,11 +135,27 @@ class AutGroup:
     def set_equal(self, other: "AutGroup") -> bool:
         return self.order == other.order and bool(np.array_equal(self._bytes(), other._bytes()))
 
+    def _image_counts(self) -> np.ndarray:
+        """counts[v, w]: how many elements map v to w, from one bincount of
+        the (v, image) pairs over blocks of rows, computed once (sorting
+        column blocks of C-ordered rows is about twice as slow)."""
+        if self._counts is None:
+            nv = self.graph.num_vertices
+            counts = np.zeros(nv * nv, dtype=np.int64)
+            pair = np.arange(0, nv * nv, nv)  # v * nv
+            step = _row_step(nv)
+            for lo in range(0, self.order, step):
+                counts += np.bincount((self.perms[lo:lo + step] + pair).ravel(),
+                                      minlength=nv * nv)
+            self._counts = counts.reshape(nv, nv)
+        return self._counts
+
     def orbit_of(self, v: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.unique(self.perms[:, v]))
+        return tuple(np.flatnonzero(self._image_counts()[v]).tolist())
 
     def orbits(self) -> list[tuple[int, ...]]:
-        """Orbit partition of the vertex ids (orbits of a group partition V)."""
+        """Orbit partition of the vertex ids (orbits of a group partition V),
+        each orbit the non-zero columns of one row of the image counts."""
         seen: set[int] = set()
         out = []
         for v in range(self.graph.num_vertices):
@@ -144,26 +171,16 @@ class AutGroup:
         return AutGroup(self.graph, self.perms[keep], source=f"{self.source}-stab")
 
     def orbit_sizes(self) -> np.ndarray:
-        """|orbit(v)| per vertex v, counted on column blocks sorted along the
-        elements (sorting the whole group at once would copy it)."""
-        return np.concatenate([1 + np.count_nonzero(np.diff(np.sort(block, axis=0), axis=0), axis=0)
-                               for _, block in _column_blocks(self.perms)])
+        """|orbit(v)| per vertex v: the distinct images of v."""
+        return np.count_nonzero(self._image_counts(), axis=1)
+
+    def stabilizer_sizes(self) -> np.ndarray:
+        """|stabilizer(v)| per vertex v: the elements that fix v."""
+        return self._image_counts().diagonal()
 
     def moved_set(self) -> tuple[int, ...]:
         """Vertices with orbit size >= 2."""
         return tuple(np.flatnonzero(self.orbit_sizes() >= 2).tolist())
-
-    def same_orbit_pairs(self) -> list[tuple[int, int]]:
-        """Ordered pairs (u, w), u != w, lying in a common orbit."""
-        out = []
-        for orb in self.orbits():
-            if len(orb) < 2:
-                continue
-            for u in orb:
-                for w in orb:
-                    if u != w:
-                        out.append((u, w))
-        return out
 
     def check_group_axioms(self, seed: int = 0) -> CheckReport:
         """Identity, inverses and closure (exhaustive when order^2 fits the budget)."""
@@ -172,11 +189,15 @@ class AutGroup:
         ident = np.arange(nv, dtype=self.perms.dtype)
         if not self._contains(ident[None, :])[0]:
             failures.append("identity not in group")
-        invs = np.zeros_like(self.perms)
-        invs[np.arange(self.order)[:, None], self.perms] = ident
-        missing = np.flatnonzero(~self._contains(invs))
-        if missing.size:
-            failures.append(f"inverse of element {missing[0]} missing")
+        step = _row_step(nv)
+        for lo in range(0, self.order, step):  # stops at the first block missing an inverse
+            block = self.perms[lo:lo + step]
+            invs = np.zeros_like(block)
+            invs.reshape(-1)[block + np.arange(0, block.size, nv)[:, None]] = ident
+            missing = np.flatnonzero(~self._contains(invs))
+            if missing.size:
+                failures.append(f"inverse of element {lo + missing[0]} missing")
+                break
         m = self.order
         if m * m <= AXIOM_PAIR_BUDGET:
             mode = "exhaustive"
@@ -205,11 +226,19 @@ class AutGroup:
         )
 
 
-def _column_blocks(perms: np.ndarray):
-    """Yield (column ids, columns) of `perms` in blocks of about STRUCTURE_CELLS cells."""
-    step = max(1, STRUCTURE_CELLS // max(1, len(perms)))
-    for lo in range(0, perms.shape[1], step):
-        yield np.arange(lo, lo + step)[:perms.shape[1] - lo], perms[:, lo:lo + step]
+def _symmetric_group(n: int) -> np.ndarray:
+    """All n! permutations of range(n), one int64 row each, in lexicographic
+    order: row for row the order of ``itertools.permutations(range(n))``.
+
+    The rows that start with f are f followed by S_(n-1) in its own order,
+    each entry x >= f raised by one to skip f.
+    """
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, n + 1):
+        first = np.repeat(np.arange(k), len(perms))[:, None]
+        rest = np.tile(perms, (k, 1))
+        perms = np.hstack([first, rest + (rest >= first)])
+    return perms
 
 
 def _row_keys(perms: np.ndarray) -> np.ndarray:
@@ -226,15 +255,25 @@ def _basis_ids(n: int) -> np.ndarray:
 def _extend_images_batch(graph: NzcGraph, sigmas: np.ndarray) -> np.ndarray:
     """Vertex images of basis-permutation extensions, one row per sigma (q = 2).
 
-    Vertex id v has skeleton mask v + 1; the image mask moves bit i to bit
-    sigma(i), computed as a bit-matrix / power-weight product.
+    Returns a C-ordered (m, 2^n - 1) block of uint16 (uint32 past n = 16).
+    Vertex id v has skeleton mask v + 1, and the image mask moves bit i to
+    bit sigma(i). It is filled by subset doubling: mask 2^i maps to
+    2^sigma(i), and a mask k + 2^i with 0 < k < 2^i maps to the image of k
+    plus 2^sigma(i), so level i is one add over the columns already filled.
+    Rows go in blocks of :func:`_row_step` size, which stay in cache across
+    the n levels.
     """
     n = graph.params.n
-    bits = mask_bits(np.arange(1, 1 << n), np.arange(n))  # rows for masks 1 .. 2^n - 1
-    weights = (1 << sigmas.astype(np.int64))  # (m, n)
-    images = bits @ weights.T
-    images -= 1  # in place: at n = 8 each copy is 82 MB
-    return images.T
+    dtype = np.uint16 if n <= 16 else np.uint32
+    weights = (1 << np.asarray(sigmas, dtype=np.int64)).astype(dtype)  # (m, n)
+    images = np.empty((len(weights), (1 << n) - 1), dtype=dtype)
+    step = _row_step(images.shape[1])
+    for lo in range(0, len(images), step):
+        block, w = images[lo:lo + step], weights[lo:lo + step]
+        for i in range(n):  # ids 2^i - 1 .. 2^(i+1) - 2 hold the masks with top bit i
+            block[:, (1 << i) - 1] = w[:, i] - 1
+            np.add(block[:, :(1 << i) - 1], w[:, i, None], out=block[:, 1 << i:(2 << i) - 1])
+    return images
 
 
 def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
@@ -245,7 +284,8 @@ def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
     stack of such rows. The images are checked in one pass to preserve
     adjacency and skeleton-size classes; the first failing row raises, its
     adjacency ahead of its classes. Returns an int64 image row, or one row
-    per sigma of a stack.
+    per sigma of a stack, cast from the uint16 rows of
+    :func:`_extend_images_batch` (its callers pass at most C(n, 2) rows).
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError(
@@ -256,7 +296,7 @@ def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
     sigmas = np.array(sigma, dtype=np.int64)
     if not is_permutation(sigmas, n):
         raise ValueError(f"sigma must be a permutation of range({n})")
-    images = _extend_images_batch(graph, sigmas.reshape(-1, n))
+    images = _extend_images_batch(graph, sigmas.reshape(-1, n)).astype(np.int64)
     broken = ~_automorphism_rows(graph, images)
     across = graph.sizes[images] != graph.sizes
     bad = np.flatnonzero(broken | across.any(axis=1))
@@ -306,8 +346,7 @@ def aut_group_structural(graph: NzcGraph, *, seed: int = 0) -> AutGroup:
         raise CapExceededError(
             f"structural group has {order} elements, budget is {GROUP_BUDGET}"
         )
-    sigmas = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    perms = _extend_images_batch(graph, sigmas)
+    perms = _extend_images_batch(graph, _symmetric_group(n))
     nv = graph.num_vertices
     rows = np.arange(order)
     if order * nv * nv > FULL_VALIDATION_BUDGET:
@@ -498,23 +537,23 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
 
     Checks the homomorphism identity extend(h1 o h2) = extend(h1) o extend(h2)
     exhaustively for n <= 4 and on `samples` seeded random pairs for larger
-    n, drawn and extended in blocks of about 1 MiB of int64 images (three
-    rows of |V| per pair), so memory does not grow with `samples`. Given the
-    structural group `grp`, it checks injectivity as n! distinct extensions,
-    and given the oracle group too, surjectivity by set equality against it.
-    It builds neither group.
+    n, drawn and extended in blocks of :func:`_row_step` pairs for rows of
+    3 |V| (three uint16 image rows per pair, about 256 KiB), so memory does
+    not grow with `samples`. Given the structural group `grp`, it checks
+    injectivity as n! distinct extensions, and given the oracle group too,
+    surjectivity by set equality against it. It builds neither group.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError("extension isomorphism is defined for q = 2")
     n = graph.params.n
     details: dict = {}
     if n <= 4:
-        sigmas = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        sigmas = _symmetric_group(n)
         blocks = [(np.repeat(sigmas, len(sigmas), 0), np.tile(sigmas, (len(sigmas), 1)))]
         details["mode"] = "exhaustive"
     else:
         rng = random.Random(seed)  # one draw seeds each block's keys
-        step = max(1, (STRUCTURE_CELLS // 8) // (3 * graph.num_vertices))
+        step = _row_step(3 * graph.num_vertices)
         blocks = (np.split(_sample_permutations(n, 2 * min(step, samples - lo),
                                                 rng.getrandbits(64)), 2)
                   for lo in range(0, samples, step))
@@ -665,9 +704,7 @@ def _basis_action_failures(graph: NzcGraph, p: np.ndarray, offset: int):
 def check_orbit_stabilizer(grp: AutGroup) -> CheckReport:
     """|orbit(v)| * |stabilizer(v)| equals the group order, for every vertex."""
     g_ = grp.graph
-    orbit = grp.orbit_sizes()
-    stab = np.concatenate([np.count_nonzero(block == ids, axis=0)
-                           for ids, block in _column_blocks(grp.perms)])
+    orbit, stab = grp.orbit_sizes(), grp.stabilizer_sizes()
     failures = [f"vertex {v}: |orbit| {orbit[v]} * |stab| {stab[v]} != {grp.order}"
                 for v in np.flatnonzero(orbit * stab != grp.order)]
     return CheckReport(

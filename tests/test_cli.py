@@ -142,6 +142,14 @@ def test_json_roundtrip_identical():
         assert serialize.graphs_equal(g, other) is False
 
 
+@pytest.mark.parametrize("n, q", [(n, 2) for n in range(1, 10)] + [(n, 3) for n in (2, 3, 4)])
+def test_block_json_writer_is_the_encoder_text(n, q):
+    # (9,2) has 2^16 + 55,439 edges, so its edges span two blocks
+    g = nz.build(SpaceParams(n, q))
+    want = json.dumps(serialize.graph_to_dict(g), indent=2, default=np.ndarray.tolist) + "\n"
+    assert serialize.graph_to_json(g) == want
+
+
 def test_roundtrip_rejects_tampered_edges():
     g = nz.build(SpaceParams(2, 2))
     data = serialize.graph_to_dict(g)

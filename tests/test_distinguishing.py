@@ -316,6 +316,20 @@ def test_two_colour_scheme_n11_scan_and_dist_number():
     assert result.upper_source == "two-colour-scheme"
 
 
+def test_group_scan_reads_every_row_block_n8():
+    # colours constant on the vertex cycles of the last element, the
+    # extension of the reversal, so it and the identity are the only
+    # preservers: the scan must reach the last block of rows to see it
+    g = nz.build(SpaceParams(8, 2))
+    grp = nz.explicit_group(g)
+    image = grp.perms[-1].tolist()
+    colors = [min(v, image[v]) + 1 for v in range(g.num_vertices)]
+    f = nz.Labeling(tuple(colors), g.num_vertices)
+    assert nz.structural_survivors(g, f) == [tuple(range(7, -1, -1))]
+    assert not nz.is_distinguishing(g, grp, f)
+    assert nz.is_distinguishing(g, nz.AutGroup(g, grp.perms[:-1]), f)
+
+
 def test_engines_agree_on_random_labelings():
     import random
 

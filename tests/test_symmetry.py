@@ -488,6 +488,17 @@ def test_group_axioms_name_the_first_missing_element(n, edit, failures):
     assert nz.AutGroup(g, edit(perms)).check_group_axioms(seed=n).failures == failures
 
 
+@pytest.mark.parametrize("edit, failures", [
+    (lambda p: np.delete(p, 30000, 0), ["inverse of element 17725 missing"]),
+    (lambda p: np.vstack([p[:-1], p[-1][::-1]]), ["inverse of element 40319 missing"]),
+])
+def test_group_axioms_name_the_first_missing_inverse_past_the_first_block_n8(edit, failures):
+    # the inverses are checked 514 rows at a time; both elements lie in later blocks
+    g = nz.build(SpaceParams(8, 2))
+    perms = nz.aut_group_structural(g).perms
+    assert nz.AutGroup(g, edit(perms)).check_group_axioms(seed=8).failures == failures
+
+
 def test_distinct_rows_and_set_equal_compare_whole_rows():
     g = nz.build(SpaceParams(4, 2))
     perms = nz.aut_group_structural(g).perms

@@ -9,8 +9,7 @@ suite in :mod:`nzcgraph.verify` or the ``nzc verify`` command.
 """
 
 from .distinguishing import (DistResult, Labeling, all_distinct_labeling,
-                             check_swap_broken_by_pair, constructive_labeling_q2,
-                             constructive_labeling_q3, dist_number,
+                             constructive_labeling_q2, constructive_labeling_q3, dist_number,
                              exists_distinguishing_labeling, find_color_preserving,
                              is_distinguishing, structural_survivors, twin_lower_bound)
 from .errors import CapExceededError, NzcError, UnsupportedFieldError
@@ -22,10 +21,9 @@ from .reporting import CheckReport
 from .symmetry import (AutGroup, aut_group_oracle, aut_group_structural,
                        check_automorphism_structure, check_extension_isomorphism,
                        check_orbit_stabilizer, explicit_group, extend_basis_permutation,
-                       is_automorphism, restrict_to_basis)
-from .vectorspace import (SpaceParams, basis_vector, enumerate_vectors,
-                          skeleton, skeleton_class, skeleton_indices,
-                          vector_from_id, vector_id)
+                       is_automorphism)
+from .vectorspace import (SpaceParams, enumerate_vectors, skeleton, skeleton_class,
+                          skeleton_indices, vector_from_id, vector_id)
 
 __version__ = "0.1.0"
 
@@ -33,15 +31,14 @@ __all__ = [
     "AutGroup", "CapExceededError", "CheckReport", "DistResult",
     "Labeling", "NzcError", "NzcGraph", "SpaceParams", "UnsupportedFieldError",
     "all_distinct_labeling", "aut_group_oracle", "aut_group_structural",
-    "basis_vector", "build", "check_automorphism_structure",
-    "check_degree_formula", "check_degree_formula_general",
-    "check_extension_isomorphism", "check_orbit_stabilizer", "check_pair_counts",
-    "check_swap_broken_by_pair", "check_twin_structure",
+    "build", "check_automorphism_structure", "check_degree_formula",
+    "check_degree_formula_general", "check_extension_isomorphism",
+    "check_orbit_stabilizer", "check_pair_counts", "check_twin_structure",
     "constructive_labeling_q2", "constructive_labeling_q3", "count_distinguishing_pairs",
     "dist_number", "enumerate_vectors",
     "exists_distinguishing_labeling", "explicit_group", "extend_basis_permutation",
     "find_color_preserving", "is_automorphism", "is_distinguishing",
-    "restrict_to_basis", "skeleton", "skeleton_class", "skeleton_indices",
+    "skeleton", "skeleton_class", "skeleton_indices",
     "structural_survivors", "twin_lower_bound", "twin_partition_by_neighborhood",
     "vector_from_id", "vector_id",
 ]

@@ -227,7 +227,7 @@ def cmd_labeling(args, opts) -> int:
 
 def cmd_dist(args, opts) -> int:
     g = _graph(args, opts)
-    grp = sym.explicit_group(g, oracle_cap=opts["oracle_cap"], seed=opts["seed"])
+    grp = sym.explicit_group(g, oracle_cap=opts["oracle_cap"])
     result = dst.dist_number(g, grp, exact_cap=opts["exact_cap"])
     if result.method == "exact":
         line = f"exact {result.value}"

@@ -39,7 +39,6 @@ DEFAULT_ORACLE_VERTEX_CAP = 40
 ORACLE_ELEMENT_BUDGET = 200_000
 ORACLE_NODE_BUDGET = 5_000_000
 GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
-FULL_VALIDATION_BUDGET = 2 * 10**8  # order * nv^2 up to which every element is checked
 AXIOM_PAIR_BUDGET = 250_000  # closure is exhaustive when order^2 fits
 STRUCTURE_CELLS = 1 << 20  # cells per numpy block of the row-stack checks and group kernels
 
@@ -101,8 +100,8 @@ class AutGroup:
     def __init__(self, graph: NzcGraph, perms, source: str = "explicit"):
         arr = np.ascontiguousarray(perms, dtype=np.uint16 if graph.num_vertices <= 65535
                                    else np.uint32)
-        if arr.ndim != 2 or arr.shape[1] != graph.num_vertices:
-            raise ValueError("perms must be a (m, num_vertices) array")
+        if arr.ndim != 2 or arr.shape[1] != graph.num_vertices or not len(arr):
+            raise ValueError("perms must be a (m, num_vertices) array with m >= 1")
         self.graph = graph
         self.perms = arr
         self.source = source
@@ -328,13 +327,13 @@ def restrict_to_basis(image, graph: NzcGraph) -> tuple[int, ...]:
     return tuple(mask_bits(graph.skeletons[w], np.arange(n)).argmax(axis=1).tolist())
 
 
-def aut_group_structural(graph: NzcGraph, *, seed: int = 0) -> AutGroup:
+def aut_group_structural(graph: NzcGraph) -> AutGroup:
     """All n! basis-permutation extensions, in lexicographic sigma order (q = 2).
 
-    Raises a cap error past :data:`GROUP_BUDGET` elements. Every element is
-    checked to preserve adjacency while order * |V|^2 stays within
-    :data:`FULL_VALIDATION_BUDGET`; past it, 200 seeded elements plus the
-    first and last are.
+    Raises a cap error past :data:`GROUP_BUDGET` elements. Every row is
+    proven an automorphism by :func:`_unproven_rows`, from the n - 1
+    adjacent transpositions checked against the matrix, in O(n! |V|); the
+    least row that fails raises.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError(
@@ -347,15 +346,41 @@ def aut_group_structural(graph: NzcGraph, *, seed: int = 0) -> AutGroup:
             f"structural group has {order} elements, budget is {GROUP_BUDGET}"
         )
     perms = _extend_images_batch(graph, _symmetric_group(n))
-    nv = graph.num_vertices
-    rows = np.arange(order)
-    if order * nv * nv > FULL_VALIDATION_BUDGET:
-        rng = random.Random(seed)
-        rows = np.array(sorted({0, order - 1, *(rng.randrange(order) for _ in range(200))}))
-    bad = rows[~_automorphism_rows(graph, perms[rows])]
+    bad = np.flatnonzero(_unproven_rows(graph, perms))
     if bad.size:
         raise ValueError(f"structural engine produced a non-automorphism (row {bad[0]})")
     return AutGroup(graph, perms, source="structural")
+
+
+def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
+    """Per row of the lexicographic extension table, whether its check fails.
+
+    Row 0 must be the identity, and row (n-1-j)!, the extension of the
+    adjacent transposition t = (j j+1), must preserve the matrix. The rows
+    whose sigma starts with 0 .. k-1 are the first (n-k)!, in sub-blocks of
+    (n-k-1)! rows by sigma(k) = k, k+1, ... For j = k+g-1, t maps the
+    sub-block with j at position k onto the one with j+1, row for row (t
+    keeps the order of the values after position k, which miss j), so that
+    sub-block must equal the extension of t applied to the one before it.
+    By induction on the row index, every row before the first failing one
+    is a product of checked automorphisms, so the check is exact (Seress,
+    *Permutation Group Algorithms*, 2003). The table is built per sigma and
+    checked by composition, so each row is derived twice.
+    """
+    n = graph.params.n
+    bad = np.zeros(len(perms), dtype=bool)
+    bad[0] = not np.array_equal(perms[0], np.arange(perms.shape[1]))
+    gens = [factorial(n - 1 - j) for j in range(n - 1)]
+    bad[gens] = ~_automorphism_rows(graph, perms[gens])
+    step = _row_step(perms.shape[1])
+    for k in range(n - 1):
+        size = factorial(n - 1 - k)
+        for g in range(1, n - k):
+            gen, end = perms[gens[k + g - 1]], (g + 1) * size
+            for lo in range(g * size, end, step):  # a sub-block may be shorter than `step`
+                hi = min(lo + step, end)
+                bad[lo:hi] |= (gen.take(perms[lo - size:hi - size]) != perms[lo:hi]).any(axis=1)
+    return bad
 
 
 def _refine_by_neighbors(a: np.ndarray, colors, twins=None) -> list[int]:
@@ -507,8 +532,8 @@ def aut_group_oracle(graph: NzcGraph, *,
     return AutGroup(graph, np.array(sorted(found), dtype=np.int64), source="oracle")
 
 
-def explicit_group(graph: NzcGraph, *, oracle_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
-                   seed: int = 0) -> AutGroup | None:
+def explicit_group(graph: NzcGraph, *,
+                   oracle_cap: int = DEFAULT_ORACLE_VERTEX_CAP) -> AutGroup | None:
     """The enumerated group the exact checks run on, or None where none is built.
 
     It is the structural group at q = 2 and the oracle group at q >= 3, or
@@ -517,7 +542,7 @@ def explicit_group(graph: NzcGraph, *, oracle_cap: int = DEFAULT_ORACLE_VERTEX_C
     """
     try:
         if graph.params.q == 2:
-            return aut_group_structural(graph, seed=seed)
+            return aut_group_structural(graph)
         return aut_group_oracle(graph, vertex_cap=oracle_cap)
     except CapExceededError:
         return None

@@ -246,7 +246,7 @@ def verify_params(n: int, q: int, *, vertex_cap: int = 65535, oracle_cap: int = 
     yield gr.check_adjacency_invariants(g)
     yield gr.check_twin_structure(g)
     yield gr.check_degree_formula_general(g)
-    grp = sym.explicit_group(g, oracle_cap=oracle_cap, seed=seed)
+    grp = sym.explicit_group(g, oracle_cap=oracle_cap)
     if q == 2:
         yield gr.check_degree_formula(g)
         yield gr.check_pair_counts(g)

@@ -14,6 +14,7 @@ from nzcgraph import symmetry as sym
 from nzcgraph.distinguishing import (all_distinct_labeling, constant_labeling,
                                      transposition_report)
 from nzcgraph.symmetry import _extend_images_batch
+from nzcgraph.vectorspace import basis_vector
 
 
 def vid(g, coeffs):
@@ -36,7 +37,7 @@ def test_constant_is_not_distinguishing():
 def test_two_colour_scheme_basis_colors_n4():
     g = nz.build(SpaceParams(4, 2))
     f = nz.constructive_labeling_q2(g)
-    basis = [vid(g, nz.basis_vector(g.params, i)) for i in range(1, 5)]
+    basis = [vid(g, basis_vector(g.params, i)) for i in range(1, 5)]
     assert [f.colors[v] for v in basis] == [1, 1, 2, 2]
 
 
@@ -143,7 +144,7 @@ def test_swap_broken_by_pair_n3():
     f = nz.constructive_labeling_q2(g)
     u, v = vid(g, (1, 0, 1)), vid(g, (0, 1, 1))  # b1+b3 vs b2+b3
     assert f.colors[u] != f.colors[v]
-    assert nz.check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
+    assert dst.check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
 
 
 def test_swap_broken_by_pair_n4_disjoint():
@@ -152,7 +153,7 @@ def test_swap_broken_by_pair_n4_disjoint():
     f = nz.constructive_labeling_q2(g)
     u, v = vid(g, (1, 0, 0, 1)), vid(g, (0, 1, 1, 0))  # {b1,b4} vs {b2,b3}
     assert f.colors[u] != f.colors[v]
-    assert nz.check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
+    assert dst.check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
 
 
 def test_swap_broken_precondition_same_colors():
@@ -161,7 +162,7 @@ def test_swap_broken_precondition_same_colors():
     f = constant_labeling(g, 1)
     u, v = vid(g, (1, 0, 1)), vid(g, (0, 1, 1))
     with pytest.raises(ValueError):
-        nz.check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
+        dst.check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
 
 
 def test_dist_exact_q2():

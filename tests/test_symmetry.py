@@ -14,6 +14,7 @@ from nzcgraph.errors import CapExceededError
 from nzcgraph import symmetry as sym
 from nzcgraph.graph import mask_bits
 from nzcgraph.symmetry import _refine_by_neighbors, _sample_permutations
+from nzcgraph.vectorspace import basis_vector
 
 
 def vid(g, coeffs):
@@ -51,13 +52,13 @@ def test_six_distinct_extensions_n3():
 def test_restrict_round_trip_n4():
     g = nz.build(SpaceParams(4, 2))
     for s in itertools.permutations(range(4)):
-        assert nz.restrict_to_basis(nz.extend_basis_permutation(g, s), g) == s
+        assert sym.restrict_to_basis(nz.extend_basis_permutation(g, s), g) == s
 
 
 def test_restrict_of_oracle_automorphisms():
     g = nz.build(SpaceParams(3, 2))
     oracle = nz.aut_group_oracle(g)
-    sigmas = {nz.restrict_to_basis(a, g) for a in oracle.perms}
+    sigmas = {sym.restrict_to_basis(a, g) for a in oracle.perms}
     assert sigmas == set(itertools.permutations(range(3)))
 
 
@@ -256,7 +257,7 @@ def test_structure_check_reports_maps_across_classes():
 
 def test_nonidentity_moves_two_basis_vertices_n4():
     g = nz.build(SpaceParams(4, 2))
-    basis_ids = [vid(g, nz.basis_vector(g.params, i)) for i in range(1, 5)]
+    basis_ids = [vid(g, basis_vector(g.params, i)) for i in range(1, 5)]
     for a in nz.aut_group_structural(g).perms:
         if (a != np.arange(g.num_vertices)).any():
             assert sum(1 for b in basis_ids if a[b] != b) >= 2
@@ -287,7 +288,7 @@ def test_extension_rejects_maps_across_skeleton_classes():
 def test_restrict_rejects_corrupted_map():
     g = nz.build(SpaceParams(2, 2))
     with pytest.raises(ValueError):
-        nz.restrict_to_basis((2, 1, 0), g)
+        sym.restrict_to_basis((2, 1, 0), g)
 
 
 def test_sampled_extension_isomorphism_memory_n10():
@@ -650,6 +651,59 @@ def test_structural_group_n8_is_the_reference_row_for_row():
     assert perms.dtype == np.uint16 and perms.flags.c_contiguous
     want = _reference_extend(g, np.array(list(itertools.permutations(range(8)))))
     assert np.array_equal(perms, want)
+
+
+def _corrupt_row(monkeypatch, row):
+    """Have the structural engine build its table with entries 0 and 2 of
+    `row` exchanged: the images of b1 and b1 + b2."""
+    extend = sym._extend_images_batch
+
+    def corrupted(graph, sigmas):
+        images = extend(graph, sigmas)
+        images[row, [0, 2]] = images[row, [2, 0]]
+        return images
+
+    monkeypatch.setattr(sym, "_extend_images_batch", corrupted)
+
+
+def test_structural_group_rejects_a_corrupted_row_n8(monkeypatch):
+    # every row is checked, not a sample of them
+    g = nz.build(SpaceParams(8, 2))
+    _corrupt_row(monkeypatch, 30001)
+    with pytest.raises(ValueError, match=r"^structural engine produced a non-automorphism "
+                                         r"\(row 30001\)$"):
+        nz.aut_group_structural(g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_structural_group_names_each_corrupted_row(n, monkeypatch):
+    # the last sub-blocks hold 1 to 6 rows, fewer than a row block
+    g = nz.build(SpaceParams(n, 2))
+    for row in range(factorial(n)):
+        _corrupt_row(monkeypatch, row)
+        with pytest.raises(ValueError, match=rf"\(row {row}\)$"):
+            nz.aut_group_structural(g)
+        monkeypatch.undo()
+
+
+def test_structural_group_rejects_a_tampered_matrix():
+    g = nz.build(SpaceParams(4, 2))
+    m = g.adjacency_matrix().copy()
+    assert m[0, 2]
+    m[0, 2] = m[2, 0] = False  # b1 ~ b1 + b2 dropped
+    tampered = nz.NzcGraph(g.params, g.vertices, g.skeletons, m)
+    # sigma = (2 3), row 1, fixes b1 and b1 + b2; sigma = (1 2), row 2, maps
+    # them to b1 and b1 + b3, an edge
+    with pytest.raises(ValueError, match=r"^structural engine produced a non-automorphism "
+                                         r"\(row 2\)$"):
+        nz.aut_group_structural(tampered)
+
+
+def test_group_rejects_no_rows():
+    # a group holds the identity, so it has a row
+    g = nz.build(SpaceParams(3, 2))
+    with pytest.raises(ValueError, match="m >= 1"):
+        nz.AutGroup(g, np.empty((0, 7), int))
 
 
 @pytest.mark.parametrize("n, q", [(8, 2), (2, 3)])

@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: build, twins, aut, orbits, labeling, dist, verify.
+Subcommands: build, twins, aut, orbits, labeling, dist, verify. Each takes
+-n, -q, --vertex-cap and --out, and only the other settings it reads, as
+``SETTINGS`` lists them; ``aut`` and ``orbits`` also take --engine.
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 cap exceeded,
 4 engine not applicable, 5 crash (out of memory or any other uncaught
 error, reported in one line). NZC_CONFIG may point to a JSON file supplying
-defaults for the flag values (same keys as the long flag names). Every
-setting, from a flag or from the file, is checked before any work starts;
+defaults for the settings (the long flag names with underscores). Every
+setting, from a flag or from the file, is checked before any work starts,
+also one the subcommand does not read (``format`` only where it is offered);
 a bad one exits 2 with a line that names it.
 """
 
@@ -32,10 +35,25 @@ EXIT_ENGINE = 4
 EXIT_CRASH = 5
 
 CONFIG_ENV = "NZC_CONFIG"
-DEFAULTS = {"vertex_cap": vs.DEFAULT_VERTEX_CAP, "oracle_cap": sym.DEFAULT_ORACLE_VERTEX_CAP,
-            "exact_cap": dst.DEFAULT_EXACT_CAP, "seed": 0, "samples": 1000, "format": "json"}
-MINIMUM = {"vertex_cap": 1, "oracle_cap": 0, "exact_cap": 0, "seed": 0, "samples": 1}
+HELP = {
+    "build": "construct a graph and export it",
+    "twins": "print the twin partition",
+    "aut": "compute the automorphism group",
+    "orbits": "orbit partition under the automorphism group",
+    "labeling": "emit the constructive distinguishing labeling",
+    "dist": "distinguishing number (exact or bounds)",
+    "verify": "run the certificate suite over parameter ranges",
+}
 FORMATS = {"build": ("json", "dot", "table"), "labeling": ("json", "table")}
+# each setting once: its default, its least value and the subcommands that read it
+SETTINGS = {
+    "vertex_cap": (vs.DEFAULT_VERTEX_CAP, 1, tuple(HELP)),  # every subcommand
+    "oracle_cap": (sym.DEFAULT_ORACLE_VERTEX_CAP, 0, ("aut", "orbits", "dist", "verify")),
+    "exact_cap": (dst.DEFAULT_EXACT_CAP, 0, ("dist", "verify")),
+    "seed": (0, 0, ("verify",)),
+    "samples": (sym.DEFAULT_SAMPLES, 1, ("verify",)),
+    "format": ("json", None, tuple(FORMATS)),
+}
 GRAPH_WRITERS = {"json": serialize.graph_to_json, "dot": serialize.graph_to_dot,
                  "table": serialize.graph_to_table}
 
@@ -48,7 +66,7 @@ def _load_config() -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("the file must hold a JSON object")
-    return {k: data[k] for k in DEFAULTS if k in data}
+    return {k: data[k] for k in SETTINGS if k in data}
 
 
 def _settings(args, config) -> dict:
@@ -57,14 +75,14 @@ def _settings(args, config) -> dict:
     The config may hold any JSON value, so a bad setting raises ValueError.
     """
     out = {}
-    for key, default in DEFAULTS.items():
+    for key, (default, least, _) in SETTINGS.items():
         flag = getattr(args, key, None)
         value = config.get(key, default) if flag is None else flag
         if key == "format":
             if args.command in FORMATS and value not in FORMATS[args.command]:
                 raise ValueError(f"--format must be one of {', '.join(FORMATS[args.command])}")
-        elif isinstance(value, bool) or not isinstance(value, int) or value < MINIMUM[key]:
-            raise ValueError(f"--{key.replace('_', '-')} must be >= {MINIMUM[key]}")
+        elif isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= {least}")
         out[key] = value
     if args.out:
         _check_out(args.out)
@@ -78,18 +96,19 @@ def _check_out(path: str) -> None:
         raise ValueError(f"--out {path} cannot be written")
 
 
-def _add_common(p: argparse.ArgumentParser, *, ranged: bool = False) -> None:
-    if ranged:
+def _add_common(p: argparse.ArgumentParser, command: str) -> None:
+    """-n, -q, --out and each setting of ``SETTINGS`` that `command` reads."""
+    if command == "verify":
         p.add_argument("-n", required=True, help="dimension or range like 3..8")
         p.add_argument("-q", required=True, help="field size or range like 2..3")
     else:
         p.add_argument("-n", type=int, required=True, help="dimension")
         p.add_argument("-q", type=int, required=True, help="field size")
-    p.add_argument("--vertex-cap", type=int, default=None)
-    p.add_argument("--oracle-cap", type=int, default=None)
-    p.add_argument("--exact-cap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
+    for key, (_, _, commands) in SETTINGS.items():
+        if command in commands:
+            kind = {"choices": FORMATS[command]} if key == "format" else {"type": int}
+            p.add_argument("--" + key.replace("_", "-"), **kind)
+    p.add_argument("--out", help="write output to FILE instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,34 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "groups and distinguishing numbers, and verify the claim catalog.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("build", help="construct a graph and export it")
-    _add_common(p)
-    p.add_argument("--format", choices=FORMATS["build"], default=None)
-
-    p = subs.add_parser("twins", help="print the twin partition")
-    _add_common(p)
-
-    p = subs.add_parser("aut", help="compute the automorphism group")
-    _add_common(p)
-    p.add_argument("--engine", choices=("structural", "oracle", "both"),
-                   default="structural")
-
-    p = subs.add_parser("orbits", help="orbit partition under the automorphism group")
-    _add_common(p)
-    p.add_argument("--engine", choices=("structural", "oracle"), default=None)
-
-    p = subs.add_parser("labeling", help="emit the constructive distinguishing labeling")
-    _add_common(p)
-    p.add_argument("--format", choices=FORMATS["labeling"], default=None)
-
-    p = subs.add_parser("dist", help="distinguishing number (exact or bounds)")
-    _add_common(p)
-
-    p = subs.add_parser("verify", help="run the certificate suite over parameter ranges")
-    _add_common(p, ranged=True)
-    p.add_argument("--samples", type=int, default=None,
-                   help="random pairs for sampled checks")
+    for command, text in HELP.items():
+        _add_common(subs.add_parser(command, help=text), command)
+    subs.choices["aut"].add_argument("--engine", choices=("structural", "oracle", "both"),
+                                     default="structural")
+    subs.choices["orbits"].add_argument("--engine", choices=("structural", "oracle"))
     return parser
 
 
@@ -175,24 +171,16 @@ def cmd_twins(args, opts) -> int:
 
 def cmd_aut(args, opts) -> int:
     g = _graph(args, opts)
-    lines = []
-    rc = EXIT_OK
-    if args.engine in ("structural", "both"):
-        grp = sym.aut_group_structural(g)
-        lines.append(f"structural engine: |Aut| = {grp.order}")
-        lines.append("orbits: " + " ".join(str(list(o)) for o in grp.orbits()))
-    if args.engine in ("oracle", "both"):
-        oracle = sym.aut_group_oracle(g, vertex_cap=opts["oracle_cap"])
-        lines.append(f"oracle engine: |Aut| = {oracle.order}")
-        if args.engine == "oracle":
-            lines.append("orbits: " + " ".join(str(list(o)) for o in oracle.orbits()))
-    if args.engine == "both":
-        agree = grp.set_equal(oracle)
-        lines.append(f"engines set-equal: {agree}")
-        if not agree:
-            rc = EXIT_CHECK_FAILED
+    engines = ("structural", "oracle") if args.engine == "both" else (args.engine,)
+    grp, *oracle = [_group_for(g, engine, opts["oracle_cap"]) for engine in engines]
+    lines = [f"{engines[0]} engine: |Aut| = {grp.order}",
+             "orbits: " + " ".join(str(list(o)) for o in grp.orbits())]
+    agree = True
+    if oracle:
+        agree = grp.set_equal(oracle[0])
+        lines += [f"oracle engine: |Aut| = {oracle[0].order}", f"engines set-equal: {agree}"]
     _emit("\n".join(lines) + "\n", args.out)
-    return rc
+    return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 
 def cmd_orbits(args, opts) -> int:

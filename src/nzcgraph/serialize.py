@@ -52,35 +52,72 @@ def graph_to_json(g: NzcGraph) -> str:
     return "".join(parts)
 
 
+def _field(entry, key: str, where: str):
+    """``entry[key]`` of a dict; anything else raises ValueError naming the field."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} is a {type(entry).__name__}, not a dict")
+    if key not in entry:
+        raise ValueError(f"{where} has no {key!r} field")
+    return entry[key]
+
+
+def _integer(value, what: str) -> int:
+    """A Python or numpy integer as an int; bool, float, str and the rest raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """A list or tuple of integers, each checked as by :func:`_integer`, as a tuple of ints."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list of integers, not {type(values).__name__}")
+    if not set(map(type, values)) <= {int}:  # plain ints, the usual case, need no call each
+        for x in values:
+            _integer(x, f"{what} entry")
+    return tuple(map(int, values))
+
+
 def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcGraph:
     """Reconstruct a graph from the dict schema, validating consistency.
 
     Vertices must match their canonical ids, skeletons and classes; the edges
     (an (E, 2) array or JSON-loaded pairs) must be exactly the
-    skeleton-intersection graph, each edge once.
+    skeleton-intersection graph, each edge once. `n`, `q` and each vertex's
+    id, coefficients, skeleton and class must be Python or numpy integers. A
+    malformed dict raises ValueError that names the field.
     """
-    params = vs.SpaceParams(int(data["n"]), int(data["q"]), vertex_cap)
-    entries = sorted(data["vertices"], key=lambda e: e["id"])
+    params = vs.SpaceParams(_integer(_field(data, "n", "graph"), "n"),
+                            _integer(_field(data, "q", "graph"), "q"), vertex_cap)
+    entries = _field(data, "vertices", "graph")
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"vertices must be a list, not {type(entries).__name__}")
+    entries = sorted(entries, key=lambda e: _integer(_field(e, "id", "vertex"), "vertex id"))
     if [e["id"] for e in entries] != list(range(params.num_vertices)):
         raise ValueError("vertex ids are not the contiguous canonical range")
     vertices = []
     skeletons = []
     for e in entries:
-        coeffs = tuple(int(c) for c in e["coeffs"])
+        where = f"vertex {e['id']}"
+        coeffs = _integers(_field(e, "coeffs", where), f"{where} coeffs")
         if vs.vector_id(params, coeffs) != e["id"]:
-            raise ValueError(f"vertex {e['id']} is out of canonical order")
+            raise ValueError(f"{where} is out of canonical order")
         mask = vs.skeleton(coeffs)
-        if vs.mask_from_indices(e["skeleton"]) != mask:
-            raise ValueError(f"vertex {e['id']}: skeleton does not match coefficients")
-        if e["class"] != mask.bit_count():
-            raise ValueError(f"vertex {e['id']}: class does not match skeleton size")
+        indices = _integers(_field(e, "skeleton", where), f"{where} skeleton")
+        if vs.mask_from_indices(indices) != mask:
+            raise ValueError(f"{where}: skeleton does not match coefficients")
+        if _integer(_field(e, "class", where), f"{where} class") != mask.bit_count():
+            raise ValueError(f"{where}: class does not match skeleton size")
         vertices.append(coeffs)
         skeletons.append(mask)
     nv = params.num_vertices
+    listed = _field(data, "edges", "graph")
     try:
-        edges = np.asarray(data["edges"])
+        edges = np.asarray(listed)
     except ValueError:  # entries of different lengths
         raise ValueError("edge entry is not a pair") from None
+    if not edges.ndim:
+        raise ValueError(f"edges must be a list of pairs, not {type(listed).__name__}")
     # count first, before any nv x nv allocation: deg v = q^n - q^(n - |S_v|) - 1
     q, n = params.q, params.n
     want = sum(q**n - q ** (n - s.bit_count()) - 1 for s in skeletons) // 2

@@ -36,6 +36,7 @@ from .graph import NzcGraph, closed_twin_partition, mask_bits
 from .reporting import FAIL, PASS, CheckReport
 
 DEFAULT_ORACLE_VERTEX_CAP = 40
+DEFAULT_SAMPLES = 1000  # seeded pairs of the sampled extension-isomorphism check
 ORACLE_ELEMENT_BUDGET = 200_000
 ORACLE_NODE_BUDGET = 5_000_000
 GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
@@ -226,15 +227,15 @@ class AutGroup:
 
 
 def _symmetric_group(n: int) -> np.ndarray:
-    """All n! permutations of range(n), one int64 row each, in lexicographic
-    order: row for row the order of ``itertools.permutations(range(n))``.
+    """All n! permutations of range(n), one row each in the narrowest dtype that
+    holds n - 1, row for row in ``itertools.permutations(range(n))`` order.
 
     The rows that start with f are f followed by S_(n-1) in its own order,
     each entry x >= f raised by one to skip f.
     """
-    perms = np.zeros((1, 0), dtype=np.int64)
+    perms = np.zeros((1, 0), dtype=np.min_scalar_type(max(n - 1, 0)))
     for k in range(1, n + 1):
-        first = np.repeat(np.arange(k), len(perms))[:, None]
+        first = np.repeat(np.arange(k, dtype=perms.dtype), len(perms))[:, None]
         rest = np.tile(perms, (k, 1))
         perms = np.hstack([first, rest + (rest >= first)])
     return perms
@@ -557,7 +558,7 @@ def _sample_permutations(n: int, count: int, seed: int) -> np.ndarray:
 
 def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
                                 oracle: AutGroup | None, *,
-                                samples: int = 1000, seed: int = 0) -> CheckReport:
+                                samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
     """The extension map is a group isomorphism from S_n onto Aut(G) (q = 2).
 
     Checks the homomorphism identity extend(h1 o h2) = extend(h1) o extend(h2)

@@ -18,9 +18,9 @@ from . import distinguishing as dst
 from . import graph as gr
 from . import serialize
 from . import symmetry as sym
+from . import vectorspace as vs
 from .graph import NzcGraph
 from .reporting import FAIL, PASS, CheckReport
-from .vectorspace import SpaceParams
 
 STRUCTURE_CHECK_BUDGET = 200_000  # group order * vertices up to which the structure check runs
 SEARCH_CROSS_CHECK_VERTICES = 70  # vertices up to which the 2-colour scheme is also searched
@@ -238,10 +238,12 @@ def _report_json_roundtrip(g: NzcGraph) -> CheckReport:
     )
 
 
-def verify_params(n: int, q: int, *, vertex_cap: int = 65535, oracle_cap: int = 40,
-                  exact_cap: int = 30, samples: int = 1000, seed: int = 0):
+def verify_params(n: int, q: int, *, vertex_cap: int = vs.DEFAULT_VERTEX_CAP,
+                  oracle_cap: int = sym.DEFAULT_ORACLE_VERTEX_CAP,
+                  exact_cap: int = dst.DEFAULT_EXACT_CAP, samples: int = sym.DEFAULT_SAMPLES,
+                  seed: int = 0):
     """Yield every applicable certificate for one (n, q), each as it finishes."""
-    params = SpaceParams(n, q, vertex_cap)
+    params = vs.SpaceParams(n, q, vertex_cap)
     g = gr.build(params)
     yield gr.check_adjacency_invariants(g)
     yield gr.check_twin_structure(g)

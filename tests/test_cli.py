@@ -1,6 +1,7 @@
 """CLI behaviour: formats, exit codes, config file, verify certificates."""
 
 import json
+import re
 import tracemalloc
 from itertools import combinations
 from math import factorial
@@ -10,7 +11,7 @@ import pytest
 
 import nzcgraph as nz
 from nzcgraph import SpaceParams
-from nzcgraph import serialize
+from nzcgraph import cli, serialize
 from nzcgraph.cli import main
 
 
@@ -226,6 +227,57 @@ def test_graph_from_dict_rejects_short_edge_list_before_dense_matrices():
         assert peak < 2 * 2**20
 
 
+def _set(path, value):
+    """An edit that sets data[path[0]]...[path[-1]] to `value`, or deletes it."""
+    def edit(data):
+        *parents, key = path
+        inner = data
+        for k in parents:
+            inner = inner[k]
+        if value is KeyError:
+            del inner[key]
+        else:
+            inner[key] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_set(["vertices"], KeyError), "graph has no 'vertices' field"),
+    (_set(["edges"], KeyError), "graph has no 'edges' field"),
+    (_set(["n"], KeyError), "graph has no 'n' field"),
+    (_set(["vertices", 0, "coeffs"], KeyError), "vertex 0 has no 'coeffs' field"),
+    (_set(["vertices", 0, "id"], "0"), "vertex id must be an integer, not str"),
+    (_set(["vertices", 0, "id"], True), "vertex id must be an integer, not bool"),
+    (_set(["vertices", 0, "coeffs"], None), "vertex 0 coeffs must be a list of integers"),
+    (_set(["vertices", 0, "coeffs", 0], 1.5), "vertex 0 coeffs entry must be an integer, not float"),
+    (_set(["vertices", 0, "skeleton"], "1"), "vertex 0 skeleton must be a list of integers"),
+    (_set(["vertices", 0, "skeleton", 0], 1.0), "vertex 0 skeleton entry must be an integer"),
+    (_set(["vertices", 0, "class"], True), "vertex 0 class must be an integer, not bool"),
+    (_set(["vertices", 0], [1, 0]), "vertex is a list, not a dict"),
+    (_set(["vertices"], 5), "vertices must be a list, not int"),
+    (_set(["edges"], None), "edges must be a list of pairs, not NoneType"),
+    (_set(["n"], 2.7), "n must be an integer, not float"),
+    (_set(["n"], "2"), "n must be an integer, not str"),
+    (_set(["q"], 3.0), "q must be an integer, not float"),
+    (lambda data: list(data.items()), "graph is a list, not a dict"),
+], ids=["no-vertices", "no-edges", "no-n", "no-coeffs", "id-str", "id-bool", "coeffs-null",
+        "coeff-float", "skeleton-str", "skeleton-float", "class-bool", "vertex-list",
+        "vertices-int", "edges-null", "n-float", "n-str", "q-float", "graph-list"])
+def test_graph_from_dict_rejects_malformed_fields(edit, reason):
+    data = edit(json.loads(serialize.graph_to_json(nz.build(SpaceParams(2, 3)))))
+    with pytest.raises(ValueError, match=reason):
+        serialize.graph_from_dict(data)
+
+
+def test_graph_from_dict_accepts_numpy_integers():
+    g = nz.build(SpaceParams(2, 3))
+    data = serialize.graph_to_dict(g)
+    data.update(n=np.int64(2), q=np.uint8(3))
+    data["vertices"][0].update(id=np.int32(0), coeffs=list(np.array([1, 0])), skeleton=[np.int8(1)])
+    assert serialize.graphs_equal(g, serialize.graph_from_dict(data))
+
+
 def test_roundtrip_report_builds_no_object_per_edge():
     # (11,2) has 2,007,555 edges: one (E, 2) int64 array is 32 MB, a Python
     # list of pairs several times that
@@ -438,3 +490,59 @@ def test_out_file(capsys, tmp_path):
     rc, out, _ = run(capsys, "build", "-n", "2", "-q", "2", "--out", str(target))
     assert rc == 0 and out == ""
     assert json.loads(target.read_text())["n"] == 2
+
+
+# the flags each subcommand offers past -n and -q; no other flag parses
+CLI_FLAGS = {
+    "build": {"--vertex-cap", "--out", "--format"},
+    "labeling": {"--vertex-cap", "--out", "--format"},
+    "twins": {"--vertex-cap", "--out"},
+    "aut": {"--vertex-cap", "--oracle-cap", "--out", "--engine"},
+    "orbits": {"--vertex-cap", "--oracle-cap", "--out", "--engine"},
+    "dist": {"--vertex-cap", "--oracle-cap", "--exact-cap", "--out"},
+    "verify": {"--vertex-cap", "--oracle-cap", "--exact-cap", "--seed", "--samples", "--out"},
+}
+DROPPED = [(command, flag) for command, flags in CLI_FLAGS.items()
+           for flag in ("--oracle-cap", "--exact-cap", "--seed") if flag not in flags]
+FLAG_VALUES = {"--format": "table", "--engine": "oracle", "--out": "report.txt"}
+
+
+@pytest.mark.parametrize("command, flag", DROPPED, ids=[" ".join(p) for p in DROPPED])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-n", "3", "-q", "2", flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+KEPT = [(command, flag) for command, flags in CLI_FLAGS.items() for flag in sorted(flags)]
+
+
+@pytest.mark.parametrize("command, flag", KEPT, ids=[" ".join(p) for p in KEPT])
+def test_a_flag_the_subcommand_reads_parses(command, flag):
+    value = FLAG_VALUES.get(flag, "1")
+    args = cli.build_parser().parse_args([command, "-n", "3", "-q", "2", flag, value])
+    assert str(getattr(args, flag[2:].replace("-", "_"))) == value
+
+
+@pytest.mark.parametrize("command", CLI_FLAGS)
+def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == CLI_FLAGS[command] | {"--help"}
+
+
+def test_verify_seed_and_out_run_as_the_benchmark_calls_them(capsys, tmp_path):
+    target = tmp_path / "verify.json"
+    rc, out, _ = run(capsys, "verify", "-n", "3", "-q", "2", "--seed", "7", "--out", str(target))
+    assert rc == 0 and out.endswith("summary: 17 pass, 0 fail, 0 anomaly\n")
+    assert json.loads(target.read_text())["summary"] == {"pass": 17, "fail": 0, "anomaly": 0}
+
+
+def test_config_keys_are_checked_for_every_subcommand(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "nzc.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    monkeypatch.setenv("NZC_CONFIG", str(cfg))
+    for command in CLI_FLAGS:
+        assert run(capsys, command, "-n", "2", "-q", "2") == (2, "", "error: --seed must be >= 0\n")

@@ -8,8 +8,9 @@ Exit codes: 0 ok, 1 check failure, 2 usage error, 3 cap exceeded,
 error, reported in one line). NZC_CONFIG may point to a JSON file supplying
 defaults for the settings (the long flag names with underscores). Every
 setting, from a flag or from the file, is checked before any work starts,
-also one the subcommand does not read (``format`` only where it is offered);
-a bad one exits 2 with a line that names it.
+also one the subcommand does not read (``format`` against the formats of the
+subcommand where it is offered, else against every format any subcommand
+writes); a bad one exits 2 with a line that names it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ HELP = {
     "verify": "run the certificate suite over parameter ranges",
 }
 FORMATS = {"build": ("json", "dot", "table"), "labeling": ("json", "table")}
+ANY_FORMAT = tuple(dict.fromkeys(f for fmts in FORMATS.values() for f in fmts))
 # each setting once: its default, its least value and the subcommands that read it
 SETTINGS = {
     "vertex_cap": (vs.DEFAULT_VERTEX_CAP, 1, tuple(HELP)),  # every subcommand
@@ -79,8 +81,9 @@ def _settings(args, config) -> dict:
         flag = getattr(args, key, None)
         value = config.get(key, default) if flag is None else flag
         if key == "format":
-            if args.command in FORMATS and value not in FORMATS[args.command]:
-                raise ValueError(f"--format must be one of {', '.join(FORMATS[args.command])}")
+            allowed = FORMATS.get(args.command, ANY_FORMAT)
+            if value not in allowed:
+                raise ValueError(f"--format must be one of {', '.join(allowed)}")
         elif isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ValueError(f"--{key.replace('_', '-')} must be >= {least}")
         out[key] = value
@@ -108,7 +111,9 @@ def _add_common(p: argparse.ArgumentParser, command: str) -> None:
         if command in commands:
             kind = {"choices": FORMATS[command]} if key == "format" else {"type": int}
             p.add_argument("--" + key.replace("_", "-"), **kind)
-    p.add_argument("--out", help="write output to FILE instead of stdout")
+    out_help = ("write the JSON report to FILE; the certificate lines still go to stdout"
+                if command == "verify" else "write output to FILE instead of stdout")
+    p.add_argument("--out", help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,8 @@ from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
 from .reporting import ANOMALY, FAIL, PASS, CheckReport
 from .symmetry import (AutGroup, _basis_ids, _color_preserving_images,
-                       _extend_images_batch, _row_step, extend_basis_permutation)
+                       _extend_images_batch, _row_step, extend_basis_permutation,
+                       transposition_extensions)
 
 DEFAULT_EXACT_CAP = 30
 PERM_BUDGET = 4_000_000  # partial basis permutations alive in the structural scan
@@ -251,10 +252,10 @@ def transposition_report(g: NzcGraph, f: Labeling) -> CheckReport:
     """Certificate for the per-class destroyed-transposition tallies (q = 2).
 
     Every transposition (l m) of basis indices extends to an automorphism;
-    all C(n, 2) are extended in one stack, and each destroyed one is
-    attributed to the first slot in the fixed order T1, T(n-1), T2 whose
-    vertices witness a colour change. The closed forms are n^2/4 (or
-    (n^2-1)/4), n-2 and (n^2-6n+8)/4 (or (n^2-6n+9)/4).
+    all C(n, 2) come from :func:`transposition_extensions`, and each
+    destroyed one is attributed to the first slot in the fixed order T1,
+    T(n-1), T2 whose vertices witness a colour change. The closed forms are
+    n^2/4 (or (n^2-1)/4), n-2 and (n^2-6n+8)/4 (or (n^2-6n+9)/4).
 
     Pass when every slot matches its closed form and all C(n, 2)
     transpositions are covered. When the closed forms fail but coverage
@@ -267,9 +268,7 @@ def transposition_report(g: NzcGraph, f: Labeling) -> CheckReport:
         raise UnsupportedFieldError("transposition accounting requires q = 2")
     n = g.params.n
     l, m = np.triu_indices(n, 1)  # (l, m) order, 0-based
-    sigmas = np.tile(np.arange(n), (len(l), 1))
-    sigmas[np.arange(len(l)), l], sigmas[np.arange(len(l)), m] = m, l
-    images, colors = extend_basis_permutation(g, sigmas), np.asarray(f.colors)
+    images, colors = transposition_extensions(g), np.asarray(f.colors)
     slots = {"T1": 1, "T(n-1)": n - 1, "T2": 2}
     members = [np.flatnonzero(g.sizes == i) for i in slots.values()]
     hits = np.stack([(colors[images[:, vs]] != colors[vs]).any(axis=1) for vs in members], axis=1)

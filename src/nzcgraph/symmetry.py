@@ -276,6 +276,27 @@ def _extend_images_batch(graph: NzcGraph, sigmas: np.ndarray) -> np.ndarray:
     return images
 
 
+def _require_skeletons(graph: NzcGraph) -> None:
+    if graph.params.q != 2:
+        raise UnsupportedFieldError(
+            "basis-permutation extension needs a skeleton to determine a unique "
+            f"vertex, which requires q = 2 (got q = {graph.params.q})"
+        )
+
+
+def _refuse_first(graph: NzcGraph, images: np.ndarray, broken: np.ndarray) -> None:
+    """Raise for the first extension row that is `broken` (not an automorphism)
+    or maps a vertex across skeleton-size classes, its adjacency ahead of its
+    classes."""
+    across = graph.sizes[images] != graph.sizes
+    bad = np.flatnonzero(broken | across.any(axis=1))
+    if bad.size and broken[bad[0]]:
+        raise ValueError("image is not an adjacency-preserving permutation of the vertex ids")
+    if bad.size:
+        image, v = images[bad[0]], np.flatnonzero(across[bad[0]])[0]
+        raise ValueError(f"vertex {v} mapped across skeleton-size classes to {image[v]}")
+
+
 def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
     """Extend basis-index permutations to vertex automorphisms (q = 2 only).
 
@@ -285,27 +306,78 @@ def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
     adjacency and skeleton-size classes; the first failing row raises, its
     adjacency ahead of its classes. Returns an int64 image row, or one row
     per sigma of a stack, cast from the uint16 rows of
-    :func:`_extend_images_batch` (its callers pass at most C(n, 2) rows).
+    :func:`_extend_images_batch`.
     """
-    if graph.params.q != 2:
-        raise UnsupportedFieldError(
-            "basis-permutation extension needs a skeleton to determine a unique "
-            f"vertex, which requires q = 2 (got q = {graph.params.q})"
-        )
+    _require_skeletons(graph)
     n = graph.params.n
     sigmas = np.array(sigma, dtype=np.int64)
     if not is_permutation(sigmas, n):
         raise ValueError(f"sigma must be a permutation of range({n})")
     images = _extend_images_batch(graph, sigmas.reshape(-1, n)).astype(np.int64)
-    broken = ~_automorphism_rows(graph, images)
-    across = graph.sizes[images] != graph.sizes
-    bad = np.flatnonzero(broken | across.any(axis=1))
-    if bad.size and broken[bad[0]]:
-        raise ValueError("image is not an adjacency-preserving permutation of the vertex ids")
-    if bad.size:
-        image, v = images[bad[0]], np.flatnonzero(across[bad[0]])[0]
-        raise ValueError(f"vertex {v} mapped across skeleton-size classes to {image[v]}")
+    _refuse_first(graph, images, ~_automorphism_rows(graph, images))
     return images if sigmas.ndim == 2 else images[0]
+
+
+def transposition_extensions(graph: NzcGraph) -> np.ndarray:
+    """Extensions of the C(n, 2) basis transpositions (l m), l < m, in
+    ``np.triu_indices(n, 1)`` order (q = 2): uint16 rows as
+    :func:`_extend_images_batch` builds them.
+
+    The adjacent transpositions are proven by :func:`_adjacent_automorphisms`
+    from two rows checked against the matrix, and (l m+1) as the product
+    (m m+1)(l m)(m m+1) of rows proven before it, in O(|V|) each (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4). A row that differs from its
+    derivation, or whose sources are unproven, gets the matrix check itself,
+    so a row is refused exactly when :func:`extend_basis_permutation`
+    refuses it, with the same error.
+    """
+    _require_skeletons(graph)
+    n = graph.params.n
+    l, m = np.triu_indices(n, 1)
+    sigmas = np.tile(np.arange(n), (len(l) + 1, 1))
+    sigmas[np.arange(len(l)), l], sigmas[np.arange(len(l)), m] = m, l
+    sigmas[-1] = np.roll(sigmas[-1], -1)  # the n-cycle c: i -> i + 1 mod n
+    images = _extend_images_batch(graph, sigmas)
+    rows = images[:-1]
+    at = {pair: k for k, pair in enumerate(zip(l.tolist(), m.tolist()))}
+    adjacent = [at[j, j + 1] for j in range(n - 1)]
+    ok = np.zeros(len(rows), dtype=bool)
+    ok[adjacent] = _adjacent_automorphisms(graph, rows[adjacent], images[-1])
+    for (a, b), k in at.items():  # (a b-1) and (b-1 b) come before (a b)
+        if b > a + 1:
+            t, r = at[b - 1, b], at[a, b - 1]
+            ok[k] = ok[t] and ok[r] and np.array_equal(
+                rows[t].take(rows[r].take(rows[t])), rows[k])
+    left = np.flatnonzero(~ok)
+    if left.size:
+        ok[left] = _automorphism_rows(graph, rows[left])
+    _refuse_first(graph, rows, ~ok)
+    return rows
+
+
+def _adjacent_automorphisms(graph: NzcGraph, adjacent: np.ndarray,
+                            cycle: np.ndarray) -> np.ndarray:
+    """Per row of `adjacent`, the extensions of (j j+1) for j = 0 .. n-2,
+    whether it is an automorphism (q = 2).
+
+    Only the row of (0 1) and `cycle`, the extension of the n-cycle
+    c: i -> i + 1 mod n, are checked against the matrix. As
+    (j+1 j+2) = c (j j+1) c^-1, a row that equals that product of proven
+    automorphisms is one; every other row gets the matrix check itself, so
+    the verdicts are exact.
+    """
+    ok = np.zeros(len(adjacent), dtype=bool)
+    if not len(adjacent):
+        return ok
+    ok[0], cycle_ok = _automorphism_rows(graph, np.stack([adjacent[0], cycle]))
+    inverse = np.argsort(cycle)
+    for j in range(1, len(adjacent)):
+        ok[j] = ok[j - 1] and cycle_ok and np.array_equal(
+            cycle.take(adjacent[j - 1].take(inverse)), adjacent[j])
+    left = 1 + np.flatnonzero(~ok[1:])
+    if left.size:
+        ok[left] = _automorphism_rows(graph, adjacent[left])
+    return ok
 
 
 def restrict_to_basis(image, graph: NzcGraph) -> tuple[int, ...]:
@@ -332,9 +404,8 @@ def aut_group_structural(graph: NzcGraph) -> AutGroup:
     """All n! basis-permutation extensions, in lexicographic sigma order (q = 2).
 
     Raises a cap error past :data:`GROUP_BUDGET` elements. Every row is
-    proven an automorphism by :func:`_unproven_rows`, from the n - 1
-    adjacent transpositions checked against the matrix, in O(n! |V|); the
-    least row that fails raises.
+    proven an automorphism by :func:`_unproven_rows`, from two rows checked
+    against the matrix, in O(n! |V|); the least row that fails raises.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError(
@@ -357,7 +428,9 @@ def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
     """Per row of the lexicographic extension table, whether its check fails.
 
     Row 0 must be the identity, and row (n-1-j)!, the extension of the
-    adjacent transposition t = (j j+1), must preserve the matrix. The rows
+    adjacent transposition t = (j j+1), must be an automorphism, which
+    :func:`_adjacent_automorphisms` decides from the row of (0 1) and the
+    row of the n-cycle (1 2 .. n-1 0), which is row sum_j (n-1-j)!. The rows
     whose sigma starts with 0 .. k-1 are the first (n-k)!, in sub-blocks of
     (n-k-1)! rows by sigma(k) = k, k+1, ... For j = k+g-1, t maps the
     sub-block with j at position k onto the one with j+1, row for row (t
@@ -372,7 +445,7 @@ def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
     bad = np.zeros(len(perms), dtype=bool)
     bad[0] = not np.array_equal(perms[0], np.arange(perms.shape[1]))
     gens = [factorial(n - 1 - j) for j in range(n - 1)]
-    bad[gens] = ~_automorphism_rows(graph, perms[gens])
+    bad[gens] = ~_adjacent_automorphisms(graph, perms[gens], perms[sum(gens)])
     step = _row_step(perms.shape[1])
     for k in range(n - 1):
         size = factorial(n - 1 - k)

@@ -348,6 +348,7 @@ def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatc
     (["build", "-n", "3", "-q", "2"], {"vertex_cap": "5"}, "--vertex-cap must be >= 1"),
     (["build", "-n", "3", "-q", "2"], {"format": "svg"}, "--format must be one of json, dot, table"),
     (["labeling", "-n", "4", "-q", "2"], {"format": "dot"}, "--format must be one of json, table"),
+    (["twins", "-n", "2", "-q", "3"], {"format": 5}, "--format must be one of json, dot, table"),
     (["dist", "-n", "2", "-q", "3"], {"oracle_cap": -1}, "--oracle-cap must be >= 0"),
     (["dist", "-n", "2", "-q", "3"], {"exact_cap": None}, "--exact-cap must be >= 0"),
     (["verify", "-n", "3", "-q", "2"], {"seed": 1.5}, "--seed must be >= 0"),
@@ -356,7 +357,8 @@ def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatc
      "cannot read NZC_CONFIG config: the file must hold a JSON object"),
     (["verify", "-n", "5..3", "-q", "2"], None, "-n 5..3 is an empty range"),
     (["verify", "-n", "2", "-q", "2..1"], None, "-q 2..1 is an empty range"),
-], ids=["vertex-cap-string", "build-format", "labeling-format", "oracle-cap-negative",
+], ids=["vertex-cap-string", "build-format", "labeling-format", "twins-format",
+        "oracle-cap-negative",
         "exact-cap-null", "seed-float", "seed-flag-negative", "config-not-object",
         "empty-n-range", "empty-q-range"])
 def test_settings_are_checked_before_any_work(capsys, tmp_path, monkeypatch, argv, config, err):
@@ -531,6 +533,25 @@ def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == CLI_FLAGS[command] | {"--help"}
+
+
+def test_format_in_the_config_is_checked_for_every_subcommand(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "nzc.json"
+    monkeypatch.setenv("NZC_CONFIG", str(cfg))
+    for command in CLI_FLAGS:
+        cfg.write_text(json.dumps({"format": 5}))
+        rc, out, err = run(capsys, command, "-n", "3", "-q", "2")
+        assert (rc, out) == (2, "") and err.startswith("error: --format must be one of ")
+        cfg.write_text(json.dumps({"format": "table"}))
+        assert run(capsys, command, "-n", "3", "-q", "2")[0] == 0
+
+
+def test_verify_help_says_where_out_and_the_lines_go(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "write the JSON report to FILE; the certificate lines still go to stdout" in help_text
+    assert "instead of stdout" not in help_text
 
 
 def test_verify_seed_and_out_run_as_the_benchmark_calls_them(capsys, tmp_path):

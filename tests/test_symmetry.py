@@ -3,7 +3,7 @@
 import itertools
 import random
 import tracemalloc
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -283,6 +283,107 @@ def test_extension_rejects_maps_across_skeleton_classes():
                           g.adjacency_matrix())  # b2 and b1+b2 mislabelled
     with pytest.raises(ValueError, match="^vertex 0 mapped across skeleton-size classes to 1$"):
         nz.extend_basis_permutation(swapped, (1, 0))
+
+
+def _transpositions(n):
+    """The C(n, 2) basis transpositions (l m), l < m, in np.triu_indices order."""
+    l, m = np.triu_indices(n, 1)
+    sigmas = np.tile(np.arange(n), (len(l), 1))
+    sigmas[np.arange(len(l)), l], sigmas[np.arange(len(l)), m] = m, l
+    return sigmas
+
+
+def _outcome(call):
+    try:
+        return call().tolist()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_transposition_extensions_are_the_extensions_row_for_row(n):
+    g = nz.build(SpaceParams(n, 2))
+    rows = sym.transposition_extensions(g)
+    assert rows.dtype == np.uint16 and rows.shape == (comb(n, 2), g.num_vertices)
+    assert np.array_equal(rows, nz.extend_basis_permutation(g, _transpositions(n)))
+
+
+def _corrupted(n, flips=(), swap=()):
+    """The (n, 2) graph with each vertex pair of `flips` flipped in the matrix
+    and the skeletons of the vertices `swap` exchanged."""
+    g = nz.build(SpaceParams(n, 2))
+    a, s = g.adjacency_matrix().copy(), g.skeletons.copy()
+    for u, v in flips:
+        a[u, v] = a[v, u] = not a[u, v]
+    s[list(swap)] = s[list(swap)[::-1]]
+    return nz.NzcGraph(g.params, g.vertices, s, a)
+
+
+# ids are masks - 1: 3 is b3, 30 is b1 + .. + b5, 31 is b6 and 62 holds every b_i
+CORRUPTED = {
+    "dropped_2": lambda: _corrupted(2, flips=[(1, 2)]),
+    "dropped_4": lambda: _corrupted(4, flips=[(0, 2)]),
+    "dropped_6_late": lambda: _corrupted(6, flips=[(47, 55)]),
+    "added_5": lambda: _corrupted(5, flips=[(0, 1)]),
+    "swapped_2": lambda: _corrupted(2, swap=(1, 2)),
+    "swapped_4": lambda: _corrupted(4, swap=(0, 6)),
+    "swapped_5": lambda: _corrupted(5, swap=(2, 7)),
+    "swapped_6_late": lambda: _corrupted(6, swap=(31, 62)),
+    # (1 3) maps b1 across classes; (1 6), a later row, breaks adjacency
+    "classes_then_adjacency": lambda: _corrupted(6, flips=[(30, 31)], swap=(3, 62)),
+    # (1 6) is the first row to fail, on both counts
+    "adjacency_and_classes": lambda: _corrupted(6, flips=[(30, 31)], swap=(31, 62)),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_transposition_extensions_refuse_as_the_matrix_check_does(name):
+    g = CORRUPTED[name]()
+    want = _outcome(lambda: nz.extend_basis_permutation(g, _transpositions(g.params.n)))
+    assert want.startswith("ValueError: ")
+    assert _outcome(lambda: sym.transposition_extensions(g)) == want
+
+
+def _identity(row):
+    row[:] = np.arange(len(row))  # an automorphism, but not the derived one
+
+
+def _exchange(row):
+    row[[0, 2]] = row[[2, 0]]  # the images of b1 and b1 + b2: not an automorphism
+
+
+@pytest.mark.parametrize("edit", [_identity, _exchange])
+@pytest.mark.parametrize("sigma", [(1, 0, 2, 3, 4), (0, 2, 1, 3, 4), (0, 1, 2, 4, 3),
+                                   (3, 1, 2, 0, 4), (0, 4, 2, 3, 1), (1, 2, 3, 4, 0)],
+                         ids=["checked", "adjacent", "last-adjacent", "derived",
+                              "last-derived", "cycle"])
+def test_a_row_unlike_its_derivation_gets_the_matrix_check(monkeypatch, sigma, edit):
+    g = nz.build(SpaceParams(5, 2))
+    extend = sym._extend_images_batch
+
+    def corrupted(graph, sigmas):
+        images = extend(graph, sigmas)
+        for k in np.flatnonzero((np.asarray(sigmas) == sigma).all(axis=1)):
+            edit(images[k])
+        return images
+
+    monkeypatch.setattr(sym, "_extend_images_batch", corrupted)
+    row = sym._extend_images_batch(g, np.array([sigma]))
+    got = _outcome(lambda: sym.transposition_extensions(g))
+    assert got == _outcome(lambda: nz.extend_basis_permutation(g, _transpositions(5)))
+    if sigma == (1, 2, 3, 4, 0):  # the cycle proves rows but is not one of them
+        assert got == extend(g, _transpositions(5)).tolist()
+    else:
+        assert isinstance(got, str) != bool(sym._automorphism_rows(g, row)[0])
+
+
+def test_the_structural_group_checks_two_rows_against_the_matrix(monkeypatch):
+    calls = []
+    check = sym._automorphism_rows
+    monkeypatch.setattr(sym, "_automorphism_rows", lambda g, images: calls.append(
+        len(images)) or check(g, images))
+    assert nz.aut_group_structural(nz.build(SpaceParams(8, 2))).order == factorial(8)
+    assert calls == [2]
 
 
 def test_restrict_rejects_corrupted_map():

@@ -22,15 +22,17 @@ import pytest
 import nzcgraph as nz
 from nzcgraph import SpaceParams, cli
 from nzcgraph import distinguishing as dst
-from nzcgraph.distinguishing import Labeling
+from nzcgraph import verify as vfy
+from nzcgraph.distinguishing import DistResult, Labeling, SchemeVerdict
 
 DATA = Path(__file__).parent / "data"
-RANGES = (("3..10", "2"), ("2..6", "3"), ("2..4", "4"), ("2..4", "5"))
+RANGES = (("3..10", "2"), ("2..6", "3"), ("2..4", "4"), ("2..4", "5"), ("1..2", "2"),
+          ("1", "3..5"))
 BUILDS = [(n, q, fmt) for n, q in ((1, 2), (4, 2), (2, 3)) for fmt in ("json", "dot", "table")]
 
 
 def _stem(n, q):
-    return f"verify_n{n.replace('..', '-')}_q{q}"
+    return f"verify_n{n}_q{q}".replace("..", "-")
 
 
 @pytest.mark.parametrize("n,q", RANGES)
@@ -199,14 +201,93 @@ CASES = {
 }
 
 
-def _result(name):
-    return json.loads(json.dumps(CASES[name](), default=list))
+def _group_3_2():
+    g = _graph(3, 2)
+    return g, nz.aut_group_structural(g).perms
+
+
+def _duplicate_row():
+    g, rows = _group_3_2()
+    rows = rows.copy()
+    rows[5] = rows[4]
+    return vfy._report_group_order(g, nz.AutGroup(g, rows)).to_dict()
+
+
+def _top_vertex_moved():
+    g, rows = _group_3_2()
+    bad = np.arange(7)
+    bad[[5, 6]] = 6, 5  # the class-n vertex onto a class-2 vertex
+    grp = nz.AutGroup(g, [*rows, bad])
+    doubled = _relabelled(3, 2, 0, 6)  # class n with two vertices
+    return [vfy._report_orbits_match_classes(g, grp).to_dict(),
+            vfy._report_top_class_fixed(g, grp).to_dict(),
+            vfy._report_top_class_fixed(doubled, nz.AutGroup(doubled, rows)).to_dict()]
+
+
+def _engines_disagree():
+    g, rows = _group_3_2()
+    return vfy._report_engines_agree(g, nz.AutGroup(g, rows), nz.AutGroup(g, rows[:3])).to_dict()
+
+
+def _two_colour_preservers(engine):
+    g = _graph(3, 2)
+    scheme = SchemeVerdict(dst.constant_labeling(g), engine, 5)
+    return vfy._report_two_labeling(g, scheme).to_dict()
+
+
+def _dist_number_wrong():
+    g2, g3 = _graph(3, 2), _graph(2, 3)
+    f2 = dst.constructive_labeling_q2(g2)
+    return [vfy._report_dist_number(g2, DistResult(3, 3, "exact", f2, None)).to_dict(),
+            vfy._report_dist_number(g2, DistResult(2, 2, "exact", None, None)).to_dict(),
+            vfy._report_dist_number(g3, DistResult(2, 5, "bounded", f2, None, "twins",
+                                                   "scheme")).to_dict()]
+
+
+def _short_palette(engine):
+    g = _graph(2, 3)
+    scheme = SchemeVerdict(Labeling((1, 2) * 4, 4), engine, 1)
+    return vfy._report_constructive_q3(g, scheme).to_dict()
+
+
+def _partial_group_2_3():
+    g = _graph(2, 3)
+    grp = nz.AutGroup(g, nz.aut_group_oracle(g).perms[:10])
+    return vfy._report_observed_group_order(g, grp).to_dict()
+
+
+# failure branches of the verify certificates, pinned apart so the older file stays as it was
+REPORT_CASES = {
+    "aut_order_duplicate_row": _duplicate_row,
+    "top_vertex_moved": _top_vertex_moved,
+    "engines_disagree": _engines_disagree,
+    "two_colour_scan_preservers": lambda: _two_colour_preservers("explicit-group-scan"),
+    "two_colour_structural_preservers": lambda: _two_colour_preservers("structural-scan"),
+    "dist_number_wrong": _dist_number_wrong,
+    "twin_bound_relabelled_2_3": lambda: vfy._report_twin_bound(_relabelled(2, 3, 0, 3)).to_dict(),
+    "short_palette_scan": lambda: _short_palette("explicit-group-scan"),
+    "short_palette_search": lambda: _short_palette("colour-preserving-search"),
+    "observed_order_partial_2_3": _partial_group_2_3,
+}
+PIN_FILES = {"failure_pins.json": CASES, "report_pins.json": REPORT_CASES}
+
+
+def _result(cases, name):
+    return json.loads(json.dumps(cases[name](), default=list))
+
+
+def _pinned(file, name):
+    return json.loads((DATA / file).read_text(encoding="utf-8"))[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_failure_reports_are_pinned(name):
-    pins = json.loads((DATA / "failure_pins.json").read_text(encoding="utf-8"))
-    assert _result(name) == pins[name]
+    assert _result(CASES, name) == _pinned("failure_pins.json", name)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_certificate_failures_are_pinned(name):
+    assert _result(REPORT_CASES, name) == _pinned("report_pins.json", name)
 
 
 if __name__ == "__main__":
@@ -217,5 +298,6 @@ if __name__ == "__main__":
                 cli.main(["verify", "-n", n, "-q", q, "--out", f"{stem}.json"])
     for n, q, fmt in BUILDS:
         cli.main(_build_args(n, q, fmt, DATA / f"build_n{n}_q{q}.{fmt}"))
-    pins = {name: _result(name) for name in sorted(CASES)}
-    (DATA / "failure_pins.json").write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
+    for file, cases in PIN_FILES.items():
+        pins = {name: _result(cases, name) for name in sorted(cases)}
+        (DATA / file).write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")

@@ -133,7 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_range(flag: str, text: str) -> list[int]:
     lo, dots, hi = text.partition("..")
-    values = list(range(int(lo), int(hi if dots else lo) + 1))
+    try:
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise ValueError(f"{flag} {text} is not an integer or a range like 3..8") from None
     if not values:
         raise ValueError(f"{flag} {text} is an empty range")
     return values

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
-from .reporting import ANOMALY, FAIL, PASS, CheckReport
+from .reporting import ANOMALY, CheckReport
 from .symmetry import (AutGroup, _basis_ids, _color_preserving_images,
                        _extend_images_batch, _row_step, extend_basis_permutation,
                        transposition_extensions)
@@ -283,21 +283,15 @@ def transposition_report(g: NzcGraph, f: Labeling) -> CheckReport:
     uncovered = [(a + 1, b + 1) for a, b in zip(l[first < 0].tolist(), m[first < 0].tolist())]
     if uncovered:
         failures.append(f"uncovered transpositions: {uncovered}")
-        status = FAIL
-    elif failures:
-        status = ANOMALY
-    else:
-        status = PASS
-    return CheckReport(
-        claim="transposition-tallies",
-        statement="destroyed transpositions per class slot match n^2/4 | (n^2-1)/4, "
-                  "n-2, (n^2-6n+8)/4 | (n^2-6n+9)/4 and jointly cover all C(n,2)",
-        params={"n": n, "q": 2},
-        status=status,
-        checked=len(l),
-        failures=failures,
-        details={"tallies": tallies, "expected": expected, "covers_all": not uncovered},
-    )
+    report = CheckReport.of(
+        g, "transposition-tallies",
+        "destroyed transpositions per class slot match n^2/4 | (n^2-1)/4, "
+        "n-2, (n^2-6n+8)/4 | (n^2-6n+9)/4 and jointly cover all C(n,2)",
+        len(l), failures,
+        {"tallies": tallies, "expected": expected, "covers_all": not uncovered})
+    if failures and not uncovered:
+        report.status = ANOMALY
+    return report
 
 
 def check_swap_broken_by_pair(g: NzcGraph, grp: AutGroup, f: Labeling,

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import vectorspace as vs
 from .errors import UnsupportedFieldError
-from .reporting import FAIL, PASS, CheckReport
+from .reporting import CheckReport
 
 
 class NzcGraph:
@@ -142,14 +142,10 @@ def check_adjacency_invariants(g: NzcGraph) -> CheckReport:
     bad = (m != skeleton_intersections(g.skeletons)).any(axis=1)
     if bad.any():
         failures.append(f"row {int(bad.argmax())} does not match skeleton intersections")
-    return CheckReport(
-        claim="adjacency-invariants",
-        statement="u ~ v iff S_u and S_v intersect and u != v; adjacency symmetric and irreflexive",
-        params={"n": g.params.n, "q": g.params.q},
-        status=PASS if not failures else FAIL,
-        checked=g.num_vertices,
-        failures=failures,
-    )
+    return CheckReport.of(
+        g, "adjacency-invariants",
+        "u ~ v iff S_u and S_v intersect and u != v; adjacency symmetric and irreflexive",
+        g.num_vertices, failures)
 
 
 def check_degree_formula(g: NzcGraph) -> CheckReport:
@@ -164,15 +160,9 @@ def check_degree_formula(g: NzcGraph) -> CheckReport:
     failures = [f"vertex {v} (class {s[v]}): degree {degrees[v]} != formula {want[v]}"
                 for v in np.flatnonzero(degrees != want).tolist()]
     per_vertex = list(zip(range(g.num_vertices), degrees.tolist(), want.tolist()))
-    return CheckReport(
-        claim="degree-formula-q2",
-        statement="deg(v) = (2^s - 1)*2^(n-s) - 1 for skeleton size s, q = 2",
-        params={"n": n, "q": 2},
-        status=PASS if not failures else FAIL,
-        checked=g.num_vertices,
-        failures=failures,
-        details={"per_vertex": per_vertex},
-    )
+    return CheckReport.of(g, "degree-formula-q2",
+                          "deg(v) = (2^s - 1)*2^(n-s) - 1 for skeleton size s, q = 2",
+                          g.num_vertices, failures, {"per_vertex": per_vertex})
 
 
 def check_degree_formula_general(g: NzcGraph) -> CheckReport:
@@ -186,15 +176,10 @@ def check_degree_formula_general(g: NzcGraph) -> CheckReport:
     want = q**n - q ** (n - s) - 1
     failures = [f"vertex {v} (class {s[v]}): degree {degrees[v]} != {want[v]}"
                 for v in np.flatnonzero(degrees != want).tolist()]
-    return CheckReport(
-        claim="degree-formula-general",
-        statement="derived cross-check: deg(v) = q^n - q^(n-s) - 1 for skeleton size s",
-        params={"n": n, "q": q},
-        status=PASS if not failures else FAIL,
-        checked=g.num_vertices,
-        failures=failures,
-        details={"derived": True},
-    )
+    return CheckReport.of(
+        g, "degree-formula-general",
+        "derived cross-check: deg(v) = q^n - q^(n-s) - 1 for skeleton size s",
+        g.num_vertices, failures, {"derived": True})
 
 
 def closed_twin_partition(a: np.ndarray) -> list[tuple[int, ...]]:
@@ -246,14 +231,10 @@ def check_twin_structure(g: NzcGraph) -> CheckReport:
         bad = sizes_in_class[sizes_in_class != (q - 1) ** i]
         if bad.size:
             failures.append(f"class {i}: twin set size {bad[0]} != (q-1)^i = {(q - 1) ** i}")
-    return CheckReport(
-        claim="twin-structure",
-        statement="twin sets = closed-neighbourhood classes; C(n,i) sets of size (q-1)^i in class i",
-        params={"n": n, "q": q},
-        status=PASS if not failures else FAIL,
-        checked=g.num_vertices,
-        failures=failures,
-    )
+    return CheckReport.of(
+        g, "twin-structure",
+        "twin sets = closed-neighbourhood classes; C(n,i) sets of size (q-1)^i in class i",
+        g.num_vertices, failures)
 
 
 def count_distinguishing_pairs(g: NzcGraph, l: int, m: int, i: int) -> int:
@@ -292,11 +273,7 @@ def check_pair_counts(g: NzcGraph) -> CheckReport:
         counts = _pair_counts(g, i)
         for l, m in np.argwhere((counts != want) & off_diagonal).tolist():
             failures.append(f"i={i} l={l + 1} m={m + 1}: count {counts[l, m]} != {want}")
-    return CheckReport(
-        claim="separating-pair-count",
-        statement="#{u in T_i : b_l in S_u, b_m not in S_u} = C(n-1,i-1) - C(n-2,i-2)",
-        params={"n": n, "q": g.params.q},
-        status=PASS if not failures else FAIL,
-        checked=(n - 1) * n * (n - 1),
-        failures=failures,
-    )
+    return CheckReport.of(
+        g, "separating-pair-count",
+        "#{u in T_i : b_l in S_u, b_m not in S_u} = C(n-1,i-1) - C(n-2,i-2)",
+        (n - 1) * n * (n - 1), failures)

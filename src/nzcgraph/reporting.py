@@ -30,6 +30,14 @@ class CheckReport:
     failures: list[str] = field(default_factory=list)
     details: dict | None = None
 
+    @classmethod
+    def of(cls, graph, claim: str, statement: str, checked: int, failures: list[str],
+           details: dict | None = None, **params) -> "CheckReport":
+        """The certificate of `claim` on `graph`: params n, q and then `params`
+        in call order; it passes iff there are no failures."""
+        return cls(claim, statement, {"n": graph.params.n, "q": graph.params.q, **params},
+                   PASS if not failures else FAIL, checked, failures, details)
+
     @property
     def passed(self) -> bool:
         return self.status == PASS

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph, closed_twin_partition, mask_bits
-from .reporting import FAIL, PASS, CheckReport
+from .reporting import CheckReport
 
 DEFAULT_ORACLE_VERTEX_CAP = 40
 DEFAULT_SAMPLES = 1000  # seeded pairs of the sampled extension-isomorphism check
@@ -214,16 +214,11 @@ class AutGroup:
             if bad.size:
                 failures.append(f"product of elements {i[bad[0]]}, {j[bad[0]]} not in group")
                 break
-        return CheckReport(
-            claim="group-axioms",
-            statement="group contains identity, inverses, and is closed under composition",
-            params={"n": self.graph.params.n, "q": self.graph.params.q,
-                    "order": self.order},
-            status=PASS if not failures else FAIL,
-            checked=checked + self.order + 1,
-            failures=failures,
-            details={"closure_mode": mode, "source": self.source},
-        )
+        return CheckReport.of(
+            self.graph, "group-axioms",
+            "group contains identity, inverses, and is closed under composition",
+            checked + self.order + 1, failures, {"closure_mode": mode, "source": self.source},
+            order=self.order)
 
 
 def _symmetric_group(n: int) -> np.ndarray:
@@ -676,15 +671,10 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
         details["oracle_order"] = None if oracle is None else oracle.order
         if oracle is not None and not grp.set_equal(oracle):
             failures.append("extension image differs from the oracle's automorphism set")
-    return CheckReport(
-        claim="basis-extension-isomorphism",
-        statement="sigma -> extension(sigma) is an isomorphism from S_n onto Aut(G), q = 2",
-        params={"n": n, "q": 2},
-        status=PASS if not failures else FAIL,
-        checked=checked,
-        failures=failures,
-        details=details,
-    )
+    return CheckReport.of(
+        graph, "basis-extension-isomorphism",
+        "sigma -> extension(sigma) is an isomorphism from S_n onto Aut(G), q = 2",
+        checked, failures, details)
 
 
 def check_automorphism_structure(graph: NzcGraph, grp: AutGroup) -> CheckReport:
@@ -718,16 +708,11 @@ def check_automorphism_structure(graph: NzcGraph, grp: AutGroup) -> CheckReport:
             sub["swap"] += swap
             failures += lines
         sub["moves-two"] = grp.order
-    return CheckReport(
-        claim="automorphism-structure",
-        statement="automorphisms preserve classes, transport skeleton membership, "
-                  "move >= 2 basis vertices when non-trivial, and permute the basis twin sets",
-        params={"n": n, "q": q, "order": grp.order},
-        status=PASS if not failures else FAIL,
-        checked=sum(sub.values()),
-        failures=failures[:20],
-        details={"sub_checks": sub},
-    )
+    return CheckReport.of(
+        graph, "automorphism-structure",
+        "automorphisms preserve classes, transport skeleton membership, "
+        "move >= 2 basis vertices when non-trivial, and permute the basis twin sets",
+        sum(sub.values()), failures[:20], {"sub_checks": sub}, order=grp.order)
 
 
 def _basis_family_failures(graph: NzcGraph, perms: np.ndarray) -> list[str]:
@@ -802,15 +787,9 @@ def _basis_action_failures(graph: NzcGraph, p: np.ndarray, offset: int):
 
 def check_orbit_stabilizer(grp: AutGroup) -> CheckReport:
     """|orbit(v)| * |stabilizer(v)| equals the group order, for every vertex."""
-    g_ = grp.graph
     orbit, stab = grp.orbit_sizes(), grp.stabilizer_sizes()
     failures = [f"vertex {v}: |orbit| {orbit[v]} * |stab| {stab[v]} != {grp.order}"
                 for v in np.flatnonzero(orbit * stab != grp.order)]
-    return CheckReport(
-        claim="orbit-stabilizer",
-        statement="|orbit(v)| * |stabilizer(v)| = |group| for every vertex",
-        params={"n": g_.params.n, "q": g_.params.q, "order": grp.order},
-        status=PASS if not failures else FAIL,
-        checked=g_.num_vertices,
-        failures=failures,
-    )
+    return CheckReport.of(grp.graph, "orbit-stabilizer",
+                          "|orbit(v)| * |stabilizer(v)| = |group| for every vertex",
+                          grp.graph.num_vertices, failures, order=grp.order)

@@ -36,6 +36,10 @@ class SpaceParams:
             raise ValueError(f"field size must be >= 2, got {self.q}")
         if self.vertex_cap < 1:
             raise ValueError(f"vertex cap must be positive, got {self.vertex_cap}")
+        # here q**n >= 2**(n * (bits(q) - 1)) > 2 * (cap + 1), known without the power,
+        # which can take seconds and gigabytes to compute and too many digits to print
+        if self.n * (self.q.bit_length() - 1) > (self.vertex_cap + 1).bit_length():
+            raise CapExceededError(f"q**n - 1 exceeds cap {self.vertex_cap}")
         if self.num_vertices > self.vertex_cap:
             raise CapExceededError(
                 f"q**n - 1 = {self.num_vertices} vertices exceeds cap {self.vertex_cap}"

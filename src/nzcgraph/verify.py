@@ -20,27 +20,21 @@ from . import serialize
 from . import symmetry as sym
 from . import vectorspace as vs
 from .graph import NzcGraph
-from .reporting import FAIL, PASS, CheckReport
+from .reporting import CheckReport
 
 STRUCTURE_CHECK_BUDGET = 200_000  # group order * vertices up to which the structure check runs
 SEARCH_CROSS_CHECK_VERTICES = 70  # vertices up to which the 2-colour scheme is also searched
 
 
 def _report_group_order(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
-    n = g.params.n
     distinct = grp.distinct_rows()
-    want = factorial(n)
+    want = factorial(g.params.n)
     failures = []
     if distinct != want:
         failures.append(f"{distinct} distinct automorphisms, expected n! = {want}")
-    return CheckReport(
-        claim="aut-order-factorial",
-        statement="|Aut(G)| = n! via distinct basis-permutation extensions (q = 2)",
-        params={"n": n, "q": 2},
-        status=PASS if not failures else FAIL,
-        checked=grp.order,
-        failures=failures,
-    )
+    return CheckReport.of(g, "aut-order-factorial",
+                          "|Aut(G)| = n! via distinct basis-permutation extensions (q = 2)",
+                          grp.order, failures)
 
 
 def _report_engines_agree(g: NzcGraph, grp: sym.AutGroup,
@@ -49,16 +43,10 @@ def _report_engines_agree(g: NzcGraph, grp: sym.AutGroup,
     if not grp.set_equal(oracle):
         failures.append(
             f"structural group ({grp.order}) differs from oracle group ({oracle.order})")
-    return CheckReport(
-        claim="engines-agree",
-        statement="independent backtracking oracle enumerates exactly the "
-                  "basis-permutation extensions",
-        params={"n": g.params.n, "q": g.params.q},
-        status=PASS if not failures else FAIL,
-        checked=oracle.order,
-        failures=failures,
-        details={"oracle_order": oracle.order, "structural_order": grp.order},
-    )
+    return CheckReport.of(
+        g, "engines-agree",
+        "independent backtracking oracle enumerates exactly the basis-permutation extensions",
+        oracle.order, failures, {"oracle_order": oracle.order, "structural_order": grp.order})
 
 
 def _report_orbits_match_classes(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
@@ -67,19 +55,14 @@ def _report_orbits_match_classes(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
     failures = []
     if got != want:
         failures.append("orbit partition differs from the skeleton-size classes")
-    return CheckReport(
-        claim="orbits-are-classes",
-        statement="the orbit partition under the full group equals the classes T_1..T_n",
-        params={"n": g.params.n, "q": g.params.q},
-        status=PASS if not failures else FAIL,
-        checked=len(got),
-        failures=failures,
-    )
+    return CheckReport.of(
+        g, "orbits-are-classes",
+        "the orbit partition under the full group equals the classes T_1..T_n",
+        len(got), failures)
 
 
 def _report_top_class_fixed(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
-    n = g.params.n
-    top = g.t_classes()[n]
+    top = g.t_classes()[g.params.n]
     failures = []
     if len(top) != 1:
         failures.append(f"class n has {len(top)} vertices, expected a single one")
@@ -88,14 +71,9 @@ def _report_top_class_fixed(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
         moved = int((grp.perms[:, v] != v).sum())
         if moved:
             failures.append(f"{moved} group elements move the full-skeleton vertex")
-    return CheckReport(
-        claim="full-skeleton-vertex-fixed",
-        statement="the unique class-n vertex is fixed by every automorphism",
-        params={"n": n, "q": g.params.q},
-        status=PASS if not failures else FAIL,
-        checked=grp.order,
-        failures=failures,
-    )
+    return CheckReport.of(g, "full-skeleton-vertex-fixed",
+                          "the unique class-n vertex is fixed by every automorphism",
+                          grp.order, failures)
 
 
 def _report_two_labeling(g: NzcGraph, scheme: dst.SchemeVerdict) -> CheckReport:
@@ -110,15 +88,10 @@ def _report_two_labeling(g: NzcGraph, scheme: dst.SchemeVerdict) -> CheckReport:
         engines.append("colour-preserving-search")
         if dst.find_color_preserving(g, f) is not None:
             failures.append("search engine found a colour-preserving automorphism")
-    return CheckReport(
-        claim="two-colour-distinguishing",
-        statement="the explicit 2-colour scheme is a distinguishing labeling (q = 2)",
-        params={"n": g.params.n, "q": 2},
-        status=PASS if not failures else FAIL,
-        checked=factorial(g.params.n),
-        failures=failures,
-        details={"engines": engines},
-    )
+    return CheckReport.of(
+        g, "two-colour-distinguishing",
+        "the explicit 2-colour scheme is a distinguishing labeling (q = 2)",
+        factorial(g.params.n), failures, {"engines": engines})
 
 
 def _report_dist_number(g: NzcGraph, result: dst.DistResult) -> CheckReport:
@@ -135,34 +108,22 @@ def _report_dist_number(g: NzcGraph, result: dst.DistResult) -> CheckReport:
             f"distinguishing number {result.value or (result.lower, result.upper)} != {want}")
     if result.witness is None or len(result.witness.colors) != g.num_vertices:
         failures.append("missing witness labeling")
-    return CheckReport(
-        claim="distinguishing-number",
-        statement=claim_text,
-        params={"n": n, "q": q},
-        status=PASS if not failures else FAIL,
-        checked=1,
-        failures=failures,
-        details={"method": result.method, "lower": result.lower, "upper": result.upper,
-                 "lower_source": result.lower_source, "upper_source": result.upper_source,
-                 "refuted": result.refuted},
-    )
+    return CheckReport.of(
+        g, "distinguishing-number", claim_text, 1, failures,
+        {"method": result.method, "lower": result.lower, "upper": result.upper,
+         "lower_source": result.lower_source, "upper_source": result.upper_source,
+         "refuted": result.refuted})
 
 
 def _report_twin_bound(g: NzcGraph) -> CheckReport:
-    n, q = g.params.n, g.params.q
     got = dst.twin_lower_bound(g)
-    want = (q - 1) ** n
+    want = (g.params.q - 1) ** g.params.n
     failures = []
     if got != want:
         failures.append(f"max twin-set size {got} != (q-1)^n = {want}")
-    return CheckReport(
-        claim="twin-lower-bound",
-        statement="max twin-set size = (q-1)^n, so Dist(G) >= (q-1)^n (q >= 3)",
-        params={"n": n, "q": q},
-        status=PASS if not failures else FAIL,
-        checked=len(g.twin_sets()),
-        failures=failures,
-    )
+    return CheckReport.of(g, "twin-lower-bound",
+                          "max twin-set size = (q-1)^n, so Dist(G) >= (q-1)^n (q >= 3)",
+                          len(g.twin_sets()), failures)
 
 
 def _report_constructive_q3(g: NzcGraph, scheme: dst.SchemeVerdict) -> CheckReport:
@@ -181,15 +142,10 @@ def _report_constructive_q3(g: NzcGraph, scheme: dst.SchemeVerdict) -> CheckRepo
         found = bool(scheme.preservers)
     if found:
         failures.append("search engine found a colour-preserving automorphism")
-    return CheckReport(
-        claim="twin-injective-distinguishing",
-        statement="the (q-1)^n-colour twin-injective scheme is distinguishing (q >= 3)",
-        params={"n": n, "q": q},
-        status=PASS if not failures else FAIL,
-        checked=1,
-        failures=failures,
-        details={"engines": engines, "colours": f.t},
-    )
+    return CheckReport.of(
+        g, "twin-injective-distinguishing",
+        "the (q-1)^n-colour twin-injective scheme is distinguishing (q >= 3)",
+        1, failures, {"engines": engines, "colours": f.t})
 
 
 def _report_observed_group_order(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
@@ -206,16 +162,11 @@ def _report_observed_group_order(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
     failures = []
     if grp.order != predicted:
         failures.append(f"observed order {grp.order} != product form {predicted}")
-    return CheckReport(
-        claim="observed-group-order-q3",
-        statement="observed |Aut(G)| matches n! * prod ((q-1)^i)!^C(n,i) "
-                  "(recorded observation, not an established claim)",
-        params={"n": n, "q": q},
-        status=PASS if not failures else FAIL,
-        checked=grp.order,
-        failures=failures,
-        details={"observed": grp.order, "product_form": predicted},
-    )
+    return CheckReport.of(
+        g, "observed-group-order-q3",
+        "observed |Aut(G)| matches n! * prod ((q-1)^i)!^C(n,i) "
+        "(recorded observation, not an established claim)",
+        grp.order, failures, {"observed": grp.order, "product_form": predicted})
 
 
 def _report_json_roundtrip(g: NzcGraph) -> CheckReport:
@@ -228,14 +179,8 @@ def _report_json_roundtrip(g: NzcGraph) -> CheckReport:
     else:
         if not serialize.graphs_equal(g, back):
             failures.append("re-imported graph differs from the original")
-    return CheckReport(
-        claim="json-roundtrip",
-        statement="emitted JSON re-imports to an identical graph",
-        params={"n": g.params.n, "q": g.params.q},
-        status=PASS if not failures else FAIL,
-        checked=g.num_vertices,
-        failures=failures,
-    )
+    return CheckReport.of(g, "json-roundtrip", "emitted JSON re-imports to an identical graph",
+                          g.num_vertices, failures)
 
 
 def verify_params(n: int, q: int, *, vertex_cap: int = vs.DEFAULT_VERTEX_CAP,

@@ -46,6 +46,12 @@ def test_build_cap_exit_3(capsys):
     assert "cap" in err
 
 
+def test_verify_far_past_the_cap_exits_3_in_one_short_line(capsys):
+    rc, _, err = run(capsys, "verify", "-n", "20000", "-q", "2")
+    assert rc == 3
+    assert err == "error: q**n - 1 exceeds cap 65535\n"
+
+
 def test_build_under_default_cap(capsys):
     rc, out, _ = run(capsys, "build", "-n", "12", "-q", "2", "--format", "table")
     assert rc == 0
@@ -270,6 +276,11 @@ def test_graph_from_dict_rejects_malformed_fields(edit, reason):
         serialize.graph_from_dict(data)
 
 
+def test_graph_from_dict_refuses_a_q_of_5000_digits_at_the_cap():
+    with pytest.raises(nz.CapExceededError, match="^q\\*\\*n - 1 exceeds cap 65535$"):
+        serialize.graph_from_dict({"n": 2, "q": 10**5000, "vertices": [], "edges": []})
+
+
 def test_graph_from_dict_accepts_numpy_integers():
     g = nz.build(SpaceParams(2, 3))
     data = serialize.graph_to_dict(g)
@@ -357,10 +368,16 @@ def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatc
      "cannot read NZC_CONFIG config: the file must hold a JSON object"),
     (["verify", "-n", "5..3", "-q", "2"], None, "-n 5..3 is an empty range"),
     (["verify", "-n", "2", "-q", "2..1"], None, "-q 2..1 is an empty range"),
+    (["verify", "-n", "3..", "-q", "2"], None, "-n 3.. is not an integer or a range like 3..8"),
+    (["verify", "-n", "a", "-q", "2"], None, "-n a is not an integer or a range like 3..8"),
+    (["verify", "-n", "1..2..3", "-q", "2"], None,
+     "-n 1..2..3 is not an integer or a range like 3..8"),
+    (["verify", "-n", "2", "-q", "x..3"], None, "-q x..3 is not an integer or a range like 3..8"),
 ], ids=["vertex-cap-string", "build-format", "labeling-format", "twins-format",
         "oracle-cap-negative",
         "exact-cap-null", "seed-float", "seed-flag-negative", "config-not-object",
-        "empty-n-range", "empty-q-range"])
+        "empty-n-range", "empty-q-range", "open-n-range", "n-not-integer", "n-three-ends",
+        "q-not-integer"])
 def test_settings_are_checked_before_any_work(capsys, tmp_path, monkeypatch, argv, config, err):
     def no_build(params):
         raise AssertionError("a graph was built")

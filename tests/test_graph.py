@@ -214,3 +214,15 @@ def test_graph_owns_read_only_skeleton_and_size_arrays():
     mine[0] = 7  # the graph keeps its own masks, so its sizes stay in step
     assert copy.skeletons.tolist() == masks and not copy.skeletons.flags.writeable
     assert copy.t_classes() == g.t_classes() and copy.twin_sets() == g.twin_sets()
+
+
+def test_check_report_of_puts_n_and_q_first_and_passes_iff_no_failures():
+    g = nz.build(SpaceParams(2, 3))
+    report = nz.CheckReport.of(g, "claim", "statement", 4, [], order=6, mode="x")
+    assert list(report.params.items()) == [("n", 2), ("q", 3), ("order", 6), ("mode", "x")]
+    assert report.status == "pass" and report.passed
+    assert "details" not in report.to_dict()
+    failed = nz.CheckReport.of(g, "claim", "statement", 4, ["wrong"], {"k": 1})
+    assert failed.status == "fail" and not failed.passed
+    assert failed.params == {"n": 2, "q": 3}
+    assert failed.to_dict()["details"] == {"k": 1}

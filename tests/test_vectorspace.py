@@ -1,5 +1,6 @@
 """Vector enumeration, skeletons, and canonical ordering."""
 
+import time
 from math import comb
 
 import pytest
@@ -73,11 +74,23 @@ def test_q2_id_equals_mask_minus_one():
 
 
 def test_vertex_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"^q\*\*n - 1 = 131071 vertices exceeds cap 65535$"):
         SpaceParams(17, 2)  # 2**17 - 1 > 65535
     SpaceParams(16, 2)  # 65535 exactly fits
     with pytest.raises(CapExceededError):
         SpaceParams(4, 2, vertex_cap=10)
+
+
+@pytest.mark.parametrize("n,q", [(20000, 2), (10**10, 2), (2, 10**5000)],
+                         ids=["n=20000", "n=10**10", "q=10**5000"])
+def test_cap_is_decided_without_computing_q_to_the_n(n, q):
+    # q**n takes seconds and gigabytes at n = 10**10, and past 4,300 digits
+    # it cannot even be printed
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as exc:
+        SpaceParams(n, q)
+    assert time.perf_counter() - start < 0.01
+    assert str(exc.value) == "q**n - 1 exceeds cap 65535"
 
 
 def test_param_validation():

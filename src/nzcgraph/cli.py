@@ -131,10 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(flag: str, text: str) -> list[int]:
+def _parse_range(flag: str, text: str) -> range:
     lo, dots, hi = text.partition("..")
-    try:
-        values = list(range(int(lo), int(hi if dots else lo) + 1))
+    try:  # a range, not a list: a long one ends at the vertex cap, not in memory
+        values = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise ValueError(f"{flag} {text} is not an integer or a range like 3..8") from None
     if not values:

@@ -46,10 +46,11 @@ def test_build_cap_exit_3(capsys):
     assert "cap" in err
 
 
-def test_verify_far_past_the_cap_exits_3_in_one_short_line(capsys):
-    rc, _, err = run(capsys, "verify", "-n", "20000", "-q", "2")
+@pytest.mark.parametrize("n", ["20000", "17..1000000000000"])
+def test_verify_far_past_the_cap_exits_3_in_one_short_line(capsys, n):
+    rc, _, err = run(capsys, "verify", "-n", n, "-q", "2")
     assert rc == 3
-    assert err == "error: q**n - 1 exceeds cap 65535\n"
+    assert err.startswith("error: q**n - 1 ") and len(err) < 100
 
 
 def test_build_under_default_cap(capsys):

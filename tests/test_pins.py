@@ -1,11 +1,12 @@
 """Byte-for-byte pins of the certificate output and of failure reports.
 
 The files under ``tests/data`` hold what the certificate suite printed and
-wrote on the reference ranges, what ``nzc build`` wrote in each format on
-three small graphs, and what the skeleton-reading checks report on
-hand-corrupted inputs, when the pins were taken. Any change of a
-certificate, an output line or a failure string fails here. Rewrite the
-files only for a deliberate, documented change of output, with
+wrote on the reference ranges and at n = 1, 2, what ``nzc build`` wrote in
+each format on three small graphs, what the skeleton-reading checks report
+on hand-corrupted inputs, and what the verify certificates report on
+corrupted groups, labelings and verdicts, when the pins were taken. Any
+change of a certificate, an output line or a failure string fails here.
+Rewrite the files only for a deliberate, documented change of output, with
 ``PYTHONPATH=src python tests/test_pins.py``.
 """
 
@@ -256,7 +257,7 @@ def _partial_group_2_3():
     return vfy._report_observed_group_order(g, grp).to_dict()
 
 
-# failure branches of the verify certificates, pinned apart so the older file stays as it was
+# the failure branches of the verify certificates, in a file of their own
 REPORT_CASES = {
     "aut_order_duplicate_row": _duplicate_row,
     "top_vertex_moved": _top_vertex_moved,

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph
 from .reporting import ANOMALY, CheckReport
+from .serialize import _integer, _integers
 from .symmetry import (AutGroup, _basis_ids, _color_preserving_images,
                        _extend_images_batch, _row_step, extend_basis_permutation,
                        transposition_extensions)
@@ -40,13 +41,15 @@ SCAN_CHUNK = 4096  # partial permutations per numpy block in the structural scan
 
 @dataclass(frozen=True)
 class Labeling:
-    """Per-vertex colours in 1..t. `t` is the declared palette size."""
+    """Per-vertex colours in 1..t. `t` is the declared palette size. Both are
+    Python or numpy integers; anything else, bool included, raises ValueError."""
 
     colors: tuple[int, ...]
     t: int
 
     def __post_init__(self) -> None:
-        if self.t < 1:
+        _integers(self.colors, "colour")
+        if _integer(self.t, "palette size") < 1:
             raise ValueError("palette size must be >= 1")
         for c in self.colors:
             if not 1 <= c <= self.t:

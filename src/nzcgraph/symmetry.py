@@ -511,7 +511,9 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
     The refined partition is equitable, so a singleton cell is a fixed
     point and every vertex of a cell has the same adjacency to it: the
     singletons, first in the order, are assigned to themselves at one node
-    each, and candidates are compared on the other vertices alone.
+    each, and candidates are compared on the other vertices alone. Each
+    candidate takes one byte-string comparison: its adjacency row to the
+    images assigned so far against the row of the vertex being assigned.
     """
     nv = graph.num_vertices
     a = graph.adjacency_matrix()
@@ -531,7 +533,8 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
         yield tuple(full)
         return
     # position i stands for vertex free[i]; its cell is the run of positions lo[i] .. hi[i] - 1
-    rows = [r.tobytes() for r in a[np.ix_(free, free)]]  # rows[i][j] is 1 iff free[j] ~ free[i]
+    sub = a[np.ix_(free, free)]  # sub[i, j] is 1 iff free[j] ~ free[i]
+    seen = np.empty_like(sub)  # seen[u, w] = sub[u, image[w]] below the depth; the rest is stale
     lo = np.searchsorted(cell[free], cell[free])
     lo, hi = lo.tolist(), (lo + cell_size[free]).tolist()
     free = free.tolist()
@@ -543,21 +546,16 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
         if image[depth] >= 0:  # back from the subtree of the previous candidate
             used[image[depth]] = False
             image[depth] = -1
-        row_v = rows[depth]
-        for u in stack[-1]:
-            if used[u]:
-                continue
-            row_u = rows[u]
-            for w in range(depth):
-                if row_v[w] != row_u[image[w]]:
-                    break
-            else:  # u keeps adjacency to every assigned vertex
+        want = sub[depth, :depth].tobytes()
+        for u in stack[-1]:  # u must keep adjacency to every assigned vertex
+            if not used[u] and seen[u, :depth].tobytes() == want:
                 break
         else:  # candidates exhausted: back up one depth
             stack.pop()
             continue
         image[depth] = u
         used[u] = True
+        seen[:, depth] = sub[:, u]
         nodes += 1
         if nodes > node_budget:
             raise CapExceededError(f"{what} exceeded {node_budget} nodes")

@@ -350,6 +350,22 @@ def test_engines_agree_on_random_labelings():
                     assert (not nz.structural_survivors(g, f)) == expect
 
 
+def test_labeling_rejects_colours_and_palettes_that_are_not_integers():
+    # (1.5, 1, 1) at (2,2) was read as colour 1 by the group scan and the
+    # structural scan, and as its own colour by the search, so they disagreed
+    for colors, t, kind in [((1.5, 1, 1), 2, "float"), ((True, 2, 2), 2, "bool"),
+                            (("1", 1, 1), 2, "str"), ((1, 1, None), 2, "NoneType")]:
+        with pytest.raises(ValueError, match=f"^colour entry must be an integer, not {kind}$"):
+            nz.Labeling(colors, t)
+    for t, kind in [(2.0, "float"), (True, "bool"), ("2", "str")]:
+        with pytest.raises(ValueError, match=f"^palette size must be an integer, not {kind}$"):
+            nz.Labeling((1, 1, 1), t)
+    f = nz.Labeling((np.int64(1), np.uint8(2), 1), np.int32(2))
+    g = nz.build(SpaceParams(2, 2))
+    assert nz.find_color_preserving(g, f) is None
+    assert nz.is_distinguishing(g, nz.aut_group_structural(g), f)
+
+
 def test_colour_preserving_search_past_the_recursion_limit():
     # one search level per vertex: 1,023 vertices used to raise RecursionError
     g = nz.build(SpaceParams(5, 4))

@@ -682,11 +682,25 @@ def _reference_search(g, labels):
     yield None, nodes
 
 
-def _sigma_constant_labeling(g, rng):
-    """Random colours constant on the cycles of a random coordinate permutation."""
+def _cycle_sigma(n, lengths, rng):
+    """A random coordinate permutation with one cycle of each of `lengths`,
+    on randomly chosen coordinates, fixing the rest."""
+    coords, sigma, start = rng.sample(range(n), n), list(range(n)), 0
+    for k in lengths:
+        cycle = coords[start:start + k]
+        for i, x in enumerate(cycle):
+            sigma[x] = cycle[(i + 1) % k]
+        start += k
+    return sigma
+
+
+def _sigma_constant_labeling(g, rng, sigma=None):
+    """Random colours constant on the cycles of a coordinate permutation,
+    `sigma` or a random one."""
     n = g.params.n
-    sigma = list(range(n))
-    rng.shuffle(sigma)
+    if sigma is None:
+        sigma = list(range(n))
+        rng.shuffle(sigma)
     image = [vid(g, tuple(c[sigma[i]] for i in range(n))) for c in g.vertices]
     colors = [0] * g.num_vertices
     for v in range(g.num_vertices):
@@ -698,26 +712,138 @@ def _sigma_constant_labeling(g, rng):
 
 
 @pytest.mark.parametrize("n, q", [(n, 2) for n in (3, 4, 5)] + [(n, 3) for n in (2, 3, 4)]
-                         + [(2, 4), (3, 4)])
+                         + [(2, 4), (3, 4), (9, 2), (6, 3)])
 def test_search_matches_reference_images_and_nodes(n, q):
     # the same images in the same order, and the same node count at the
-    # 20th image or at the end of the search, read from the cap message
+    # last image compared or at the end of the search, read from the cap
+    # message; at the benchmark's sizes, (9,2) and (6,3), the first 3 images
+    # of labelings constant on the cycles of one transposition, two and an
+    # n-cycle
     g = nz.build(SpaceParams(n, q))
     nv, rng = g.num_vertices, random.Random(10 * n + q)
-    constructive = (nz.constructive_labeling_q2(g) if q == 2 else nz.constructive_labeling_q3(g))
-    for labels in [(1,) * nv, tuple(rng.randint(1, 2) for _ in range(nv)),
-                   _sigma_constant_labeling(g, rng), constructive.colors]:
+    if (n, q) in [(9, 2), (6, 3)]:
+        count = 3
+        labelings = [_sigma_constant_labeling(g, rng, _cycle_sigma(n, lengths, rng))
+                     for lengths in [(2,), (2, 2), (n,)]]
+    else:
+        count = 20
+        constructive = (nz.constructive_labeling_q2(g) if q == 2
+                        else nz.constructive_labeling_q3(g))
+        labelings = [(1,) * nv, tuple(rng.randint(1, 2) for _ in range(nv)),
+                     _sigma_constant_labeling(g, rng), constructive.colors]
+    for labels in labelings:
         want = []
         for image, nodes in _reference_search(g, labels):
             if image is None:
                 break
             want.append(image)
-            if len(want) == 20:
+            if len(want) == count:
                 break
         search = sym._color_preserving_images(g, labels, nodes, "search")
-        assert list(itertools.islice(search, 20)) == want
+        assert list(itertools.islice(search, count)) == want
         with pytest.raises(CapExceededError, match=f"^search exceeded {nodes - 1} nodes$"):
-            list(itertools.islice(sym._color_preserving_images(g, labels, nodes - 1, "search"), 20))
+            list(itertools.islice(sym._color_preserving_images(g, labels, nodes - 1, "search"),
+                                  count))
+
+
+def _reference_images(graph, labels, node_budget, what):
+    """The colour-preserving search with the per-candidate loop that the byte
+    comparison replaced: each candidate checked against every assigned free
+    vertex, one byte at a time."""
+    nv = graph.num_vertices
+    a = graph.adjacency_matrix()
+    keys = list(zip(np.count_nonzero(a, axis=1).tolist(), labels))
+    remap = {key: i for i, key in enumerate(sorted(set(keys)))}
+    colors = np.array(_refine_by_neighbors(a, [remap[key] for key in keys]))
+    cell_size = np.bincount(colors)[colors]
+    cell = cell_size * nv + colors
+    order = np.argsort(cell, kind="stable")
+    fixed = int(np.count_nonzero(cell_size == 1))
+    nodes = 1 + fixed
+    if nodes > node_budget:
+        raise CapExceededError(f"{what} exceeded {node_budget} nodes")
+    full = list(range(nv))
+    free = order[fixed:]
+    if not len(free):
+        yield tuple(full)
+        return
+    rows = [r.tobytes() for r in a[np.ix_(free, free)]]
+    lo = np.searchsorted(cell[free], cell[free])
+    lo, hi = lo.tolist(), (lo + cell_size[free]).tolist()
+    free = free.tolist()
+    image = [-1] * len(free)
+    used = [False] * len(free)
+    stack = [iter(range(lo[0], hi[0]))]
+    while stack:
+        depth = len(stack) - 1
+        if image[depth] >= 0:
+            used[image[depth]] = False
+            image[depth] = -1
+        row_v = rows[depth]
+        for u in stack[-1]:
+            if used[u]:
+                continue
+            row_u = rows[u]
+            for w in range(depth):
+                if row_v[w] != row_u[image[w]]:
+                    break
+            else:
+                break
+        else:
+            stack.pop()
+            continue
+        image[depth] = u
+        used[u] = True
+        nodes += 1
+        if nodes > node_budget:
+            raise CapExceededError(f"{what} exceeded {node_budget} nodes")
+        if depth + 1 == len(free):
+            for v, u in zip(free, image):
+                full[v] = free[u]
+            yield tuple(full)
+        else:
+            stack.append(iter(range(lo[depth + 1], hi[depth + 1])))
+
+
+def _images_or_cap(search):
+    """Every image of a search, or the message of the cap error it raised."""
+    try:
+        return list(search)
+    except CapExceededError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (4, 2), (2, 3)])
+def test_search_matches_the_per_candidate_loop_on_tampered_matrices(n, q):
+    # 1-3 entries flipped one-sidedly, so most matrices are asymmetric and
+    # the comparison must read each candidate's row, not its column
+    g = nz.build(SpaceParams(n, q))
+    nv, rng = g.num_vertices, random.Random(100 * n + q)
+    for trial in range(24):
+        m = g.adjacency_matrix().copy()
+        for _ in range(trial % 3 + 1):
+            v, u = rng.randrange(nv), rng.randrange(nv)
+            m[v, u] = not m[v, u]
+        tampered = nz.NzcGraph(g.params, g.vertices, g.skeletons, m)
+        for labels in [(1,) * nv, tuple(rng.randint(1, 3) for _ in range(nv))]:
+            for budget in (5, 50, 10**6):
+                got = _images_or_cap(sym._color_preserving_images(tampered, labels, budget, "s"))
+                assert got == _images_or_cap(_reference_images(tampered, labels, budget, "s"))
+
+
+def test_search_memory_stays_two_square_byte_blocks():
+    # at (7,3) the constant labeling leaves 2,186 free vertices: the free
+    # block and the block of assigned columns are 4.6 MiB each
+    g = nz.build(SpaceParams(7, 3))
+    f = nz.Labeling((1,) * g.num_vertices, 1)
+    tracemalloc.start()
+    try:
+        witness = nz.find_color_preserving(g, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert witness is not None
+    assert peak <= 10.5 * 2**20
 
 
 def _reference_extend(g, sigmas):

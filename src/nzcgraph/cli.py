@@ -208,6 +208,8 @@ def cmd_orbits(args, opts) -> int:
 
 def cmd_labeling(args, opts) -> int:
     g = _graph(args, opts)
+    if args.q == 2 and args.n < 3:  # valid input, but no scheme applies
+        raise UnsupportedFieldError("the 2-colour scheme requires n >= 3")
     f = (dst.constructive_labeling_q2(g) if args.q == 2
          else dst.constructive_labeling_q3(g))
     if opts["format"] == "json":

@@ -25,18 +25,17 @@ from math import comb
 import numpy as np
 
 from .errors import CapExceededError, UnsupportedFieldError
-from .graph import NzcGraph
+from .graph import NzcGraph, _row_step
 from .reporting import ANOMALY, CheckReport
 from .serialize import _integer, _integers
 from .symmetry import (AutGroup, _basis_ids, _color_preserving_images,
-                       _extend_images_batch, _row_step, extend_basis_permutation,
+                       _extend_images_batch, extend_basis_permutation,
                        transposition_extensions)
 
 DEFAULT_EXACT_CAP = 30
 PERM_BUDGET = 4_000_000  # partial basis permutations alive in the structural scan
 SEARCH_NODE_BUDGET = 2_000_000  # nodes of the colour-preserving search
 EXACT_NODE_BUDGET = 2_000_000  # nodes of each exact labeling search
-SCAN_CHUNK = 4096  # partial permutations per numpy block in the structural scan
 
 
 @dataclass(frozen=True)
@@ -142,12 +141,13 @@ def structural_survivors(g: NzcGraph, f: Labeling) -> list[tuple[int, ...]]:
     pair = colors[(bit[:, None] | bit[None, :]) - 1]  # diagonal: basis colours
     basis = np.diagonal(pair)
     partial = np.zeros((1, 0), dtype=np.int64)
+    step = _row_step(n * n)  # up to n extensions of a row, k indices each
     for k in range(n):
         allowed = basis == basis[k]
         grown = []
         alive = 0
-        for start in range(0, len(partial), SCAN_CHUNK):
-            block = partial[start:start + SCAN_CHUNK]
+        for lo in range(0, len(partial), step):
+            block = partial[lo:lo + step]
             free = np.ones((len(block), n), dtype=bool)
             free[np.arange(len(block))[:, None], block] = False
             rows, js = np.nonzero(free & allowed)
@@ -163,8 +163,9 @@ def structural_survivors(g: NzcGraph, f: Labeling) -> list[tuple[int, ...]]:
             return []
     survivors = []
     partial = partial[1:]  # the identity passes every level and sorts first
-    for start in range(0, len(partial), SCAN_CHUNK):
-        block = partial[start:start + SCAN_CHUNK]
+    step = _row_step(g.num_vertices)
+    for lo in range(0, len(partial), step):
+        block = partial[lo:lo + step]
         ok = (colors[_extend_images_batch(g, block)] == colors).all(axis=1)
         survivors.extend(map(tuple, block[ok].tolist()))
     return survivors

@@ -7,7 +7,7 @@ import json
 import numpy as np
 
 from . import vectorspace as vs
-from .graph import NzcGraph, skeleton_intersections
+from .graph import NzcGraph, _row_step, _skeleton_mismatch
 
 
 def graph_to_dict(g: NzcGraph) -> dict:
@@ -35,8 +35,8 @@ def graph_to_json(g: NzcGraph) -> str:
 
     The text is that of ``json.dumps(graph_to_dict(g), indent=2)``, but only
     the header and the twin sets go through the encoder. The edges are
-    written in blocks of 2^16 rows, one ``%`` format per block, in the same
-    four lines per pair, so no Python list is made per edge.
+    written in blocks of ``_row_step(2)`` pairs (2^16), one ``%`` format per
+    block, in the same four lines per pair, so no Python list is made per edge.
     """
     data = graph_to_dict(g)
     edges, data["edges"] = data["edges"], None
@@ -45,8 +45,9 @@ def graph_to_json(g: NzcGraph) -> str:
         return head + '"edges": []' + tail + "\n"
     pair = "    [\n      %d,\n      %d\n    ]"
     parts = [head, '"edges": [\n']
-    for lo in range(0, len(edges), 1 << 16):
-        block = edges[lo:lo + (1 << 16)]
+    step = _row_step(2)
+    for lo in range(0, len(edges), step):
+        block = edges[lo:lo + step]
         parts += [",\n" if lo else "", ",\n".join([pair] * len(block)) % tuple(block.ravel().tolist())]
     parts += ["\n  ]", tail, "\n"]
     return "".join(parts)
@@ -129,13 +130,13 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
         raise ValueError("edge entry is not a pair")
     if edges.dtype.kind not in "iu":
         raise ValueError(f"edge entries must be pairs of vertex ids, not {edges.dtype}")
-    if ((edges < 0) | (edges >= nv)).any():
+    if edges.size and (edges.min() < 0 or edges.max() >= nv):  # no temporary per edge
         raise ValueError(f"edge endpoint outside 0..{nv - 1}")
     u, w = edges.T
     m = np.zeros((nv, nv), dtype=bool)
     m[u, w] = m[w, u] = True
     # with the count above, equality also rules out self-loops and duplicates
-    if not np.array_equal(m, skeleton_intersections(skeletons)):
+    if _skeleton_mismatch(m, skeletons) is not None:
         raise ValueError("edge list is not the skeleton-intersection graph, each edge once")
     return NzcGraph(params, vertices, skeletons, m)
 

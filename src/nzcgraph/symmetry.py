@@ -32,7 +32,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import CapExceededError, UnsupportedFieldError
-from .graph import NzcGraph, closed_twin_partition, mask_bits
+from .graph import NzcGraph, _row_step, closed_twin_partition, mask_bits
 from .reporting import CheckReport
 
 DEFAULT_ORACLE_VERTEX_CAP = 40
@@ -41,13 +41,6 @@ ORACLE_ELEMENT_BUDGET = 200_000
 ORACLE_NODE_BUDGET = 5_000_000
 GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
 AXIOM_PAIR_BUDGET = 250_000  # closure is exhaustive when order^2 fits
-STRUCTURE_CELLS = 1 << 20  # cells per numpy block of the row-stack checks and group kernels
-
-
-def _row_step(width: int) -> int:
-    """Rows per block of a row-stack kernel: an int64 index temporary over the
-    block stays within 1 MiB (STRUCTURE_CELLS // 8 cells)."""
-    return max(1, (STRUCTURE_CELLS // 8) // max(1, width))
 
 
 def is_permutation(image, size: int) -> bool:
@@ -69,9 +62,7 @@ def _automorphism_rows(graph: NzcGraph, images: np.ndarray) -> np.ndarray:
 
     A non-permutation row is False and indexes nothing. A bijection permutes
     the ordered vertex pairs, so if it maps every False matrix entry to a False
-    entry, it maps the False set, and so the True set, onto itself. No index
-    temporary passes 1 MiB: a freed block of several MiB raises glibc's mmap
-    threshold and keeps more memory resident (+4% peak RSS at (13,2)).
+    entry, it maps the False set, and so the True set, onto itself.
     """
     a = graph.adjacency_matrix()
     step = _row_step(len(a))
@@ -120,13 +111,10 @@ class AutGroup:
         return self._sorted_rows
 
     def _contains(self, perms: np.ndarray) -> np.ndarray:
-        """Per row of `perms` (stored dtype), whether it is an element."""
-        rows, found = self._bytes(), np.empty(len(perms), dtype=bool)
-        for start in range(0, len(perms), 2000):  # the lookups copy the rows they match
-            keys = _row_keys(perms[start:start + 2000])
-            at = np.minimum(np.searchsorted(rows, keys), len(rows) - 1)
-            found[start:start + 2000] = rows[at] == keys
-        return found
+        """Per row of a row block `perms` (stored dtype), whether it is an
+        element. The lookups copy the rows they match."""
+        rows, keys = self._bytes(), _row_keys(perms)
+        return rows[np.minimum(np.searchsorted(rows, keys), len(rows) - 1)] == keys
 
     def distinct_rows(self) -> int:
         rows = self._bytes()
@@ -208,8 +196,8 @@ class AutGroup:
             draws = np.array([rng.randrange(m) for _ in range(4000)])
             left, right = draws[0::2], draws[1::2]  # 2,000 pairs, drawn as (i, j)
         checked = len(left)
-        for start in range(0, checked, 2000):  # products (p_i o p_j)[v] = p_i[p_j[v]]
-            i, j = left[start:start + 2000], right[start:start + 2000]
+        for lo in range(0, checked, step):  # products (p_i o p_j)[v] = p_i[p_j[v]]
+            i, j = left[lo:lo + step], right[lo:lo + step]
             bad = np.flatnonzero(~self._contains(self.perms[i[:, None], self.perms[j]]))
             if bad.size:
                 failures.append(f"product of elements {i[bad[0]]}, {j[bad[0]]} not in group")
@@ -699,7 +687,7 @@ def check_automorphism_structure(graph: NzcGraph, grp: AutGroup) -> CheckReport:
     sub = {"classes": grp.order, "basis-family": grp.order}
     if q == 2:
         sub["transport"] = sub["swap"] = 0
-        step = max(1, STRUCTURE_CELLS // (graph.num_vertices * n))
+        step = _row_step(graph.num_vertices * n)
         for lo in range(0, grp.order, step):
             transport, swap, lines = _basis_action_failures(graph, perms[lo:lo + step], lo)
             sub["transport"] += transport

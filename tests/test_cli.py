@@ -110,6 +110,13 @@ def test_labeling_json(capsys):
     assert tuple(data["colors"]) == nz.constructive_labeling_q2(g).colors
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_labeling_below_the_scheme_exits_4(capsys, n):
+    # valid input that no 2-colour scheme covers: engine not applicable, not a usage error
+    rc, out, err = run(capsys, "labeling", "-n", n, "-q", "2")
+    assert (rc, out, err) == (4, "", "error: the 2-colour scheme requires n >= 3\n")
+
+
 def test_twins_output(capsys):
     rc, out, _ = run(capsys, "twins", "-n", "2", "-q", "3")
     assert rc == 0

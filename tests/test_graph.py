@@ -1,5 +1,6 @@
 """Graph construction, degrees, twin sets, separating-pair counts."""
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -9,6 +10,7 @@ import pytest
 import nzcgraph as nz
 from nzcgraph import SpaceParams, UnsupportedFieldError
 from nzcgraph import graph as gr
+from nzcgraph import serialize
 from nzcgraph import vectorspace as vs
 
 
@@ -152,10 +154,54 @@ def test_edges_match_skeleton_reference_in_order():
 
 
 def test_skeleton_intersections_across_row_blocks():
-    # 2,047 vertices take several row blocks
+    # 2,047 vertices take 32 row blocks of 64 rows; each tampered row is past the first
     g = nz.build(SpaceParams(11, 2))
-    assert (gr.skeleton_intersections(g.skeletons) == g.adjacency_matrix()).all()
+    assert gr._row_step(g.num_vertices) == 64
+    assert gr._skeleton_mismatch(g.adjacency_matrix(), g.skeletons) is None
     assert gr.check_adjacency_invariants(g).passed
+    s = g.skeletons
+    v = 200
+    u = int(np.flatnonzero(s & s[v] == 0)[-1])  # a non-neighbour of v in a later block
+    assert u > v + 64 and not g.is_adjacent(u, v)
+    cases = {
+        ((v, u), (u, v)): [f"row {v} does not match skeleton intersections"],
+        ((u, v),): ["adjacency matrix is not symmetric",
+                    f"row {u} does not match skeleton intersections"],
+        ((v, v),): [f"vertex {v} adjacent to itself",
+                    f"row {v} does not match skeleton intersections"],
+    }
+    for flips, failures in cases.items():
+        assert gr.check_adjacency_invariants(_corrupted(g, flips)).failures == failures
+    # the re-import compares block by block too: one edge swapped for a non-edge
+    data = serialize.graph_to_dict(g)
+    edges = data["edges"].copy()
+    k = int(np.flatnonzero(edges[:, 0] == v)[0])
+    edges[k] = v, u
+    data["edges"] = edges
+    with pytest.raises(ValueError, match="^edge list is not the skeleton-intersection graph"):
+        serialize.graph_from_dict(data)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated, as tracemalloc saw them."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_adjacency_checks_make_no_second_matrix():
+    # (11,2): |V|^2 is 4 MiB; the re-import holds its own matrix plus blocks
+    g = nz.build(SpaceParams(11, 2))
+    cells = g.num_vertices ** 2
+    report, peak = _traced_peak(gr.check_adjacency_invariants, g)
+    assert report.passed and peak < cells
+    data = serialize.graph_to_dict(g)
+    back, peak = _traced_peak(serialize.graph_from_dict, data)
+    assert serialize.graphs_equal(g, back) and peak < 3 * cells
 
 
 def _corrupted(g, flips):

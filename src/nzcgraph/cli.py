@@ -50,10 +50,7 @@ ANY_FORMAT = tuple(dict.fromkeys(f for fmts in FORMATS.values() for f in fmts))
 # each setting once: its default, its least value and the subcommands that read it
 SETTINGS = {
     "vertex_cap": (vs.DEFAULT_VERTEX_CAP, 1, tuple(HELP)),  # every subcommand
-    "oracle_cap": (sym.DEFAULT_ORACLE_VERTEX_CAP, 0, ("aut", "orbits", "dist", "verify")),
-    "exact_cap": (dst.DEFAULT_EXACT_CAP, 0, ("dist", "verify")),
     "seed": (0, 0, ("verify",)),
-    "samples": (sym.DEFAULT_SAMPLES, 1, ("verify",)),
     "format": ("json", None, tuple(FORMATS)),
 }
 GRAPH_WRITERS = {"json": serialize.graph_to_json, "dot": serialize.graph_to_dot,
@@ -125,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command, text in HELP.items():
         _add_common(subs.add_parser(command, help=text), command)
-    subs.choices["aut"].add_argument("--engine", choices=("structural", "oracle", "both"),
-                                     default="structural")
+    subs.choices["aut"].add_argument("--engine", choices=("structural", "oracle", "both"))
     subs.choices["orbits"].add_argument("--engine", choices=("structural", "oracle"))
     return parser
 
@@ -154,10 +150,15 @@ def _graph(args, opts) -> gr.NzcGraph:
     return gr.build(vs.SpaceParams(args.n, args.q, opts["vertex_cap"]))
 
 
-def _group_for(g, engine, oracle_cap):
+def _engine(args) -> str:
+    """--engine, else the structural engine at q = 2 and the oracle at q >= 3."""
+    return args.engine or ("structural" if args.q == 2 else "oracle")
+
+
+def _group_for(g, engine):
     if engine == "structural":
         return sym.aut_group_structural(g)
-    return sym.aut_group_oracle(g, vertex_cap=oracle_cap)
+    return sym.aut_group_oracle(g)
 
 
 def cmd_build(args, opts) -> int:
@@ -179,8 +180,8 @@ def cmd_twins(args, opts) -> int:
 
 def cmd_aut(args, opts) -> int:
     g = _graph(args, opts)
-    engines = ("structural", "oracle") if args.engine == "both" else (args.engine,)
-    grp, *oracle = [_group_for(g, engine, opts["oracle_cap"]) for engine in engines]
+    engines = ("structural", "oracle") if args.engine == "both" else (_engine(args),)
+    grp, *oracle = [_group_for(g, engine) for engine in engines]
     lines = [f"{engines[0]} engine: |Aut| = {grp.order}",
              "orbits: " + " ".join(str(list(o)) for o in grp.orbits())]
     agree = True
@@ -193,8 +194,8 @@ def cmd_aut(args, opts) -> int:
 
 def cmd_orbits(args, opts) -> int:
     g = _graph(args, opts)
-    engine = args.engine or ("structural" if args.q == 2 else "oracle")
-    grp = _group_for(g, engine, opts["oracle_cap"])
+    engine = _engine(args)
+    grp = _group_for(g, engine)
     lines = [f"{engine} group of order {grp.order}"]
     for orb in grp.orbits():
         labels = " ".join(vs.format_vector(g.vertices[v]) for v in orb)
@@ -225,8 +226,7 @@ def cmd_labeling(args, opts) -> int:
 
 def cmd_dist(args, opts) -> int:
     g = _graph(args, opts)
-    grp = sym.explicit_group(g, oracle_cap=opts["oracle_cap"])
-    result = dst.dist_number(g, grp, exact_cap=opts["exact_cap"])
+    result = dst.dist_number(g, sym.explicit_group(g))
     if result.method == "exact":
         line = f"exact {result.value}"
         if result.refuted:
@@ -247,9 +247,8 @@ def cmd_verify(args, opts) -> int:
     n_values = _parse_range("-n", args.n)
     q_values = _parse_range("-q", args.q)
     reports = []
-    for report in vfy.verify_ranges(
-            n_values, q_values, vertex_cap=opts["vertex_cap"], oracle_cap=opts["oracle_cap"],
-            exact_cap=opts["exact_cap"], samples=opts["samples"], seed=opts["seed"]):
+    for report in vfy.verify_ranges(n_values, q_values, vertex_cap=opts["vertex_cap"],
+                                    seed=opts["seed"]):
         print(report.format_line(), flush=True)
         reports.append(report)
     counts = vfy.summarize(reports)

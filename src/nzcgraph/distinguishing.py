@@ -13,7 +13,8 @@ envelopes:
   a partition refined from (degree, colour), so it works even when the
   group is far too large to enumerate or has thousands of vertices.
 
-The search budgets are module constants, read at call time.
+Every engine limit (vertex cap and search budgets) is a module constant,
+read at call time.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .symmetry import (AutGroup, _basis_ids, _color_preserving_images,
                        _extend_images_batch, extend_basis_permutation,
                        transposition_extensions)
 
-DEFAULT_EXACT_CAP = 30
+EXACT_VERTEX_CAP = 30  # vertices up to which the exact labeling search runs
 PERM_BUDGET = 4_000_000  # partial basis permutations alive in the structural scan
 SEARCH_NODE_BUDGET = 2_000_000  # nodes of the colour-preserving search
 EXACT_NODE_BUDGET = 2_000_000  # nodes of each exact labeling search
@@ -399,15 +400,14 @@ def _scheme_verdict(g: NzcGraph, f: Labeling, grp: AutGroup | None) -> SchemeVer
                          int(find_color_preserving(g, f) is not None))
 
 
-def dist_number(g: NzcGraph, grp: AutGroup | None, *,
-                exact_cap: int = DEFAULT_EXACT_CAP) -> DistResult:
+def dist_number(g: NzcGraph, grp: AutGroup | None) -> DistResult:
     """Distinguishing number: exact where the search is feasible, else bounds.
 
     `grp` is the explicitly enumerated group of `g`, or None when there is
     none (see :func:`nzcgraph.symmetry.explicit_group`). Exact mode needs
-    the group and at most `exact_cap` vertices; it tries t = 1, 2, ... and
-    returns the least t with a witness, recording the largest refuted colour
-    count. Bounded mode reports the twin-set lower bound (raised to 2 when a
+    the group and at most :data:`EXACT_VERTEX_CAP` vertices; it tries
+    t = 1, 2, ... and returns the least t with a witness, recording the
+    largest refuted colour count. Bounded mode reports the twin-set lower bound (raised to 2 when a
     non-trivial automorphism is certified) and a validated constructive
     labeling as the upper bound; when the two meet, the value is exact even
     though no search ran.
@@ -435,7 +435,7 @@ def dist_number(g: NzcGraph, grp: AutGroup | None, *,
     else:
         witness, upper, upper_source = all_distinct_labeling(g), nv, "all-distinct"
 
-    if grp is not None and nv <= exact_cap:
+    if grp is not None and nv <= EXACT_VERTEX_CAP:
         try:
             refuted = 0
             for t in range(1, upper + 1):

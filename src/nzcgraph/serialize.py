@@ -33,10 +33,11 @@ def graph_to_dict(g: NzcGraph) -> dict:
 def graph_to_json(g: NzcGraph) -> str:
     """The dict schema as indented JSON text, one ``[v, u]`` list per edge.
 
-    The text is that of ``json.dumps(graph_to_dict(g), indent=2)``, but only
-    the header and the twin sets go through the encoder. The edges are
-    written in blocks of ``_row_step(2)`` pairs (2^16), one ``%`` format per
-    block, in the same four lines per pair, so no Python list is made per edge.
+    The text equals ``json.dumps(graph_to_dict(g), indent=2)`` with the edges
+    as lists (``.tolist()``) and a final newline, but only the header and the
+    twin sets go through the encoder. The edges are written in blocks of
+    ``_row_step(2)`` pairs (2^16), one ``%`` format per block, in the same four
+    lines per pair, so no Python list is made per edge.
     """
     data = graph_to_dict(g)
     edges, data["edges"] = data["edges"], None

@@ -15,8 +15,8 @@ over a partition refined from (degree, label), where the oracle's labels are
 constant. It yields each label-preserving automorphism in turn.
 
 :func:`explicit_group` alone decides whether a graph gets an enumerated
-group; the checks take the groups they are given. Budgets are module
-constants, read at call time.
+group; the checks take the groups they are given. Every engine limit (vertex
+caps, budgets, sampled pair counts) is a module constant, read at call time.
 
 A vertex permutation is an integer array in one-line notation, and a group
 is an array of such rows (:attr:`AutGroup.perms`). Composition applies the
@@ -35,8 +35,9 @@ from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph, _row_step, closed_twin_partition, mask_bits
 from .reporting import CheckReport
 
-DEFAULT_ORACLE_VERTEX_CAP = 40
-DEFAULT_SAMPLES = 1000  # seeded pairs of the sampled extension-isomorphism check
+ORACLE_VERTEX_CAP = 40
+EXTENSION_PAIRS = 1000  # seeded pairs of the sampled extension-isomorphism check
+CLOSURE_PAIRS = 2000  # seeded pairs of the sampled closure check
 ORACLE_ELEMENT_BUDGET = 200_000
 ORACLE_NODE_BUDGET = 5_000_000
 GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
@@ -193,8 +194,8 @@ class AutGroup:
         else:
             mode = "sampled"
             rng = random.Random(seed)
-            draws = np.array([rng.randrange(m) for _ in range(4000)])
-            left, right = draws[0::2], draws[1::2]  # 2,000 pairs, drawn as (i, j)
+            draws = np.array([rng.randrange(m) for _ in range(2 * CLOSURE_PAIRS)])
+            left, right = draws[0::2], draws[1::2]  # pairs drawn as (i, j)
         checked = len(left)
         for lo in range(0, checked, step):  # products (p_i o p_j)[v] = p_i[p_j[v]]
             i, j = left[lo:lo + step], right[lo:lo + step]
@@ -555,21 +556,20 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
             stack.append(iter(range(lo[depth + 1], hi[depth + 1])))
 
 
-def aut_group_oracle(graph: NzcGraph, *,
-                     vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP) -> AutGroup:
+def aut_group_oracle(graph: NzcGraph) -> AutGroup:
     """Enumerate every adjacency-preserving vertex permutation.
 
     Fully independent of the structural engine: the search gets constant
     labels, so its initial partition uses vertex degrees only (a pure
     adjacency invariant; skeleton classes would presuppose the structure
     under test). Enumeration is exhaustive; rows are returned sorted for
-    determinism. Raises a cap error past `vertex_cap` vertices,
+    determinism. Raises a cap error past :data:`ORACLE_VERTEX_CAP` vertices,
     :data:`ORACLE_ELEMENT_BUDGET` elements or :data:`ORACLE_NODE_BUDGET`
     search nodes.
     """
     nv = graph.num_vertices
-    if nv > vertex_cap:
-        raise CapExceededError(f"oracle supports up to {vertex_cap} vertices, got {nv}")
+    if nv > ORACLE_VERTEX_CAP:
+        raise CapExceededError(f"oracle supports up to {ORACLE_VERTEX_CAP} vertices, got {nv}")
     # fail fast: permutations within a closed-neighbourhood class are always
     # automorphisms, so the product of their factorials bounds |Aut| below
     twins = closed_twin_partition(graph.adjacency_matrix())
@@ -587,18 +587,18 @@ def aut_group_oracle(graph: NzcGraph, *,
     return AutGroup(graph, np.array(sorted(found), dtype=np.int64), source="oracle")
 
 
-def explicit_group(graph: NzcGraph, *,
-                   oracle_cap: int = DEFAULT_ORACLE_VERTEX_CAP) -> AutGroup | None:
+def explicit_group(graph: NzcGraph) -> AutGroup | None:
     """The enumerated group the exact checks run on, or None where none is built.
 
     It is the structural group at q = 2 and the oracle group at q >= 3, or
     None when that engine raises a cap error: past :data:`GROUP_BUDGET`
-    elements (n > 8), past `oracle_cap` vertices, or past an oracle budget.
+    elements (n > 8), past :data:`ORACLE_VERTEX_CAP` vertices, or past an
+    oracle budget.
     """
     try:
         if graph.params.q == 2:
             return aut_group_structural(graph)
-        return aut_group_oracle(graph, vertex_cap=oracle_cap)
+        return aut_group_oracle(graph)
     except CapExceededError:
         return None
 
@@ -611,17 +611,16 @@ def _sample_permutations(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
-                                oracle: AutGroup | None, *,
-                                samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
+                                oracle: AutGroup | None, *, seed: int = 0) -> CheckReport:
     """The extension map is a group isomorphism from S_n onto Aut(G) (q = 2).
 
     Checks the homomorphism identity extend(h1 o h2) = extend(h1) o extend(h2)
-    exhaustively for n <= 4 and on `samples` seeded random pairs for larger
-    n, drawn and extended in blocks of :func:`_row_step` pairs for rows of
-    3 |V| (three uint16 image rows per pair, about 256 KiB), so memory does
-    not grow with `samples`. Given the structural group `grp`, it checks
-    injectivity as n! distinct extensions, and given the oracle group too,
-    surjectivity by set equality against it. It builds neither group.
+    exhaustively for n <= 4 and on :data:`EXTENSION_PAIRS` seeded random pairs
+    for larger n, drawn and extended in blocks of :func:`_row_step` pairs for
+    rows of 3 |V| (three uint16 image rows per pair, about 256 KiB), so memory
+    does not grow with the pair count. Given the structural group `grp`, it
+    checks injectivity as n! distinct extensions, and given the oracle group
+    too, surjectivity by set equality against it. It builds neither group.
     """
     if graph.params.q != 2:
         raise UnsupportedFieldError("extension isomorphism is defined for q = 2")
@@ -633,10 +632,10 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
         details["mode"] = "exhaustive"
     else:
         rng = random.Random(seed)  # one draw seeds each block's keys
-        step = _row_step(3 * graph.num_vertices)
-        blocks = (np.split(_sample_permutations(n, 2 * min(step, samples - lo),
+        step, pairs = _row_step(3 * graph.num_vertices), EXTENSION_PAIRS
+        blocks = (np.split(_sample_permutations(n, 2 * min(step, pairs - lo),
                                                 rng.getrandbits(64)), 2)
-                  for lo in range(0, samples, step))
+                  for lo in range(0, pairs, step))
         details["mode"] = "sampled"
     failures, checked = [], 0
     for h1, h2 in blocks:

@@ -183,17 +183,14 @@ def _report_json_roundtrip(g: NzcGraph) -> CheckReport:
                           g.num_vertices, failures)
 
 
-def verify_params(n: int, q: int, *, vertex_cap: int = vs.DEFAULT_VERTEX_CAP,
-                  oracle_cap: int = sym.DEFAULT_ORACLE_VERTEX_CAP,
-                  exact_cap: int = dst.DEFAULT_EXACT_CAP, samples: int = sym.DEFAULT_SAMPLES,
-                  seed: int = 0):
+def verify_params(n: int, q: int, *, vertex_cap: int = vs.DEFAULT_VERTEX_CAP, seed: int = 0):
     """Yield every applicable certificate for one (n, q), each as it finishes."""
     params = vs.SpaceParams(n, q, vertex_cap)
     g = gr.build(params)
     yield gr.check_adjacency_invariants(g)
     yield gr.check_twin_structure(g)
     yield gr.check_degree_formula_general(g)
-    grp = sym.explicit_group(g, oracle_cap=oracle_cap)
+    grp = sym.explicit_group(g)
     if q == 2:
         yield gr.check_degree_formula(g)
         yield gr.check_pair_counts(g)
@@ -206,10 +203,10 @@ def verify_params(n: int, q: int, *, vertex_cap: int = vs.DEFAULT_VERTEX_CAP,
             yield sym.check_orbit_stabilizer(grp)
             if grp.order * g.num_vertices <= STRUCTURE_CHECK_BUDGET:
                 yield sym.check_automorphism_structure(g, grp)
-            if g.num_vertices <= oracle_cap:
-                oracle = sym.aut_group_oracle(g, vertex_cap=oracle_cap)
+            if g.num_vertices <= sym.ORACLE_VERTEX_CAP:
+                oracle = sym.aut_group_oracle(g)
                 yield _report_engines_agree(g, grp, oracle)
-        yield sym.check_extension_isomorphism(g, grp, oracle, samples=samples, seed=seed)
+        yield sym.check_extension_isomorphism(g, grp, oracle, seed=seed)
     else:
         if grp is not None:
             yield grp.check_group_axioms(seed=seed)
@@ -218,7 +215,7 @@ def verify_params(n: int, q: int, *, vertex_cap: int = vs.DEFAULT_VERTEX_CAP,
         yield _report_twin_bound(g)
     # the scheme certificates read the verdict dist_number reached, so the
     # constructive labeling is built and checked once
-    result = dst.dist_number(g, grp, exact_cap=exact_cap)
+    result = dst.dist_number(g, grp)
     if result.scheme is not None and q == 2:
         yield _report_two_labeling(g, result.scheme)
         yield dst.transposition_report(g, result.scheme.labeling)

@@ -12,6 +12,7 @@ from math import comb, factorial
 import nzcgraph as nz
 from nzcgraph import SpaceParams
 from nzcgraph import serialize
+from nzcgraph import symmetry as sym
 from nzcgraph.distinguishing import transposition_report
 
 
@@ -56,7 +57,8 @@ def test_criterion_2_group_order_and_engines():
                   f" (oracle n=4: {oracle_n4_time:.3f}s < 10s)")
 
 
-def test_criterion_3_extension_isomorphism():
+def test_criterion_3_extension_isomorphism(monkeypatch):
+    monkeypatch.setattr(sym, "EXTENSION_PAIRS", 1000)
     ok = True
     for n in range(1, 5):
         g = nz.build(SpaceParams(n, 2))
@@ -67,8 +69,7 @@ def test_criterion_3_extension_isomorphism():
     for n in range(5, 9):
         g = nz.build(SpaceParams(n, 2))
         oracle = nz.aut_group_oracle(g) if g.num_vertices <= 40 else None
-        rep = nz.check_extension_isomorphism(g, nz.aut_group_structural(g), oracle,
-                                             samples=1000, seed=0)
+        rep = nz.check_extension_isomorphism(g, nz.aut_group_structural(g), oracle, seed=0)
         ok &= rep.passed and rep.details["pairs_checked"] >= 1000
     assert report(3, "S_n iso Aut(G): homomorphism/bijectivity", ok)
 

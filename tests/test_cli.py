@@ -78,6 +78,18 @@ def test_aut_oracle_2_3(capsys):
     assert "|Aut| = 192" in out
 
 
+def test_aut_defaults_to_the_oracle_at_q3(capsys):
+    # the same default as orbits: structural at q = 2, the oracle at q >= 3
+    rc, out, _ = run(capsys, "aut", "-n", "2", "-q", "3")
+    assert rc == 0
+    assert out.startswith("oracle engine: |Aut| = 192\n")
+
+
+def test_aut_defaults_to_the_structural_engine_at_q2(capsys):
+    assert run(capsys, "aut", "-n", "3", "-q", "2") == (
+        0, "structural engine: |Aut| = 6\norbits: [0, 1, 3] [2, 4, 5] [6]\n", "")
+
+
 def test_aut_structural_q3_exit_4(capsys):
     rc, _, err = run(capsys, "aut", "-n", "3", "-q", "3", "--engine", "structural")
     assert rc == 4
@@ -346,21 +358,13 @@ def test_config_env_supplies_defaults(capsys, tmp_path, monkeypatch):
     assert rc == 0
 
 
-@pytest.mark.parametrize("flags, config", [(["--samples", "0"], None),
-                                           ([], {"samples": -1}), ([], {"samples": "5"}),
-                                           ([], {"samples": True})])
-def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatch,
-                                                    flags, config):
-    def no_build(params):
-        raise AssertionError("a graph was built")
-
-    monkeypatch.setattr(nz.graph, "build", no_build)
-    if config is not None:
-        cfg = tmp_path / "nzc.json"
-        cfg.write_text(json.dumps(config))
-        monkeypatch.setenv("NZC_CONFIG", str(cfg))
-    argv = ["verify", "-n", "3..10", "-q", "2", *flags]
-    assert run(capsys, *argv) == (2, "", "error: --samples must be >= 1\n")
+def test_config_cannot_set_an_engine_limit(capsys, tmp_path, monkeypatch):
+    # the oracle's vertex cap is a module constant; the file cannot lower it
+    cfg = tmp_path / "nzc.json"
+    cfg.write_text(json.dumps({"oracle_cap": 5, "no_such_key": 1}))
+    monkeypatch.setenv("NZC_CONFIG", str(cfg))
+    assert run(capsys, "aut", "-n", "2", "-q", "3", "--engine", "oracle") == (
+        0, "oracle engine: |Aut| = 192\norbits: [0, 1, 2, 5] [3, 4, 6, 7]\n", "")
 
 
 @pytest.mark.parametrize("argv, config, err", [
@@ -368,8 +372,6 @@ def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatc
     (["build", "-n", "3", "-q", "2"], {"format": "svg"}, "--format must be one of json, dot, table"),
     (["labeling", "-n", "4", "-q", "2"], {"format": "dot"}, "--format must be one of json, table"),
     (["twins", "-n", "2", "-q", "3"], {"format": 5}, "--format must be one of json, dot, table"),
-    (["dist", "-n", "2", "-q", "3"], {"oracle_cap": -1}, "--oracle-cap must be >= 0"),
-    (["dist", "-n", "2", "-q", "3"], {"exact_cap": None}, "--exact-cap must be >= 0"),
     (["verify", "-n", "3", "-q", "2"], {"seed": 1.5}, "--seed must be >= 0"),
     (["verify", "-n", "3", "-q", "2", "--seed", "-1"], None, "--seed must be >= 0"),
     (["twins", "-n", "2", "-q", "3"], [1, 2],
@@ -382,8 +384,7 @@ def test_verify_rejects_bad_samples_before_any_work(capsys, tmp_path, monkeypatc
      "-n 1..2..3 is not an integer or a range like 3..8"),
     (["verify", "-n", "2", "-q", "x..3"], None, "-q x..3 is not an integer or a range like 3..8"),
 ], ids=["vertex-cap-string", "build-format", "labeling-format", "twins-format",
-        "oracle-cap-negative",
-        "exact-cap-null", "seed-float", "seed-flag-negative", "config-not-object",
+        "seed-float", "seed-flag-negative", "config-not-object",
         "empty-n-range", "empty-q-range", "open-n-range", "n-not-integer", "n-three-ends",
         "q-not-integer"])
 def test_settings_are_checked_before_any_work(capsys, tmp_path, monkeypatch, argv, config, err):
@@ -421,20 +422,22 @@ def test_rejected_range_leaves_out_file_untouched(capsys, tmp_path):
     assert out.read_text() == "kept"
 
 
-def test_oracle_cap_bounds_the_distinguishing_number(capsys, tmp_path):
-    # (2,3) has 8 vertices: under --oracle-cap 5 no group is enumerated, so
-    # the value 4 comes from the twin bound and the validated scheme
+def test_oracle_cap_bounds_the_distinguishing_number(capsys, tmp_path, monkeypatch):
+    # (2,3) has 8 vertices: under an oracle vertex cap of 5 no group is
+    # enumerated, so the value 4 comes from the twin bound and the validated scheme
     cert = tmp_path / "cert.json"
-    rc, _, _ = run(capsys, "verify", "-n", "2", "-q", "3", "--oracle-cap", "5", "--out", str(cert))
+    monkeypatch.setattr(nz.symmetry, "ORACLE_VERTEX_CAP", 5)
+    rc, _, _ = run(capsys, "verify", "-n", "2", "-q", "3", "--out", str(cert))
     assert rc == 0
     claims = {c["claim"]: c for c in json.loads(cert.read_text())["claims"]}
     assert "group-axioms" not in claims
     dist = claims["distinguishing-number"]
     assert dist["status"] == "pass"
     assert (dist["details"]["method"], dist["details"]["refuted"]) == ("bounded", None)
-    rc, out, _ = run(capsys, "dist", "-n", "2", "-q", "3", "--oracle-cap", "5")
+    rc, out, _ = run(capsys, "dist", "-n", "2", "-q", "3")
     assert rc == 0
     assert out.startswith("4 (lower=twin-sets 4, upper=twin-injective-scheme 4)\n")
+    monkeypatch.undo()
     rc, out, _ = run(capsys, "dist", "-n", "2", "-q", "3")
     assert rc == 0
     assert out.startswith("exact 4 (search refuted 3 colours)\n")
@@ -524,13 +527,15 @@ CLI_FLAGS = {
     "build": {"--vertex-cap", "--out", "--format"},
     "labeling": {"--vertex-cap", "--out", "--format"},
     "twins": {"--vertex-cap", "--out"},
-    "aut": {"--vertex-cap", "--oracle-cap", "--out", "--engine"},
-    "orbits": {"--vertex-cap", "--oracle-cap", "--out", "--engine"},
-    "dist": {"--vertex-cap", "--oracle-cap", "--exact-cap", "--out"},
-    "verify": {"--vertex-cap", "--oracle-cap", "--exact-cap", "--seed", "--samples", "--out"},
+    "aut": {"--vertex-cap", "--out", "--engine"},
+    "orbits": {"--vertex-cap", "--out", "--engine"},
+    "dist": {"--vertex-cap", "--out"},
+    "verify": {"--vertex-cap", "--seed", "--out"},
 }
+# the engine limits behind --oracle-cap, --exact-cap and --samples are module constants
 DROPPED = [(command, flag) for command, flags in CLI_FLAGS.items()
-           for flag in ("--oracle-cap", "--exact-cap", "--seed") if flag not in flags]
+           for flag in ("--oracle-cap", "--exact-cap", "--samples", "--seed")
+           if flag not in flags]
 FLAG_VALUES = {"--format": "table", "--engine": "oracle", "--out": "report.txt"}
 
 

@@ -96,10 +96,11 @@ def test_oracle_192_for_2_3():
     assert all(nz.is_automorphism(g, a) for a in oracle.perms)
 
 
-def test_oracle_vertex_cap():
+def test_oracle_vertex_cap(monkeypatch):
     g = nz.build(SpaceParams(3, 3))
-    with pytest.raises(CapExceededError):
-        nz.aut_group_oracle(g, vertex_cap=10)
+    monkeypatch.setattr(sym, "ORACLE_VERTEX_CAP", 10)
+    with pytest.raises(CapExceededError, match="^oracle supports up to 10 vertices, got 26$"):
+        nz.aut_group_oracle(g)
 
 
 def test_oracle_group_budget_guard(monkeypatch):
@@ -129,8 +130,10 @@ def test_explicit_group_policy(n, q, order):
 
 def test_explicit_group_caps(monkeypatch):
     g = nz.build(SpaceParams(2, 3))
-    assert nz.explicit_group(g, oracle_cap=8).order == 192
-    assert nz.explicit_group(g, oracle_cap=7) is None
+    monkeypatch.setattr(sym, "ORACLE_VERTEX_CAP", 8)
+    assert nz.explicit_group(g).order == 192
+    monkeypatch.setattr(sym, "ORACLE_VERTEX_CAP", 7)
+    assert nz.explicit_group(g) is None
     g = nz.build(SpaceParams(3, 2))
     monkeypatch.setattr(sym, "GROUP_BUDGET", 5)  # 3! = 6 elements
     assert nz.explicit_group(g) is None
@@ -149,15 +152,16 @@ def test_extension_isomorphism_exhaustive_n3():
 def test_extension_isomorphism_sampled_n5():
     g = nz.build(SpaceParams(5, 2))
     rep = nz.check_extension_isomorphism(g, nz.aut_group_structural(g), nz.aut_group_oracle(g),
-                                         samples=1000, seed=11)
+                                         seed=11)
     assert rep.passed
     assert rep.details["pairs_checked"] == 1000
 
 
-def test_extension_isomorphism_samples_are_seeded_permutations():
+def test_extension_isomorphism_samples_are_seeded_permutations(monkeypatch):
     g = nz.build(SpaceParams(6, 2))
     grp = nz.aut_group_structural(g)
-    reports = [nz.check_extension_isomorphism(g, grp, None, samples=50, seed=seed).to_dict()
+    monkeypatch.setattr(sym, "EXTENSION_PAIRS", 50)
+    reports = [nz.check_extension_isomorphism(g, grp, None, seed=seed).to_dict()
                for seed in (4, 4, 5)]
     assert reports[0] == reports[1] == reports[2]
     assert (reports[0]["checked"], reports[0]["details"]) == (
@@ -404,12 +408,13 @@ def test_sampled_extension_isomorphism_memory_n10():
     assert peak < 100 * 2**20
 
 
-def test_sampled_extension_isomorphism_memory_does_not_grow_with_samples():
+def test_sampled_extension_isomorphism_memory_does_not_grow_with_samples(monkeypatch):
     # the pairs are extended in blocks; all at once they take about 650 MB here
     g = nz.build(SpaceParams(10, 2))
+    monkeypatch.setattr(sym, "EXTENSION_PAIRS", 20000)
     tracemalloc.start()
     try:
-        report = nz.check_extension_isomorphism(g, None, None, samples=20000)
+        report = nz.check_extension_isomorphism(g, None, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -518,12 +523,13 @@ def test_orbit_sizes_count_each_column():
         for v in range(255) if want[v] * stab[v] != part.order]
 
 
-def test_sampled_extension_isomorphism_memory_n6_many_samples():
+def test_sampled_extension_isomorphism_memory_n6_many_samples(monkeypatch):
     # the pairs are drawn block by block; all 400,000 keys at once took 38 MB
     g = nz.build(SpaceParams(6, 2))
+    monkeypatch.setattr(sym, "EXTENSION_PAIRS", 200000)
     tracemalloc.start()
     try:
-        report = nz.check_extension_isomorphism(g, None, None, samples=200000)
+        report = nz.check_extension_isomorphism(g, None, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

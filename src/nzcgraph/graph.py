@@ -82,8 +82,31 @@ class NzcGraph:
         return self._twin_sets
 
     def edges(self) -> np.ndarray:
-        """The (E, 2) integer array of edges (v, u) with v < u, in row-major order."""
-        return np.argwhere(np.triu(self._matrix, 1))
+        """The C-ordered (E, 2) int32 array of edges (v, u) with v < u, in
+        row-major order.
+
+        Two passes over row blocks of the strict upper triangle: one counts
+        each block's entries, one writes its row and column ids into the
+        preallocated array. No |V|^2 or int64 per-edge temporary is made.
+        """
+        m = self._matrix
+        nv = len(m)
+        step = min(_row_step(nv), nv)
+        upper = np.triu(np.ones((step, step), dtype=bool), 1)
+        ids = np.arange(nv, dtype=np.int32)
+
+        def block(lo):  # rows lo.. of the strict upper triangle, from column lo
+            b = m[lo:lo + step, lo:].copy()
+            b[:, :len(b)] &= upper[:len(b), :len(b)]
+            return b
+
+        starts = np.cumsum([0] + [np.count_nonzero(block(lo)) for lo in range(0, nv, step)])
+        out = np.empty((starts[-1], 2), dtype=np.int32)
+        for lo, a, z in zip(range(0, nv, step), starts, starts[1:]):
+            b = block(lo)
+            out[a:z, 0] = np.broadcast_to(ids[lo:lo + len(b), None], b.shape)[b]
+            out[a:z, 1] = np.broadcast_to(ids[lo:], b.shape)[b]
+        return out
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self._matrix)) // 2
@@ -139,14 +162,22 @@ def _skeleton_mismatch(m: np.ndarray, skeletons) -> int | None:
     return None
 
 
+def _mirror_tiles(m: np.ndarray):
+    """Each square tile on or above the diagonal of `m`, with its mirror tile
+    below it, as two views of side isqrt(_row_step(1)): a tile's transpose
+    stays in cache, where a row block against a column strip does not."""
+    side = isqrt(_row_step(1))
+    for lo in range(0, len(m), side):
+        for c in range(lo, len(m), side):
+            yield m[lo:lo + side, c:c + side], m[c:c + side, lo:lo + side]
+
+
 def check_adjacency_invariants(g: NzcGraph) -> CheckReport:
     """Adjacency is symmetric, irreflexive, and matches skeleton intersection.
     No |V|^2 temporary is made."""
     m = g.adjacency_matrix()
     failures = [f"vertex {v} adjacent to itself" for v in np.flatnonzero(m.diagonal()).tolist()]
-    side = isqrt(_row_step(1))  # square tiles: a mirror tile's transpose stays in cache
-    if not all((m[lo:lo + side, c:c + side] == m[c:c + side, lo:lo + side].T).all()
-               for lo in range(0, len(m), side) for c in range(lo, len(m), side)):
+    if not all((a == b.T).all() for a, b in _mirror_tiles(m)):
         failures.append("adjacency matrix is not symmetric")
     if (bad := _skeleton_mismatch(m, g.skeletons)) is not None:
         failures.append(f"row {bad} does not match skeleton intersections")

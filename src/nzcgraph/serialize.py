@@ -7,7 +7,7 @@ import json
 import numpy as np
 
 from . import vectorspace as vs
-from .graph import NzcGraph, _row_step, _skeleton_mismatch
+from .graph import NzcGraph, _mirror_tiles, _row_step, _skeleton_mismatch
 
 
 def graph_to_dict(g: NzcGraph) -> dict:
@@ -133,9 +133,16 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
         raise ValueError(f"edge entries must be pairs of vertex ids, not {edges.dtype}")
     if edges.size and (edges.min() < 0 or edges.max() >= nv):  # no temporary per edge
         raise ValueError(f"edge endpoint outside 0..{nv - 1}")
-    u, w = edges.T
+    # each listed pair once, through the flat view, then S | S.T tile by tile
     m = np.zeros((nv, nv), dtype=bool)
-    m[u, w] = m[w, u] = True
+    flat = m.reshape(-1)
+    step = _row_step(2)
+    for lo in range(0, len(edges), step):
+        pairs = edges[lo:lo + step].astype(np.intp)
+        flat[pairs[:, 0] * nv + pairs[:, 1]] = True
+    for a, b in _mirror_tiles(m):
+        a |= b.T
+        b[...] = a.T
     # with the count above, equality also rules out self-loops and duplicates
     if _skeleton_mismatch(m, skeletons) is not None:
         raise ValueError("edge list is not the skeleton-intersection graph, each edge once")
@@ -143,10 +150,14 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
 
 
 def graphs_equal(a: NzcGraph, b: NzcGraph) -> bool:
-    """Same parameters, vertex order, adjacency and twin ordering."""
+    """Same parameters, vertex order, adjacency and twin ordering; the
+    matrices are compared a row block at a time."""
+    ma, mb = a.adjacency_matrix(), b.adjacency_matrix()
+    step = _row_step(len(ma))
     return (a.params.n == b.params.n and a.params.q == b.params.q
             and a.vertices == b.vertices
-            and np.array_equal(a.adjacency_matrix(), b.adjacency_matrix())
+            and all(np.array_equal(ma[lo:lo + step], mb[lo:lo + step])
+                    for lo in range(0, len(ma), step))
             and a.twin_sets() == b.twin_sets())
 
 

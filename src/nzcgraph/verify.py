@@ -170,10 +170,10 @@ def _report_observed_group_order(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
 
 
 def _report_json_roundtrip(g: NzcGraph) -> CheckReport:
-    data = serialize.graph_to_dict(g)
     failures = []
-    try:
-        back = serialize.graph_from_dict(data, vertex_cap=g.params.vertex_cap)
+    try:  # the dict, with its (E, 2) edge array, is freed when the call returns
+        back = serialize.graph_from_dict(serialize.graph_to_dict(g),
+                                         vertex_cap=g.params.vertex_cap)
     except ValueError as exc:
         failures.append(f"emitted JSON does not re-import: {exc}")
     else:

@@ -186,7 +186,9 @@ def test_roundtrip_rejects_tampered_edges():
 
 
 def test_roundtrip_accepts_tuple_and_list_pairs():
-    for n, q in [(4, 2), (2, 3)]:
+    # (9,2) has 2^16 + 55,439 edges, so the scatter takes two blocks of pairs
+    rng = np.random.default_rng(0)
+    for n, q in [(4, 2), (2, 3), (9, 2)]:
         g = nz.build(SpaceParams(n, q))
         data = serialize.graph_to_dict(g)
         assert serialize.graphs_equal(g, serialize.graph_from_dict(data))
@@ -195,6 +197,17 @@ def test_roundtrip_accepts_tuple_and_list_pairs():
         assert serialize.graphs_equal(g, serialize.graph_from_dict(loaded))
         tuples = {**loaded, "edges": [tuple(e) for e in loaded["edges"]]}
         assert serialize.graphs_equal(g, serialize.graph_from_dict(tuples))
+        # the same pairs reversed (u > v), shuffled, or in another integer dtype
+        edges = data["edges"]
+        for same in (edges[:, ::-1], rng.permutation(edges), edges.astype(np.int64),
+                     edges.astype(np.uint16), rng.permutation(edges[:, ::-1]).tolist()):
+            assert serialize.graphs_equal(g, serialize.graph_from_dict({**data, "edges": same}))
+        # a duplicate, plain or reversed, in the last scatter block still raises
+        for dup in (edges[3], edges[3][::-1]):
+            bad = edges.copy()
+            bad[-1] = dup
+            with pytest.raises(ValueError, match=NOT_THE_GRAPH):
+                serialize.graph_from_dict({**data, "edges": bad})
 
 
 def test_roundtrip_of_a_graph_without_edges():
@@ -323,6 +336,9 @@ def test_roundtrip_report_builds_no_object_per_edge():
         tracemalloc.stop()
     assert rep.status == "pass"
     assert peak < 120 * 2**20
+    # the int32 edge array (16 MB) and the re-imported matrix (4 MB), with
+    # the dict freed before the comparison; int64 edges alone would be 32 MB
+    assert peak < 32 * 2**20
 
 
 def test_roundtrip_report_fails_on_rejected_json(monkeypatch):

@@ -151,6 +151,26 @@ def test_edges_match_skeleton_reference_in_order():
         got = g.edges()
         assert got.tolist() == want
         assert got.shape == (len(want), 2) and got.dtype.kind == "i"
+    # the row-block kernel against the dense reference: one block at (1,2) and
+    # (2,2), 32 blocks of 64 rows at (11,2), 38 of 59 rows at (7,3)
+    for n, q in [(1, 2), (2, 2), (7, 3)]:
+        _assert_edges_are_the_dense_reference(nz.build(SpaceParams(n, q)))
+    g = nz.build(SpaceParams(11, 2))
+    assert gr._row_step(g.num_vertices) == 64
+    _assert_edges_are_the_dense_reference(g)
+    # on corrupted matrices too, each flip in or next to block 1 (rows 64..127):
+    # a non-edge set only below the diagonal, a diagonal entry, an edge
+    # cleared only above the diagonal just across the block boundary, and
+    # one cleared only below it
+    assert not g.is_adjacent(64, 127) and g.is_adjacent(63, 64)
+    for flips in [((127, 64),), ((64, 64),), ((63, 64),), ((64, 63),)]:
+        _assert_edges_are_the_dense_reference(_corrupted(g, flips))
+
+
+def _assert_edges_are_the_dense_reference(g):
+    got = g.edges()
+    assert np.array_equal(got, np.argwhere(np.triu(g.adjacency_matrix(), 1)))
+    assert got.dtype == np.int32 and got.flags.c_contiguous
 
 
 def test_skeleton_intersections_across_row_blocks():
@@ -202,6 +222,14 @@ def test_adjacency_checks_make_no_second_matrix():
     data = serialize.graph_to_dict(g)
     back, peak = _traced_peak(serialize.graph_from_dict, data)
     assert serialize.graphs_equal(g, back) and peak < 3 * cells
+
+
+def test_edge_array_is_the_only_per_edge_allocation():
+    # (11,2): 2,007,555 edges, 8 bytes each as int32 pairs
+    g = nz.build(SpaceParams(11, 2))
+    edges, peak = _traced_peak(g.edges)
+    assert len(edges) == g.edge_count() == 2_007_555
+    assert peak <= 8 * len(edges) + 2**20
 
 
 def _corrupted(g, flips):

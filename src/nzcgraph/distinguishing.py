@@ -37,6 +37,8 @@ EXACT_VERTEX_CAP = 30  # vertices up to which the exact labeling search runs
 PERM_BUDGET = 4_000_000  # partial basis permutations alive in the structural scan
 SEARCH_NODE_BUDGET = 2_000_000  # nodes of the colour-preserving search
 EXACT_NODE_BUDGET = 2_000_000  # nodes of each exact labeling search
+COLOR_PREFIX = 32  # leading columns the group scan checks before a whole row
+SCAN_PREFIX_LEVELS = 5  # basis indices whose ids the structural scan checks before a whole row
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,11 @@ def is_distinguishing(g: NzcGraph, grp: AutGroup, f: Labeling) -> bool:
     c = np.asarray(f.colors, dtype=np.min_scalar_type(f.t))
     ident = np.arange(nv, dtype=grp.perms.dtype)
     step = _row_step(nv)
-    for lo in range(0, grp.order, step):  # a block of rows, and its gather, at a time
+    for lo in range(0, grp.order, step):  # a block of rows, and its gathers, at a time
         block = grp.perms[lo:lo + step]
-        if (block[(c[block] == c).all(axis=1)] != ident).any():  # a preserved row moves a vertex
+        # only the rows that keep the colours of the first columns get the full check
+        block = block[(c.take(block[:, :COLOR_PREFIX]) == c[:COLOR_PREFIX]).all(axis=1)]
+        if (block[(c.take(block) == c).all(axis=1)] != ident).any():  # a preserved row moves a vertex
             return False
     return True
 
@@ -127,10 +131,13 @@ def structural_survivors(g: NzcGraph, f: Labeling) -> list[tuple[int, ...]]:
     b_k, keeping the extensions under which every class-2 vertex
     {b_i, b_k}, i < k, keeps its colour as {b_sigma(i), b_j}. Both tests are
     necessary, so the search is complete; the survivors of the last level
-    then get the full skeleton-level colour check in chunks. :data:`PERM_BUDGET`
-    bounds the partial permutations alive at any level. The result is in
-    lexicographic order and excludes the identity, so an empty result means
-    the labeling is distinguishing against every basis-permutation extension.
+    then get the full skeleton-level colour check in chunks, on the ids
+    within b_1 .. b_k for k = :data:`SCAN_PREFIX_LEVELS` < n first, whose
+    images depend on sigma(0 .. k-1) alone, and on whole rows for the rows
+    that keep those colours. :data:`PERM_BUDGET` bounds the partial permutations
+    alive at any level. The result is in lexicographic order and excludes
+    the identity, so an empty result means the labeling is distinguishing
+    against every basis-permutation extension.
     """
     if g.params.q != 2:
         raise UnsupportedFieldError("structural scan requires q = 2")
@@ -164,9 +171,14 @@ def structural_survivors(g: NzcGraph, f: Labeling) -> list[tuple[int, ...]]:
             return []
     survivors = []
     partial = partial[1:]  # the identity passes every level and sorts first
+    head = SCAN_PREFIX_LEVELS
     step = _row_step(g.num_vertices)
     for lo in range(0, len(partial), step):
         block = partial[lo:lo + step]
+        if n > head:
+            # the ids below 2^head - 1 first: their images depend on sigma(0 .. head-1) alone
+            block = block[(colors[_extend_images_batch(g, block[:, :head])]
+                           == colors[:(1 << head) - 1]).all(axis=1)]
         ok = (colors[_extend_images_batch(g, block)] == colors).all(axis=1)
         survivors.extend(map(tuple, block[ok].tolist()))
     return survivors

@@ -85,44 +85,63 @@ class AutGroup:
     """Explicitly enumerated automorphism group.
 
     Elements are the rows of ``perms`` (one-line notation), one C-ordered
-    block of uint16 (uint32 past 65,535 vertices), so a row is contiguous
-    and the kernels below read the group in blocks of rows. Row order is the
-    engine's deterministic enumeration order; the identity is always a row.
+    block in the narrowest unsigned dtype that holds a vertex id (one byte
+    per entry up to 256 vertices, so for every enumerated table), so a row
+    is contiguous and the kernels below read the group in blocks of rows.
+    Row order is the engine's deterministic enumeration order, ascending
+    for both engines; the identity is always a row.
     """
 
     def __init__(self, graph: NzcGraph, perms, source: str = "explicit"):
-        arr = np.ascontiguousarray(perms, dtype=np.uint16 if graph.num_vertices <= 65535
-                                   else np.uint32)
-        if arr.ndim != 2 or arr.shape[1] != graph.num_vertices or not len(arr):
+        arr, nv = np.asarray(perms), graph.num_vertices
+        if arr.ndim != 2 or arr.shape[1] != nv or not len(arr):
             raise ValueError("perms must be a (m, num_vertices) array with m >= 1")
+        if (arr.dtype.kind != "u" and arr.min() < 0) or arr.max() >= nv:  # a cast would wrap
+            raise ValueError("perms must hold vertex ids in range(num_vertices)")
         self.graph = graph
-        self.perms = arr
+        self.perms = np.ascontiguousarray(arr, dtype=_vertex_dtype(nv))
         self.source = source
-        self._sorted_rows: np.ndarray | None = None
+        self._table: np.ndarray | None = None
+        self._distinct = 0
         self._counts: np.ndarray | None = None
 
     @property
     def order(self) -> int:
         return int(self.perms.shape[0])
 
+    def _ascending(self) -> np.ndarray:
+        """The rows in ascending byte order, the order of their :func:`_row_keys`:
+        ``perms`` itself when it is so already (both engines emit it so, and
+        for one byte per entry byte order is numeric order), else a sorted
+        copy. Counts the distinct rows on the way."""
+        if self._table is None:
+            table = self.perms
+            ascending, self._distinct = _byte_order(table)
+            if not ascending:
+                table = np.sort(_row_keys(table)).view(table.dtype).reshape(table.shape)
+                self._distinct = _byte_order(table)[1]
+            self._table = table
+        return self._table
+
     def _bytes(self) -> np.ndarray:
-        """Sorted rows as byte strings in one block (an object per row fragments the heap)."""
-        if self._sorted_rows is None:
-            self._sorted_rows = np.sort(_row_keys(self.perms))
-        return self._sorted_rows
+        """The ascending rows as byte strings in one block (an object per row
+        fragments the heap)."""
+        return _row_keys(self._ascending())
 
     def _contains(self, perms: np.ndarray) -> np.ndarray:
         """Per row of a row block `perms` (stored dtype), whether it is an
-        element. The lookups copy the rows they match."""
-        rows, keys = self._bytes(), _row_keys(perms)
-        return rows[np.minimum(np.searchsorted(rows, keys), len(rows) - 1)] == keys
+        element: the rows its byte strings find are compared as numbers."""
+        table = self._ascending()
+        at = np.searchsorted(_row_keys(table), _row_keys(perms))
+        return (table[np.minimum(at, len(table) - 1, out=at)] == perms).all(axis=1)
 
     def distinct_rows(self) -> int:
-        rows = self._bytes()
-        return 1 + int(np.count_nonzero(rows[1:] != rows[:-1]))
+        self._ascending()
+        return self._distinct
 
     def set_equal(self, other: "AutGroup") -> bool:
-        return self.order == other.order and bool(np.array_equal(self._bytes(), other._bytes()))
+        return self.order == other.order and bool(np.array_equal(self._ascending(),
+                                                                 other._ascending()))
 
     def _image_counts(self) -> np.ndarray:
         """counts[v, w]: how many elements map v to w, from one bincount of
@@ -131,7 +150,7 @@ class AutGroup:
         if self._counts is None:
             nv = self.graph.num_vertices
             counts = np.zeros(nv * nv, dtype=np.int64)
-            pair = np.arange(0, nv * nv, nv)  # v * nv
+            pair = np.arange(0, nv * nv, nv, dtype=_vertex_dtype(nv * nv))  # v * nv
             step = _row_step(nv)
             for lo in range(0, self.order, step):
                 counts += np.bincount((self.perms[lo:lo + step] + pair).ravel(),
@@ -179,10 +198,11 @@ class AutGroup:
         if not self._contains(ident[None, :])[0]:
             failures.append("identity not in group")
         step = _row_step(nv)
+        starts, idents = np.arange(0, step * nv, nv)[:, None], np.tile(ident, step)
         for lo in range(0, self.order, step):  # stops at the first block missing an inverse
             block = self.perms[lo:lo + step]
-            invs = np.zeros_like(block)
-            invs.reshape(-1)[block + np.arange(0, block.size, nv)[:, None]] = ident
+            invs = np.zeros_like(block)  # a flat scatter is faster than a broadcast one
+            invs.reshape(-1)[(block + starts[:len(block)]).ravel()] = idents[:block.size]
             missing = np.flatnonzero(~self._contains(invs))
             if missing.size:
                 failures.append(f"inverse of element {lo + missing[0]} missing")
@@ -217,7 +237,7 @@ def _symmetric_group(n: int) -> np.ndarray:
     The rows that start with f are f followed by S_(n-1) in its own order,
     each entry x >= f raised by one to skip f.
     """
-    perms = np.zeros((1, 0), dtype=np.min_scalar_type(max(n - 1, 0)))
+    perms = np.zeros((1, 0), dtype=_vertex_dtype(n))
     for k in range(1, n + 1):
         first = np.repeat(np.arange(k, dtype=perms.dtype), len(perms))[:, None]
         rest = np.tile(perms, (k, 1))
@@ -231,6 +251,30 @@ def _row_keys(perms: np.ndarray) -> np.ndarray:
     return perms.view(np.dtype((np.void, perms.shape[1] * perms.itemsize)))[:, 0]
 
 
+def _vertex_dtype(nv: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every id of `nv` vertices: uint8
+    up to 256, uint16 up to 65,536, uint32 beyond."""
+    return np.min_scalar_type(max(nv - 1, 0))
+
+
+def _byte_order(rows: np.ndarray) -> tuple[bool, int]:
+    """Whether the rows of a C-ordered 2-d array ascend in byte order, and if
+    so how many are distinct, from one pass over blocks of adjacent rows:
+    each pair is ordered by its first differing byte."""
+    b = rows.view(np.uint8)
+    distinct = 1
+    step = _row_step(b.shape[1])
+    for lo in range(0, len(b) - 1, step):
+        later = b[lo + 1:lo + 1 + step]
+        earlier = b[lo:lo + len(later)]
+        at = np.arange(len(later)), (earlier != later).argmax(axis=1)  # 0 where equal
+        first, second = earlier[at], later[at]
+        if (first > second).any():
+            return False, 0
+        distinct += int(np.count_nonzero(first != second))
+    return True, distinct
+
+
 def _basis_ids(n: int) -> np.ndarray:
     """Vertex ids of b_1 .. b_n for q = 2: mask 2^(i-1), id = mask - 1."""
     return (1 << np.arange(n)) - 1
@@ -239,22 +283,25 @@ def _basis_ids(n: int) -> np.ndarray:
 def _extend_images_batch(graph: NzcGraph, sigmas: np.ndarray) -> np.ndarray:
     """Vertex images of basis-permutation extensions, one row per sigma (q = 2).
 
-    Returns a C-ordered (m, 2^n - 1) block of uint16 (uint32 past n = 16).
-    Vertex id v has skeleton mask v + 1, and the image mask moves bit i to
-    bit sigma(i). It is filled by subset doubling: mask 2^i maps to
-    2^sigma(i), and a mask k + 2^i with 0 < k < 2^i maps to the image of k
-    plus 2^sigma(i), so level i is one add over the columns already filled.
-    Rows go in blocks of :func:`_row_step` size, which stay in cache across
-    the n levels.
+    Returns a C-ordered (m, 2^k - 1) block in the narrowest dtype that holds
+    a vertex id of the graph (uint8 up to n = 8, uint16 up to n = 16), where
+    k <= n is the width of `sigmas`: the images of the ids below 2^k - 1,
+    the masks within b_1 .. b_k, which depend on sigma(0 .. k-1) alone, so
+    every id when k = n. Vertex id v has skeleton mask v + 1, and the image
+    mask moves bit i to bit sigma(i). It is filled by subset doubling: mask
+    2^i maps to 2^sigma(i), and a mask x + 2^i with 0 < x < 2^i maps to the
+    image of x plus 2^sigma(i), so level i is one add over the columns
+    already filled. Rows go in blocks of :func:`_row_step` size, which stay
+    in cache across the levels.
     """
-    n = graph.params.n
-    dtype = np.uint16 if n <= 16 else np.uint32
-    weights = (1 << np.asarray(sigmas, dtype=np.int64)).astype(dtype)  # (m, n)
-    images = np.empty((len(weights), (1 << n) - 1), dtype=dtype)
+    dtype = _vertex_dtype(graph.num_vertices)
+    weights = (1 << np.asarray(sigmas, dtype=np.int64)).astype(dtype)  # (m, k)
+    k = weights.shape[1]
+    images = np.empty((len(weights), (1 << k) - 1), dtype=dtype)
     step = _row_step(images.shape[1])
     for lo in range(0, len(images), step):
         block, w = images[lo:lo + step], weights[lo:lo + step]
-        for i in range(n):  # ids 2^i - 1 .. 2^(i+1) - 2 hold the masks with top bit i
+        for i in range(k):  # ids 2^i - 1 .. 2^(i+1) - 2 hold the masks with top bit i
             block[:, (1 << i) - 1] = w[:, i] - 1
             np.add(block[:, :(1 << i) - 1], w[:, i, None], out=block[:, 1 << i:(2 << i) - 1])
     return images
@@ -289,8 +336,7 @@ def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
     stack of such rows. The images are checked in one pass to preserve
     adjacency and skeleton-size classes; the first failing row raises, its
     adjacency ahead of its classes. Returns an int64 image row, or one row
-    per sigma of a stack, cast from the uint16 rows of
-    :func:`_extend_images_batch`.
+    per sigma of a stack, cast from the rows of :func:`_extend_images_batch`.
     """
     _require_skeletons(graph)
     n = graph.params.n
@@ -304,7 +350,7 @@ def extend_basis_permutation(graph: NzcGraph, sigma) -> np.ndarray:
 
 def transposition_extensions(graph: NzcGraph) -> np.ndarray:
     """Extensions of the C(n, 2) basis transpositions (l m), l < m, in
-    ``np.triu_indices(n, 1)`` order (q = 2): uint16 rows as
+    ``np.triu_indices(n, 1)`` order (q = 2): rows in the narrowest dtype, as
     :func:`_extend_images_batch` builds them.
 
     The adjacent transpositions are proven by :func:`_adjacent_automorphisms`
@@ -562,8 +608,9 @@ def aut_group_oracle(graph: NzcGraph) -> AutGroup:
     Fully independent of the structural engine: the search gets constant
     labels, so its initial partition uses vertex degrees only (a pure
     adjacency invariant; skeleton classes would presuppose the structure
-    under test). Enumeration is exhaustive; rows are returned sorted for
-    determinism. Raises a cap error past :data:`ORACLE_VERTEX_CAP` vertices,
+    under test). Enumeration is exhaustive; rows are returned sorted, one
+    byte per entry within the vertex cap, for determinism and so that the
+    table is its own index (see :meth:`AutGroup._ascending`). Raises a cap error past :data:`ORACLE_VERTEX_CAP` vertices,
     :data:`ORACLE_ELEMENT_BUDGET` elements or :data:`ORACLE_NODE_BUDGET`
     search nodes.
     """
@@ -584,7 +631,7 @@ def aut_group_oracle(graph: NzcGraph) -> AutGroup:
         if len(found) >= ORACLE_ELEMENT_BUDGET:
             raise CapExceededError(f"oracle found more than {ORACLE_ELEMENT_BUDGET} automorphisms")
         found.append(image)
-    return AutGroup(graph, np.array(sorted(found), dtype=np.int64), source="oracle")
+    return AutGroup(graph, np.array(sorted(found), dtype=_vertex_dtype(nv)), source="oracle")
 
 
 def explicit_group(graph: NzcGraph) -> AutGroup | None:
@@ -617,7 +664,7 @@ def check_extension_isomorphism(graph: NzcGraph, grp: AutGroup | None,
     Checks the homomorphism identity extend(h1 o h2) = extend(h1) o extend(h2)
     exhaustively for n <= 4 and on :data:`EXTENSION_PAIRS` seeded random pairs
     for larger n, drawn and extended in blocks of :func:`_row_step` pairs for
-    rows of 3 |V| (three uint16 image rows per pair, about 256 KiB), so memory
+    rows of 3 |V| (three image rows per pair, at most 256 KiB), so memory
     does not grow with the pair count. Given the structural group `grp`, it
     checks injectivity as n! distinct extensions, and given the oracle group
     too, surjectivity by set equality against it. It builds neither group.

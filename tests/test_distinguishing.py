@@ -336,6 +336,48 @@ def test_group_scan_reads_every_row_block_n8():
     assert nz.is_distinguishing(g, nz.AutGroup(g, grp.perms[:-1]), f)
 
 
+def test_group_scan_finds_a_preserver_that_fixes_the_colour_prefix_n8():
+    # row 1 extends the basis swap (7 8) and fixes ids 0 .. 62, the masks within
+    # b1 .. b6, so it keeps the colours of every prefix column; the labeling is
+    # constant on its cycles only, so it is the one preserver
+    g = nz.build(SpaceParams(8, 2))
+    grp = nz.aut_group_structural(g)
+    swap = grp.perms[1].astype(np.int64)
+    assert dst.COLOR_PREFIX <= 63 and np.array_equal(swap[:63], np.arange(63))
+    cycle = np.unique(np.minimum(np.arange(g.num_vertices), swap), return_inverse=True)[1]
+    f = nz.Labeling(tuple((cycle + 1).tolist()), int(cycle.max()) + 1)
+    assert not nz.is_distinguishing(g, grp, f)
+    assert nz.is_distinguishing(g, nz.AutGroup(g, np.delete(grp.perms, 1, 0)), f)
+    # one cycle split past the prefix: the swap keeps the prefix colours, not the row's
+    moved = int(np.flatnonzero(swap != np.arange(g.num_vertices))[0])
+    split = list(f.colors)
+    split[moved] = f.t + 1
+    assert nz.is_distinguishing(g, grp, nz.Labeling(tuple(split), f.t + 1))
+
+
+# a labeling of the (9,2) graph, one bit per vertex (colour - 1), most significant
+# first: the colours are constant on the cycles of the extension of the 9-cycle
+# SIGMA_9, and every basis vertex has colour 1 (the labelings workload at seed 11)
+SIGMA_9 = (5, 6, 4, 0, 7, 1, 2, 8, 3)
+COLORS_9 = ("2cd6d5a6d14b33f6f94788d51228ad44f385684fbc1015c52bfbaebae5a8e0e2"
+            "db1d696fce385a670ca0c4755fd91857306048d43edd9947a7b0f0a31e1a9a2e")
+
+
+def test_structural_scan_of_a_one_colour_basis_keeps_every_survivor_n9():
+    # all 9! - 1 non-identity sigma reach the last level, which checks the ids
+    # within b1 .. b5 before whole rows; the survivors are the powers of the cycle
+    g = nz.build(SpaceParams(9, 2))
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(COLORS_9), dtype=np.uint8))
+    f = nz.Labeling(tuple((bits[:g.num_vertices] + 1).tolist()), 2)
+    sigma = np.array(SIGMA_9)
+    powers, p = [], sigma
+    for _ in range(8):
+        powers.append(tuple(p.tolist()))
+        p = sigma[p]
+    assert nz.structural_survivors(g, f) == sorted(powers)
+    assert len(powers) == 8 and p.tolist() == list(range(9))
+
+
 def test_engines_agree_on_random_labelings():
     import random
 

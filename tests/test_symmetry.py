@@ -304,11 +304,16 @@ def _outcome(call):
         return f"ValueError: {exc}"
 
 
+def _narrowest(n):
+    """The dtype of the (n, 2) image rows: one byte per entry up to 255 vertices."""
+    return np.uint8 if n <= 8 else np.uint16
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_transposition_extensions_are_the_extensions_row_for_row(n):
     g = nz.build(SpaceParams(n, 2))
     rows = sym.transposition_extensions(g)
-    assert rows.dtype == np.uint16 and rows.shape == (comb(n, 2), g.num_vertices)
+    assert rows.dtype == _narrowest(n) and rows.shape == (comb(n, 2), g.num_vertices)
     assert np.array_equal(rows, nz.extend_basis_permutation(g, _transpositions(n)))
 
 
@@ -577,6 +582,62 @@ def test_row_set_keeps_the_stored_dtype_n8():
         tracemalloc.stop()
     assert len(rows) == grp.order
     assert held < 40 * 2**20
+
+
+def test_engine_ordered_table_is_its_own_row_set_n8():
+    # both engines emit ascending rows, so the lookups read the table itself,
+    # not a sorted 20.6 MB copy of it
+    g = nz.build(SpaceParams(8, 2))
+    grp = nz.aut_group_structural(g)
+    tracemalloc.start()
+    try:
+        rows = grp._bytes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.shares_memory(rows, grp.perms) and grp.distinct_rows() == grp.order
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_a_shuffled_table_is_the_same_group(n):
+    # a table that does not ascend takes the sorted copy; the answers are those
+    # of the engine-ordered table
+    g = nz.build(SpaceParams(n, 2))
+    grp = nz.aut_group_structural(g)
+    perms = grp.perms
+    order = list(range(len(perms)))
+    random.Random(n).shuffle(order)
+    shuffled = nz.AutGroup(g, perms[order])
+    assert shuffled._ascending() is not shuffled.perms
+    exchanged = perms[1::7].copy()
+    exchanged[:, [0, 1]] = exchanged[:, [1, 0]]
+    probes = np.vstack([perms[::11], perms[::13, ::-1], exchanged])
+    assert np.array_equal(shuffled._contains(probes), grp._contains(probes))
+    assert shuffled.distinct_rows() == grp.distinct_rows() == factorial(n)
+    assert shuffled.set_equal(grp) and grp.set_equal(shuffled)
+    assert shuffled.check_group_axioms(seed=n).failures == grp.check_group_axioms(seed=n).failures
+    assert grp.check_group_axioms(seed=n).passed
+    # the identity left out and a row doubled, in engine order and shuffled
+    part = np.vstack([perms[1:], perms[5:6]])
+    kept, mixed = nz.AutGroup(g, part), nz.AutGroup(g, part[::-1])
+    assert kept.distinct_rows() == mixed.distinct_rows() == factorial(n) - 1
+    assert np.array_equal(kept._contains(probes), mixed._contains(probes))
+    assert kept.set_equal(mixed) and not kept.set_equal(grp)
+    for part_grp in (kept, mixed):
+        assert part_grp.check_group_axioms(seed=n).failures[0] == "identity not in group"
+
+
+@pytest.mark.parametrize("n, entry", [(8, 256), (8, 300), (8, -1), (3, 7)])
+def test_group_refuses_entries_that_are_not_vertex_ids(n, entry):
+    # cast to one byte, 256 would wrap to vertex 0 and -1 to vertex 255
+    g = nz.build(SpaceParams(n, 2))
+    rows = nz.aut_group_structural(g).perms[:3].astype(np.int64)
+    rows[1, 0] = entry
+    with pytest.raises(ValueError, match=r"^perms must hold vertex ids in range\(num_vertices\)$"):
+        nz.AutGroup(g, rows)
+    with pytest.raises(ValueError, match="vertex ids"):
+        nz.AutGroup(g, rows.tolist())
 
 
 @pytest.mark.parametrize("n, edit, failures", [
@@ -867,7 +928,7 @@ def test_subset_doubling_extension_matches_the_matrix_product(n):
     sigmas = (np.array(list(itertools.permutations(range(n)))) if n <= 6
               else _sample_permutations(n, 200, seed=n))
     images = sym._extend_images_batch(g, sigmas)
-    assert images.dtype == np.uint16 and images.flags.c_contiguous
+    assert images.dtype == _narrowest(n) and images.flags.c_contiguous
     assert images.shape == (len(sigmas), g.num_vertices)
     assert np.array_equal(images, _reference_extend(g, sigmas))
 
@@ -881,7 +942,7 @@ def test_symmetric_group_is_itertools_order(n):
 def test_structural_group_n8_is_the_reference_row_for_row():
     g = nz.build(SpaceParams(8, 2))
     perms = nz.aut_group_structural(g).perms
-    assert perms.dtype == np.uint16 and perms.flags.c_contiguous
+    assert perms.dtype == _narrowest(8) and perms.flags.c_contiguous
     want = _reference_extend(g, np.array(list(itertools.permutations(range(8)))))
     assert np.array_equal(perms, want)
 

@@ -13,8 +13,9 @@ envelopes:
   a partition refined from (degree, colour), so it works even when the
   group is far too large to enumerate or has thousands of vertices.
 
-Every engine limit (vertex cap and search budgets) is a module constant,
-read at call time.
+Every engine limit (vertex cap, scan budget, colour prefix) is a module
+constant, read at call time; both searches count their nodes against
+:data:`nzcgraph.symmetry.NODE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -25,20 +26,18 @@ from math import comb
 
 import numpy as np
 
+from . import symmetry
 from .errors import CapExceededError, UnsupportedFieldError
 from .graph import NzcGraph, _row_step
 from .reporting import ANOMALY, CheckReport
-from .serialize import _integer, _integers
 from .symmetry import (AutGroup, _basis_ids, _color_preserving_images,
                        _extend_images_batch, extend_basis_permutation,
                        transposition_extensions)
+from .vectorspace import _integer, _integers
 
 EXACT_VERTEX_CAP = 30  # vertices up to which the exact labeling search runs
 PERM_BUDGET = 4_000_000  # partial basis permutations alive in the structural scan
-SEARCH_NODE_BUDGET = 2_000_000  # nodes of the colour-preserving search
-EXACT_NODE_BUDGET = 2_000_000  # nodes of each exact labeling search
-COLOR_PREFIX = 32  # leading columns the group scan checks before a whole row
-SCAN_PREFIX_LEVELS = 5  # basis indices whose ids the structural scan checks before a whole row
+COLOR_PREFIX = 32  # leading columns both scans check before a whole row
 
 
 @dataclass(frozen=True)
@@ -131,10 +130,10 @@ def structural_survivors(g: NzcGraph, f: Labeling) -> list[tuple[int, ...]]:
     b_k, keeping the extensions under which every class-2 vertex
     {b_i, b_k}, i < k, keeps its colour as {b_sigma(i), b_j}. Both tests are
     necessary, so the search is complete; the survivors of the last level
-    then get the full skeleton-level colour check in chunks, on the ids
-    within b_1 .. b_k for k = :data:`SCAN_PREFIX_LEVELS` < n first, whose
-    images depend on sigma(0 .. k-1) alone, and on whole rows for the rows
-    that keep those colours. :data:`PERM_BUDGET` bounds the partial permutations
+    then get the full skeleton-level colour check in chunks, first on the
+    2^k - 1 <= :data:`COLOR_PREFIX` ids within b_1 .. b_k when k = 5 < n,
+    whose images depend on sigma(0 .. k-1) alone, then on whole rows for the
+    rows that keep those colours. :data:`PERM_BUDGET` bounds the partial permutations
     alive at any level. The result is in lexicographic order and excludes
     the identity, so an empty result means the labeling is distinguishing
     against every basis-permutation extension.
@@ -171,7 +170,7 @@ def structural_survivors(g: NzcGraph, f: Labeling) -> list[tuple[int, ...]]:
             return []
     survivors = []
     partial = partial[1:]  # the identity passes every level and sorts first
-    head = SCAN_PREFIX_LEVELS
+    head = COLOR_PREFIX.bit_length() - 1  # 2^head - 1 ids fit in the prefix
     step = _row_step(g.num_vertices)
     for lo in range(0, len(partial), step):
         block = partial[lo:lo + step]
@@ -192,12 +191,11 @@ def find_color_preserving(g: NzcGraph, f: Labeling) -> tuple[int, ...] | None:
     complete, so a None return proves the labeling is distinguishing. Works
     for groups far too large to enumerate because a distinguishing labeling
     collapses the refinement to near-singleton cells. Raises a cap error
-    past :data:`SEARCH_NODE_BUDGET` nodes.
+    past :data:`nzcgraph.symmetry.NODE_BUDGET` nodes.
     """
     if len(f.colors) != g.num_vertices:
         raise ValueError("labeling length does not match the vertex count")
-    images = _color_preserving_images(g, f.colors, SEARCH_NODE_BUDGET,
-                                      "colour-preserving search")
+    images = _color_preserving_images(g, f.colors, "colour-preserving search")
     return next((image for image in images
                  if any(i != x for i, x in enumerate(image))), None)
 
@@ -347,7 +345,7 @@ def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int) -> Labeli
     tried beyond those already used), and a branch is accepted early once
     every non-identity group element is already broken by the coloured
     prefix, at which point any completion works. Raises a cap error past
-    :data:`EXACT_NODE_BUDGET` nodes.
+    :data:`nzcgraph.symmetry.NODE_BUDGET` nodes, read when the call starts.
     """
     nv = g.num_vertices
     if t < 1:
@@ -357,13 +355,13 @@ def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int) -> Labeli
     ident = list(range(nv))
     live0 = [i for i, p in enumerate(perms) if p != ident]
     colors = [0] * nv
-    nodes = 0
+    nodes, budget = 0, symmetry.NODE_BUDGET
 
     def dfs(k: int, live: list[int], max_used: int) -> Labeling | None:
         nonlocal nodes
         nodes += 1
-        if nodes > EXACT_NODE_BUDGET:
-            raise CapExceededError(f"exact search exceeded {EXACT_NODE_BUDGET} nodes")
+        if nodes > budget:
+            raise CapExceededError(f"exact search exceeded {budget} nodes")
         if not live:
             witness = tuple(colors[:k]) + (1,) * (nv - k)
             return Labeling(witness, t)

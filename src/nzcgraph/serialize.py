@@ -8,6 +8,7 @@ import numpy as np
 
 from . import vectorspace as vs
 from .graph import NzcGraph, _mirror_tiles, _row_step, _skeleton_mismatch
+from .vectorspace import _integer, _integers
 
 
 def graph_to_dict(g: NzcGraph) -> dict:
@@ -61,23 +62,6 @@ def _field(entry, key: str, where: str):
     if key not in entry:
         raise ValueError(f"{where} has no {key!r} field")
     return entry[key]
-
-
-def _integer(value, what: str) -> int:
-    """A Python or numpy integer as an int; bool, float, str and the rest raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
-    return int(value)
-
-
-def _integers(values, what: str) -> tuple[int, ...]:
-    """A list or tuple of integers, each checked as by :func:`_integer`, as a tuple of ints."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{what} must be a list of integers, not {type(values).__name__}")
-    if not set(map(type, values)) <= {int}:  # plain ints, the usual case, need no call each
-        for x in values:
-            _integer(x, f"{what} entry")
-    return tuple(map(int, values))
 
 
 def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcGraph:

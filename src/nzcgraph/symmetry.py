@@ -16,7 +16,9 @@ constant. It yields each label-preserving automorphism in turn.
 
 :func:`explicit_group` alone decides whether a graph gets an enumerated
 group; the checks take the groups they are given. Every engine limit (vertex
-caps, budgets, sampled pair counts) is a module constant, read at call time.
+caps, budgets, sampled pair counts) is a module constant, read at call time:
+:data:`GROUP_BUDGET` bounds both engines' tables, and :data:`NODE_BUDGET`
+each call of this search and of the exact labeling search.
 
 A vertex permutation is an integer array in one-line notation, and a group
 is an array of such rows (:attr:`AutGroup.perms`). Composition applies the
@@ -38,9 +40,8 @@ from .reporting import CheckReport
 ORACLE_VERTEX_CAP = 40
 EXTENSION_PAIRS = 1000  # seeded pairs of the sampled extension-isomorphism check
 CLOSURE_PAIRS = 2000  # seeded pairs of the sampled closure check
-ORACLE_ELEMENT_BUDGET = 200_000
-ORACLE_NODE_BUDGET = 5_000_000
-GROUP_BUDGET = 40320  # 8!, the largest structural group that is enumerated
+GROUP_BUDGET = 40320  # 8!, the largest group either engine enumerates
+NODE_BUDGET = 2_000_000  # nodes of each call of either backtracking search
 AXIOM_PAIR_BUDGET = 250_000  # closure is exhaustive when order^2 fits
 
 
@@ -96,6 +97,8 @@ class AutGroup:
         arr, nv = np.asarray(perms), graph.num_vertices
         if arr.ndim != 2 or arr.shape[1] != nv or not len(arr):
             raise ValueError("perms must be a (m, num_vertices) array with m >= 1")
+        if arr.dtype.kind not in "iu":  # a cast would truncate floats and pass bools
+            raise ValueError(f"perms must be an integer array, not {arr.dtype}")
         if (arr.dtype.kind != "u" and arr.min() < 0) or arr.max() >= nv:  # a cast would wrap
             raise ValueError("perms must hold vertex ids in range(num_vertices)")
         self.graph = graph
@@ -122,11 +125,6 @@ class AutGroup:
                 self._distinct = _byte_order(table)[1]
             self._table = table
         return self._table
-
-    def _bytes(self) -> np.ndarray:
-        """The ascending rows as byte strings in one block (an object per row
-        fragments the heap)."""
-        return _row_keys(self._ascending())
 
     def _contains(self, perms: np.ndarray) -> np.ndarray:
         """Per row of a row block `perms` (stored dtype), whether it is an
@@ -530,8 +528,7 @@ def _refine_by_neighbors(a: np.ndarray, colors, twins=None) -> list[int]:
     return colors.tolist()
 
 
-def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: str,
-                             twins=None):
+def _color_preserving_images(graph: NzcGraph, labels, what: str, twins=None):
     """Yield every automorphism that keeps each vertex's label, as a tuple.
 
     Individualization-refinement with an explicit stack, so the depth is not
@@ -541,7 +538,7 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
     (cell size, cell, id) order, each only into its own refined cell, with
     adjacency to every earlier assigned vertex preserved. Images come out in
     depth-first order. The root and each assignment count as one node
-    against `node_budget`; `what` names the search in the cap message.
+    against :data:`NODE_BUDGET`; `what` names the search in the cap message.
 
     The refined partition is equitable, so a singleton cell is a fixed
     point and every vertex of a cell has the same adjacency to it: the
@@ -560,8 +557,8 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
     order = np.argsort(cell, kind="stable")  # ids ascend inside a cell
     fixed = int(np.count_nonzero(cell_size == 1))
     nodes = 1 + fixed  # the root, and each fixed point assigned to itself
-    if nodes > node_budget:
-        raise CapExceededError(f"{what} exceeded {node_budget} nodes")
+    if nodes > NODE_BUDGET:
+        raise CapExceededError(f"{what} exceeded {NODE_BUDGET} nodes")
     full = list(range(nv))  # the fixed points keep their own image
     free = order[fixed:]
     if not len(free):
@@ -592,8 +589,8 @@ def _color_preserving_images(graph: NzcGraph, labels, node_budget: int, what: st
         used[u] = True
         seen[:, depth] = sub[:, u]
         nodes += 1
-        if nodes > node_budget:
-            raise CapExceededError(f"{what} exceeded {node_budget} nodes")
+        if nodes > NODE_BUDGET:
+            raise CapExceededError(f"{what} exceeded {NODE_BUDGET} nodes")
         if depth + 1 == len(free):
             for v, u in zip(free, image):
                 full[v] = free[u]
@@ -610,9 +607,10 @@ def aut_group_oracle(graph: NzcGraph) -> AutGroup:
     adjacency invariant; skeleton classes would presuppose the structure
     under test). Enumeration is exhaustive; rows are returned sorted, one
     byte per entry within the vertex cap, for determinism and so that the
-    table is its own index (see :meth:`AutGroup._ascending`). Raises a cap error past :data:`ORACLE_VERTEX_CAP` vertices,
-    :data:`ORACLE_ELEMENT_BUDGET` elements or :data:`ORACLE_NODE_BUDGET`
-    search nodes.
+    table is its own index (see :meth:`AutGroup._ascending`). Raises a cap
+    error past :data:`ORACLE_VERTEX_CAP` vertices, :data:`GROUP_BUDGET`
+    elements (the twin floor first, which refuses every admitted input the
+    budget refuses) or :data:`NODE_BUDGET` search nodes.
     """
     nv = graph.num_vertices
     if nv > ORACLE_VERTEX_CAP:
@@ -621,15 +619,14 @@ def aut_group_oracle(graph: NzcGraph) -> AutGroup:
     # automorphisms, so the product of their factorials bounds |Aut| below
     twins = closed_twin_partition(graph.adjacency_matrix())
     floor = prod(factorial(len(members)) for members in twins)
-    if floor > ORACLE_ELEMENT_BUDGET:
+    if floor > GROUP_BUDGET:
         raise CapExceededError(
-            f"group order is at least {floor}, enumeration budget is {ORACLE_ELEMENT_BUDGET}"
+            f"group order is at least {floor}, enumeration budget is {GROUP_BUDGET}"
         )
     found = []
-    for image in _color_preserving_images(graph, (0,) * nv, ORACLE_NODE_BUDGET, "oracle search",
-                                          twins):
-        if len(found) >= ORACLE_ELEMENT_BUDGET:
-            raise CapExceededError(f"oracle found more than {ORACLE_ELEMENT_BUDGET} automorphisms")
+    for image in _color_preserving_images(graph, (0,) * nv, "oracle search", twins):
+        if len(found) >= GROUP_BUDGET:
+            raise CapExceededError(f"oracle found more than {GROUP_BUDGET} automorphisms")
         found.append(image)
     return AutGroup(graph, np.array(sorted(found), dtype=_vertex_dtype(nv)), source="oracle")
 
@@ -639,8 +636,8 @@ def explicit_group(graph: NzcGraph) -> AutGroup | None:
 
     It is the structural group at q = 2 and the oracle group at q >= 3, or
     None when that engine raises a cap error: past :data:`GROUP_BUDGET`
-    elements (n > 8), past :data:`ORACLE_VERTEX_CAP` vertices, or past an
-    oracle budget.
+    elements (n > 8 at q = 2), past :data:`ORACLE_VERTEX_CAP` vertices, or
+    past :data:`NODE_BUDGET` oracle search nodes.
     """
     try:
         if graph.params.q == 2:

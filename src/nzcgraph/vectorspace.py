@@ -16,20 +16,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapExceededError
 
 DEFAULT_VERTEX_CAP = 65535
 
 
+def _integer(value, what: str) -> int:
+    """A Python or numpy integer as an int; bool, float, str and the rest raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """A list or tuple of integers, each checked as by :func:`_integer`, as a tuple of ints."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list of integers, not {type(values).__name__}")
+    if not set(map(type, values)) <= {int}:  # plain ints, the usual case, need no call each
+        for x in values:
+            _integer(x, f"{what} entry")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class SpaceParams:
-    """Dimension n, symbol count q, and the vertex cap for built graphs."""
+    """Dimension n, symbol count q, and the vertex cap for built graphs.
+
+    Each is a Python or numpy integer, stored as an int; anything else,
+    bool included, raises ValueError naming the field.
+    """
 
     n: int
     q: int
     vertex_cap: int = DEFAULT_VERTEX_CAP
 
     def __post_init__(self) -> None:
+        for name in ("n", "q", "vertex_cap"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.q < 2:

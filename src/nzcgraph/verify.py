@@ -22,8 +22,7 @@ from . import vectorspace as vs
 from .graph import NzcGraph
 from .reporting import CheckReport
 
-STRUCTURE_CHECK_BUDGET = 200_000  # group order * vertices up to which the structure check runs
-SEARCH_CROSS_CHECK_VERTICES = 70  # vertices up to which the 2-colour scheme is also searched
+CROSS_CHECK_VERTICES = 70  # vertices of automorphism-structure and the 2-colour search cross-check
 
 
 def _report_group_order(g: NzcGraph, grp: sym.AutGroup) -> CheckReport:
@@ -84,7 +83,7 @@ def _report_two_labeling(g: NzcGraph, scheme: dst.SchemeVerdict) -> CheckReport:
         failures.append("a non-identity group element preserves the 2-colour scheme"
                         if scheme.engine == "explicit-group-scan"
                         else f"{scheme.preservers} basis permutations preserve the scheme")
-    if g.num_vertices <= SEARCH_CROSS_CHECK_VERTICES:
+    if g.num_vertices <= CROSS_CHECK_VERTICES:
         engines.append("colour-preserving-search")
         if dst.find_color_preserving(g, f) is not None:
             failures.append("search engine found a colour-preserving automorphism")
@@ -201,7 +200,7 @@ def verify_params(n: int, q: int, *, vertex_cap: int = vs.DEFAULT_VERTEX_CAP, se
             yield _report_orbits_match_classes(g, grp)
             yield _report_top_class_fixed(g, grp)
             yield sym.check_orbit_stabilizer(grp)
-            if grp.order * g.num_vertices <= STRUCTURE_CHECK_BUDGET:
+            if g.num_vertices <= CROSS_CHECK_VERTICES:
                 yield sym.check_automorphism_structure(g, grp)
             if g.num_vertices <= sym.ORACLE_VERTEX_CAP:
                 oracle = sym.aut_group_oracle(g)

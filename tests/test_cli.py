@@ -480,6 +480,24 @@ def test_verify_runs_the_oracle_once_per_graph(monkeypatch):
     assert calls == [1, 2, 3, 4, 5]
 
 
+def test_verify_cross_checks_run_for_the_same_graphs():
+    # automorphism-structure once ran while order * |V| <= 200,000, and the
+    # 2-colour search cross-check while |V| <= 70. At q = 2 the group exists
+    # for n <= 8 with order n!, where both gates select exactly n <= 6
+    from nzcgraph import symmetry, verify
+
+    for n in range(1, 9):
+        assert factorial(n) <= symmetry.GROUP_BUDGET
+        nv = 2**n - 1
+        assert (factorial(n) * nv <= 200_000) == (nv <= verify.CROSS_CHECK_VERTICES) == (n <= 6)
+    assert factorial(9) > symmetry.GROUP_BUDGET
+    for n in (6, 7):
+        claims = {r.claim: r for r in verify.verify_params(n, 2)}
+        assert ("automorphism-structure" in claims) == (n <= 6)
+        engines = claims["two-colour-distinguishing"].details["engines"]
+        assert ("colour-preserving-search" in engines) == (n <= 6)
+
+
 @pytest.mark.parametrize("engine,ranges,want", [
     ("find_color_preserving", ("2..5", "3"), [2, 3, 4, 5]),
     ("structural_survivors", ("9", "2"), [9]),

@@ -378,6 +378,35 @@ def test_structural_scan_of_a_one_colour_basis_keeps_every_survivor_n9():
     assert len(powers) == 8 and p.tolist() == list(range(9))
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_structural_scan_prefix_fits_the_colour_prefix(n, monkeypatch):
+    # the scan checks the ids within b1 .. bk first, k the largest with its
+    # 2^k - 1 ids within the COLOR_PREFIX columns the group scan checks first;
+    # one colour on the basis sends every sigma there, where k = 5 is the whole
+    # row at n = 5 and a strict prefix past it
+    k = dst.COLOR_PREFIX.bit_length() - 1
+    assert k == 5 and (1 << k) - 1 <= dst.COLOR_PREFIX < (2 << k) - 1
+    widths = set()
+
+    def recorded(g, sigmas):
+        widths.add(sigmas.shape[1])
+        return _extend_images_batch(g, sigmas)
+
+    monkeypatch.setattr(dst, "_extend_images_batch", recorded)
+    g = nz.build(SpaceParams(n, 2))
+    rng = random.Random(n)
+    image = nz.extend_basis_permutation(g, rng.sample(range(n), n))
+    colors = [0] * g.num_vertices
+    for v in range(g.num_vertices):
+        c, w = rng.randint(1, 2), v
+        while not colors[w]:
+            colors[w], w = c, image[w]
+    colors = [1 if g.sizes[v] == 1 else c for v, c in enumerate(colors)]
+    for f in [nz.Labeling(tuple(colors), 2), constant_labeling(g)]:
+        assert nz.structural_survivors(g, f) == brute_force_survivors(g, f)
+    assert widths == {k, n}
+
+
 def test_engines_agree_on_random_labelings():
     import random
 
@@ -431,12 +460,10 @@ def test_search_node_budgets(monkeypatch):
     # per end-point order, so the first non-identity leaf is node 6
     g = nz.build(SpaceParams(2, 2))
     f = constant_labeling(g)
-    monkeypatch.setattr(dst, "SEARCH_NODE_BUDGET", 6)
-    monkeypatch.setattr(sym, "ORACLE_NODE_BUDGET", 6)
+    monkeypatch.setattr(sym, "NODE_BUDGET", 6)
     assert nz.find_color_preserving(g, f) == (1, 0, 2)
     assert nz.aut_group_oracle(g).order == 2
-    monkeypatch.setattr(dst, "SEARCH_NODE_BUDGET", 5)
-    monkeypatch.setattr(sym, "ORACLE_NODE_BUDGET", 5)
+    monkeypatch.setattr(sym, "NODE_BUDGET", 5)
     with pytest.raises(CapExceededError, match="^colour-preserving search exceeded 5 nodes$"):
         nz.find_color_preserving(g, f)
     with pytest.raises(CapExceededError, match="^oracle search exceeded 5 nodes$"):
@@ -447,7 +474,7 @@ def test_exact_search_node_budget(monkeypatch):
     # (2,3), 3 colours: the search must exhaust its tree to refute them
     g = nz.build(SpaceParams(2, 3))
     grp = nz.aut_group_oracle(g)
-    monkeypatch.setattr(dst, "EXACT_NODE_BUDGET", 10)
+    monkeypatch.setattr(sym, "NODE_BUDGET", 10)
     with pytest.raises(CapExceededError, match="^exact search exceeded 10 nodes$"):
         nz.exists_distinguishing_labeling(g, grp, 3)
     # dist_number falls back to the bounds when the exact search hits its cap
@@ -461,9 +488,9 @@ def test_constructive_search_is_one_path_at_scale(n, q, monkeypatch):
     g = nz.build(SpaceParams(n, q))
     f = nz.constructive_labeling_q2(g) if q == 2 else nz.constructive_labeling_q3(g)
     nv = g.num_vertices
-    monkeypatch.setattr(dst, "SEARCH_NODE_BUDGET", nv + 1)
+    monkeypatch.setattr(sym, "NODE_BUDGET", nv + 1)
     assert nz.find_color_preserving(g, f) is None
-    monkeypatch.setattr(dst, "SEARCH_NODE_BUDGET", nv)
+    monkeypatch.setattr(sym, "NODE_BUDGET", nv)
     with pytest.raises(CapExceededError,
                        match=f"^colour-preserving search exceeded {nv} nodes$"):
         nz.find_color_preserving(g, f)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from math import comb, factorial
 
@@ -106,13 +107,42 @@ def test_oracle_vertex_cap(monkeypatch):
 def test_oracle_group_budget_guard(monkeypatch):
     # (2,4) has >= 9! automorphisms from its 9-vertex twin set alone
     g = nz.build(SpaceParams(2, 4))
-    with pytest.raises(CapExceededError, match="group order is at least 13063680, enumeration budget is 200000"):
+    with pytest.raises(CapExceededError, match="group order is at least 13063680, enumeration budget is 40320"):
         nz.aut_group_oracle(g)
     # (2,3): the twin floor 2! * 2! * 4! = 96 passes a budget of 100, the
     # enumeration of all 192 elements does not
-    monkeypatch.setattr(sym, "ORACLE_ELEMENT_BUDGET", 100)
+    monkeypatch.setattr(sym, "GROUP_BUDGET", 100)
     with pytest.raises(CapExceededError, match="^oracle found more than 100 automorphisms$"):
         nz.aut_group_oracle(nz.build(SpaceParams(2, 3)))
+
+
+# the oracle's groups on every input it admits: (1..5,2), (2,3) and (1,3..9)
+ORACLE_ORDERS = {(1, 2): 1, (2, 2): 2, (3, 2): 6, (4, 2): 24, (5, 2): 120, (2, 3): 192,
+                 (1, 3): 2, (1, 4): 6, (1, 5): 24, (1, 6): 120, (1, 7): 720, (1, 8): 5040,
+                 (1, 9): 40320}
+
+
+def test_oracle_traffic_fits_the_group_and_node_budgets(monkeypatch):
+    # the 49 inputs within the oracle's vertex cap: 13 groups, the largest at
+    # exactly GROUP_BUDGET, and 36 refusals at a twin floor of at least 9!, so
+    # no admitted input tells the oracle's own element count from the budget
+    admitted = [(n, q) for q in range(2, sym.ORACLE_VERTEX_CAP + 2) for n in range(1, 6)
+                if q**n - 1 <= sym.ORACLE_VERTEX_CAP]
+    assert len(admitted) == 49 and set(ORACLE_ORDERS) <= set(admitted)
+    assert ORACLE_ORDERS[1, 9] == sym.GROUP_BUDGET
+    graphs = {key: nz.build(SpaceParams(*key)) for key in admitted}
+    refusal = f"^group order is at least ([0-9]+), enumeration budget is {sym.GROUP_BUDGET}$"
+    for key, g in graphs.items():
+        if key in ORACLE_ORDERS:
+            assert nz.aut_group_oracle(g).order == ORACLE_ORDERS[key]
+            continue
+        with pytest.raises(CapExceededError, match=refusal) as err:
+            nz.aut_group_oracle(g)
+        assert int(re.match(refusal, str(err.value))[1]) >= factorial(9)
+    # the largest run, (1,9), takes about 110,000 nodes: a tenth of the budget still fits
+    monkeypatch.setattr(sym, "NODE_BUDGET", sym.NODE_BUDGET // 10)
+    for key, order in ORACLE_ORDERS.items():
+        assert nz.aut_group_oracle(graphs[key]).order == order
 
 
 @pytest.mark.parametrize("n, q, order", [(1, 2, 1), (3, 2, 6), (8, 2, 40320), (9, 2, None),
@@ -576,7 +606,7 @@ def test_row_set_keeps_the_stored_dtype_n8():
     grp = nz.aut_group_structural(g)
     tracemalloc.start()
     try:
-        rows = grp._bytes()
+        rows = sym._row_keys(grp._ascending())
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -591,7 +621,7 @@ def test_engine_ordered_table_is_its_own_row_set_n8():
     grp = nz.aut_group_structural(g)
     tracemalloc.start()
     try:
-        rows = grp._bytes()
+        rows = sym._row_keys(grp._ascending())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -638,6 +668,20 @@ def test_group_refuses_entries_that_are_not_vertex_ids(n, entry):
         nz.AutGroup(g, rows)
     with pytest.raises(ValueError, match="vertex ids"):
         nz.AutGroup(g, rows.tolist())
+
+
+def test_group_refuses_rows_that_are_not_integers():
+    # a cast once stored [0, 1.9, 2.0] as [0, 1, 2] and [True, False, True] as
+    # [1, 0, 1], and string rows raised numpy's UFuncTypeError from min()
+    g = nz.build(SpaceParams(2, 2))
+    for rows in [[[0, 1.9, 2.0]], [[True, False, True]], [["0", "1", "2"]]]:
+        with pytest.raises(ValueError, match="^perms must be an integer array, not "):
+            nz.AutGroup(g, rows)
+    assert nz.AutGroup(g, [[0, 1, 2], [1, 0, 2]]).check_group_axioms().passed
+    g4 = nz.build(SpaceParams(4, 2))
+    table = nz.aut_group_structural(g4).perms
+    assert table.dtype == np.uint8
+    assert nz.AutGroup(g4, table).set_equal(nz.aut_group_oracle(g4))
 
 
 @pytest.mark.parametrize("n, edit, failures", [
@@ -780,7 +824,7 @@ def _sigma_constant_labeling(g, rng, sigma=None):
 
 @pytest.mark.parametrize("n, q", [(n, 2) for n in (3, 4, 5)] + [(n, 3) for n in (2, 3, 4)]
                          + [(2, 4), (3, 4), (9, 2), (6, 3)])
-def test_search_matches_reference_images_and_nodes(n, q):
+def test_search_matches_reference_images_and_nodes(n, q, monkeypatch):
     # the same images in the same order, and the same node count at the
     # last image compared or at the end of the search, read from the cap
     # message; at the benchmark's sizes, (9,2) and (6,3), the first 3 images
@@ -806,11 +850,12 @@ def test_search_matches_reference_images_and_nodes(n, q):
             want.append(image)
             if len(want) == count:
                 break
-        search = sym._color_preserving_images(g, labels, nodes, "search")
+        monkeypatch.setattr(sym, "NODE_BUDGET", nodes)
+        search = sym._color_preserving_images(g, labels, "search")
         assert list(itertools.islice(search, count)) == want
+        monkeypatch.setattr(sym, "NODE_BUDGET", nodes - 1)
         with pytest.raises(CapExceededError, match=f"^search exceeded {nodes - 1} nodes$"):
-            list(itertools.islice(sym._color_preserving_images(g, labels, nodes - 1, "search"),
-                                  count))
+            list(itertools.islice(sym._color_preserving_images(g, labels, "search"), count))
 
 
 def _reference_images(graph, labels, node_budget, what):
@@ -881,7 +926,7 @@ def _images_or_cap(search):
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (4, 2), (2, 3)])
-def test_search_matches_the_per_candidate_loop_on_tampered_matrices(n, q):
+def test_search_matches_the_per_candidate_loop_on_tampered_matrices(n, q, monkeypatch):
     # 1-3 entries flipped one-sidedly, so most matrices are asymmetric and
     # the comparison must read each candidate's row, not its column
     g = nz.build(SpaceParams(n, q))
@@ -894,7 +939,8 @@ def test_search_matches_the_per_candidate_loop_on_tampered_matrices(n, q):
         tampered = nz.NzcGraph(g.params, g.vertices, g.skeletons, m)
         for labels in [(1,) * nv, tuple(rng.randint(1, 3) for _ in range(nv))]:
             for budget in (5, 50, 10**6):
-                got = _images_or_cap(sym._color_preserving_images(tampered, labels, budget, "s"))
+                monkeypatch.setattr(sym, "NODE_BUDGET", budget)
+                got = _images_or_cap(sym._color_preserving_images(tampered, labels, "s"))
                 assert got == _images_or_cap(_reference_images(tampered, labels, budget, "s"))
 
 

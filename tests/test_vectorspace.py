@@ -3,6 +3,7 @@
 import time
 from math import comb
 
+import numpy as np
 import pytest
 
 from nzcgraph import CapExceededError, SpaceParams
@@ -98,6 +99,19 @@ def test_param_validation():
         SpaceParams(0, 2)
     with pytest.raises(ValueError):
         SpaceParams(3, 1)
+
+
+def test_params_take_python_and_numpy_integers_only():
+    # numpy integers are stored as int; a float or a bool once reached
+    # bit_length or range deep inside, or built the 1-vertex graph
+    params = SpaceParams(np.int64(2), np.int64(3), np.uint32(100))
+    assert params == SpaceParams(2, 3, 100) == SpaceParams(2, np.int64(3), 100)
+    assert {type(params.n), type(params.q), type(params.vertex_cap)} == {int}
+    assert params.num_vertices == 8
+    for args, field in [((2, 2.0), "q"), ((2.0, 2), "n"), ((True, 2), "n"), ((2, "3"), "q"),
+                        ((2, 3, 100.0), "vertex_cap"), ((2, 3, False), "vertex_cap")]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
+            SpaceParams(*args)
 
 
 def test_basis_vector_and_format():

@@ -150,8 +150,15 @@ def _row_step(width: int) -> int:
 
 def _skeleton_mismatch(m: np.ndarray, skeletons) -> int | None:
     """The first row of `m` that differs from "u != v and S_u & S_v != 0", or
-    None, compared a row block at a time."""
+    None, compared a row block at a time.
+
+    The masks are cast to the narrowest dtype that holds them all (uint16
+    up to n = 16), so the widest temporary, the block's `&`, takes 2 bytes a
+    cell where int64 took 8; the row blocks are those of int64 cells.
+    """
     s = np.asarray(skeletons, dtype=np.int64)
+    s = s.astype(np.result_type(np.min_scalar_type(s.min(initial=0)),
+                                np.min_scalar_type(s.max(initial=0))))
     step = _row_step(len(s))
     for lo in range(0, len(s), step):
         want = (s[lo:lo + step, None] & s) != 0

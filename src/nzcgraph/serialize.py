@@ -3,28 +3,32 @@
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from . import vectorspace as vs
-from .graph import NzcGraph, _mirror_tiles, _row_step, _skeleton_mismatch
+from .graph import NzcGraph, _mirror_tiles, _row_step, _skeleton_mismatch, mask_bits
 from .vectorspace import _integer, _integers
 
 
 def graph_to_dict(g: NzcGraph) -> dict:
-    """Dict schema: n, q, vertices (id/coeffs/skeleton/class), the (E, 2) edge array, twin sets."""
-    skeletons, sizes = g.skeletons.tolist(), g.sizes.tolist()
+    """Dict schema: n, q, vertices (id/coeffs/skeleton/class), the (E, 2) edge array, twin sets.
+
+    Each record's `skeleton` is a fresh copy of one entry of a table of the
+    2^n index lists, built by doubling: the list of mask m + 2^(b-1), for
+    m < 2^(b-1), is the list of m with b appended.
+    """
+    table = [[]]
+    for b in range(1, g.params.n + 1):
+        table += [t + [b] for t in table]
     return {
         "n": g.params.n,
         "q": g.params.q,
         "vertices": [
-            {
-                "id": v,
-                "coeffs": list(g.vertices[v]),
-                "skeleton": list(vs.skeleton_indices(skeletons[v])),
-                "class": sizes[v],
-            }
-            for v in range(g.num_vertices)
+            {"id": v, "coeffs": list(c), "skeleton": table[s][:], "class": k}
+            for v, c, s, k in zip(range(g.num_vertices), g.vertices,
+                                  g.skeletons.tolist(), g.sizes.tolist())
         ],
         "edges": g.edges(),
         "twin_sets": [list(ts) for ts in g.twin_sets()],
@@ -64,23 +68,61 @@ def _field(entry, key: str, where: str):
     return entry[key]
 
 
-def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcGraph:
-    """Reconstruct a graph from the dict schema, validating consistency.
+def _screen_vertices(params: vs.SpaceParams, entries: list):
+    """The coefficient tuples and int64 masks of `entries`, read as arrays,
+    or None when this screen does not accept them.
 
-    Vertices must match their canonical ids, skeletons and classes; the edges
-    (an (E, 2) array or JSON-loaded pairs) must be exactly the
-    skeleton-intersection graph, each edge once. `n`, `q` and each vertex's
-    id, coefficients, skeleton and class must be Python or numpy integers. A
-    malformed dict raises ValueError that names the field.
+    `entries` are the records in id order, their ids already checked. The
+    screen gathers every record's `coeffs`, `skeleton` and `class` into flat
+    lists, checks that each entry is a plain int with one type test per
+    list, then compares with numpy: coefficients in 0..q-1 whose radix
+    values are the ids plus one, skeleton indices in 1..n and strictly
+    ascending within each record, whose bits sum to the coefficients' mask,
+    and classes equal to the index counts. It accepts only records that
+    :func:`_check_vertices` accepts; anything else, valid or not (numpy
+    ints, unsorted or repeated indices, a missing key), returns None.
     """
-    params = vs.SpaceParams(_integer(_field(data, "n", "graph"), "n"),
-                            _integer(_field(data, "q", "graph"), "q"), vertex_cap)
-    entries = _field(data, "vertices", "graph")
-    if not isinstance(entries, (list, tuple)):
-        raise ValueError(f"vertices must be a list, not {type(entries).__name__}")
-    entries = sorted(entries, key=lambda e: _integer(_field(e, "id", "vertex"), "vertex id"))
-    if [e["id"] for e in entries] != list(range(params.num_vertices)):
-        raise ValueError("vertex ids are not the contiguous canonical range")
+    n, q, nv = params.n, params.q, params.num_vertices
+    try:
+        coeffs = [e["coeffs"] for e in entries]
+        indices = [e["skeleton"] for e in entries]
+        classes = [e["class"] for e in entries]
+    except KeyError:
+        return None
+    if not set(map(type, coeffs)) | set(map(type, indices)) <= {list, tuple}:
+        return None
+    if set(map(len, coeffs)) != {n}:
+        return None
+    counts = np.fromiter(map(len, indices), dtype=np.int64, count=nv)
+    if not counts.all():  # an empty skeleton list; reduceat needs one entry a record
+        return None
+    flat_c = list(chain.from_iterable(coeffs))
+    flat_s = list(chain.from_iterable(indices))
+    if not set(map(type, flat_c)) | set(map(type, flat_s)) | set(map(type, classes)) <= {int}:
+        return None
+    try:
+        c = np.array(flat_c, dtype=np.int64).reshape(nv, n)
+        idx = np.array(flat_s, dtype=np.int64)
+        cls = np.array(classes, dtype=np.int64)
+    except OverflowError:
+        return None
+    if c.min() < 0 or c.max() >= q or idx.min() < 1 or idx.max() > n:
+        return None
+    if not np.array_equal(c @ q ** np.arange(n), np.arange(1, nv + 1)):
+        return None
+    starts = np.cumsum(counts) - counts
+    rising = np.diff(idx) > 0
+    rising[starts[1:] - 1] = True  # each record's first index follows another record
+    masks = (c != 0) @ (1 << np.arange(n))
+    if not (rising.all() and np.array_equal(np.add.reduceat(1 << (idx - 1), starts), masks)
+            and np.array_equal(cls, counts)):
+        return None
+    return list(map(tuple, coeffs)), masks
+
+
+def _check_vertices(params: vs.SpaceParams, entries: list):
+    """The coefficient tuples and masks of `entries`, one record at a time;
+    the first bad record raises ValueError naming the vertex and the field."""
     vertices = []
     skeletons = []
     for e in entries:
@@ -96,6 +138,33 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
             raise ValueError(f"{where}: class does not match skeleton size")
         vertices.append(coeffs)
         skeletons.append(mask)
+    return vertices, np.array(skeletons, dtype=np.int64)
+
+
+def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcGraph:
+    """Reconstruct a graph from the dict schema, validating consistency.
+
+    Vertices must match their canonical ids, skeletons and classes; the edges
+    (an (E, 2) array or JSON-loaded pairs) must be exactly the
+    skeleton-intersection graph, each edge once. `n`, `q` and each vertex's
+    id, coefficients, skeleton and class must be Python or numpy integers,
+    and no edge endpoint may be a bool. A malformed dict raises ValueError
+    that names the field.
+
+    The vertex records are read as arrays by :func:`_screen_vertices`. When
+    it does not accept them, :func:`_check_vertices` reads them one at a
+    time; it alone picks the error that a bad record raises.
+    """
+    params = vs.SpaceParams(_integer(_field(data, "n", "graph"), "n"),
+                            _integer(_field(data, "q", "graph"), "q"), vertex_cap)
+    entries = _field(data, "vertices", "graph")
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"vertices must be a list, not {type(entries).__name__}")
+    entries = sorted(entries, key=lambda e: _integer(_field(e, "id", "vertex"), "vertex id"))
+    if [e["id"] for e in entries] != list(range(params.num_vertices)):
+        raise ValueError("vertex ids are not the contiguous canonical range")
+    vertices, skeletons = (_screen_vertices(params, entries)
+                           or _check_vertices(params, entries))
     nv = params.num_vertices
     listed = _field(data, "edges", "graph")
     try:
@@ -106,7 +175,8 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
         raise ValueError(f"edges must be a list of pairs, not {type(listed).__name__}")
     # count first, before any nv x nv allocation: deg v = q^n - q^(n - |S_v|) - 1
     q, n = params.q, params.n
-    want = sum(q**n - q ** (n - s.bit_count()) - 1 for s in skeletons) // 2
+    sizes = mask_bits(skeletons, np.arange(n)).sum(axis=1)
+    want = int((q**n - q ** (n - sizes) - 1).sum()) // 2
     if len(edges) != want:
         raise ValueError(f"edge list has {len(edges)} entries, the graph has {want} edges")
     if not want:  # an empty JSON list loads as a float array of shape (0,)
@@ -115,6 +185,12 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
         raise ValueError("edge entry is not a pair")
     if edges.dtype.kind not in "iu":
         raise ValueError(f"edge entries must be pairs of vertex ids, not {edges.dtype}")
+    # np.asarray casts a bool among ints to 0 or 1, so only a pair with such an
+    # endpoint can hold one; an array's own dtype already says bool
+    if isinstance(listed, (list, tuple)):
+        for k in np.flatnonzero((edges <= 1).any(axis=1)).tolist():
+            if {type(listed[k][0]), type(listed[k][1])} & {bool, np.bool_}:
+                raise ValueError("edge entries must be pairs of vertex ids, not bool")
     if edges.size and (edges.min() < 0 or edges.max() >= nv):  # no temporary per edge
         raise ValueError(f"edge endpoint outside 0..{nv - 1}")
     # each listed pair once, through the flat view, then S | S.T tile by tile

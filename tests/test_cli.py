@@ -244,8 +244,14 @@ NOT_THE_GRAPH = "not the skeleton-intersection graph, each edge once"
     (lambda es, nv: es.__setitem__(0, [es[0][0], "3"]), "pairs of vertex ids"),
     (lambda es, nv: es.__setitem__(slice(None), [[bool(v), bool(u)] for v, u in es]),
      "pairs of vertex ids"),
+    # es[0] is [0, 2], so [False, 2] is the same edge if the bool is read as 0
+    (lambda es, nv: es.__setitem__(0, [False, es[0][1]]), "^edge entries must be pairs of "
+                                                          "vertex ids, not bool$"),
+    (lambda es, nv: es.__setitem__(0, (np.False_, es[0][1])), "^edge entries must be pairs "
+                                                              "of vertex ids, not bool$"),
 ], ids=["missing", "extra", "duplicate", "duplicate-reversed", "non-edge", "out-of-range",
-        "negative", "triple", "self-loop", "float", "huge", "null", "string", "all-bool"])
+        "negative", "triple", "self-loop", "float", "huge", "null", "string", "all-bool",
+        "one-bool", "one-numpy-bool"])
 def test_graph_from_dict_rejects_bad_edges(edit, reason):
     with pytest.raises(ValueError, match=reason):
         serialize.graph_from_dict(_tampered(edit))
@@ -320,6 +326,166 @@ def test_graph_from_dict_accepts_numpy_integers():
     data.update(n=np.int64(2), q=np.uint8(3))
     data["vertices"][0].update(id=np.int32(0), coeffs=list(np.array([1, 0])), skeleton=[np.int8(1)])
     assert serialize.graphs_equal(g, serialize.graph_from_dict(data))
+
+
+def _reference_vertices(params, entries):
+    """The vertex checks of graph_from_dict as one loop per record: the
+    reference that the array screen must never be more lenient than."""
+    from nzcgraph.serialize import _field
+    from nzcgraph.vectorspace import _integer, _integers, mask_from_indices
+
+    entries = sorted(entries, key=lambda e: _integer(_field(e, "id", "vertex"), "vertex id"))
+    if [e["id"] for e in entries] != list(range(params.num_vertices)):
+        raise ValueError("vertex ids are not the contiguous canonical range")
+    vertices = []
+    skeletons = []
+    for e in entries:
+        where = f"vertex {e['id']}"
+        coeffs = _integers(_field(e, "coeffs", where), f"{where} coeffs")
+        if nz.vector_id(params, coeffs) != e["id"]:
+            raise ValueError(f"{where} is out of canonical order")
+        mask = nz.skeleton(coeffs)
+        indices = _integers(_field(e, "skeleton", where), f"{where} skeleton")
+        if mask_from_indices(indices) != mask:
+            raise ValueError(f"{where}: skeleton does not match coefficients")
+        if _integer(_field(e, "class", where), f"{where} class") != mask.bit_count():
+            raise ValueError(f"{where}: class does not match skeleton size")
+        vertices.append(coeffs)
+        skeletons.append(mask)
+    return vertices, skeletons
+
+
+def _nudged(xs, rng, f):
+    """A copy of the list `xs` with one seeded entry x replaced by f(x)."""
+    xs = list(xs)
+    k = rng.randrange(len(xs))
+    xs[k] = f(xs[k])
+    return xs
+
+
+def _forged_coeffs(e, rng, n, q):
+    """Coefficients with the same radix value, one of them moved out of
+    0..q-1 by a carry or a borrow between positions i - 1 and i, and the
+    skeleton and class made to match them."""
+    c = list(e["coeffs"])
+    i = rng.randrange(1, n)
+    step = q if c[i] else -q
+    c[i - 1] += step
+    c[i] -= step // q
+    skeleton = [k + 1 for k in range(n) if c[k]]
+    return {**e, "coeffs": c, "skeleton": skeleton, "class": len(skeleton)}
+
+
+def _forged_skeleton(e, rng, n, q):
+    """A skeleton whose bits, as int64 shifts, still sum to the mask: index i
+    replaced by [i - 1, i - 1], 0 added in front or 65 at the end (numpy
+    shifts 1 by -1 or 64 to 0), with the class raised by one."""
+    idx = list(e["skeleton"])
+    forgeries = [[0] + idx, idx + [65]]
+    k = next((k for k, i in enumerate(idx) if i >= 2), None)
+    if k is not None:
+        forgeries.append(idx[:k] + [idx[k] - 1] * 2 + idx[k + 1:])
+    return {**e, "skeleton": rng.choice(forgeries), "class": e["class"] + 1}
+
+
+# each edit maps one vertex record, a dict, a seeded random.Random, n and q
+# to the tampered record; the two forged ones keep the fields consistent
+RECORD_EDITS = {
+    "coeffs-forged": _forged_coeffs,
+    "skeleton-forged": _forged_skeleton,
+    "coeff-plus-one": lambda e, r, n, q: {**e, "coeffs": _nudged(e["coeffs"], r, lambda c: c + 1)},
+    "coeff-minus-one": lambda e, r, n, q: {**e, "coeffs": _nudged(e["coeffs"], r, lambda c: c - 1)},
+    "coeff-q": lambda e, r, n, q: {**e, "coeffs": _nudged(e["coeffs"], r, lambda c: q)},
+    "coeff-huge": lambda e, r, n, q: {**e, "coeffs": _nudged(e["coeffs"], r, lambda c: 2**70)},
+    "coeffs-long": lambda e, r, n, q: {**e, "coeffs": e["coeffs"] + [0]},
+    "coeffs-short": lambda e, r, n, q: {**e, "coeffs": e["coeffs"][:-1]},
+    "coeff-bool": lambda e, r, n, q: {**e, "coeffs": _nudged(e["coeffs"], r, bool)},
+    "coeff-float": lambda e, r, n, q: {**e, "coeffs": _nudged(e["coeffs"], r, float)},
+    "coeff-null": lambda e, r, n, q: {**e, "coeffs": _nudged(e["coeffs"], r, lambda c: None)},
+    "coeffs-str": lambda e, r, n, q: {**e, "coeffs": "".join(map(str, e["coeffs"]))},
+    "coeffs-int": lambda e, r, n, q: {**e, "coeffs": e["coeffs"][0]},
+    "skeleton-empty": lambda e, r, n, q: {**e, "skeleton": []},
+    "skeleton-zero": lambda e, r, n, q: {**e, "skeleton": _nudged(e["skeleton"], r, lambda i: 0)},
+    "skeleton-past-n": lambda e, r, n, q: {**e, "skeleton": _nudged(e["skeleton"], r,
+                                                                    lambda i: n + 1)},
+    "skeleton-shifted": lambda e, r, n, q: {**e, "skeleton": _nudged(e["skeleton"], r,
+                                                                     lambda i: i % n + 1)},
+    "skeleton-unsorted": lambda e, r, n, q: {**e, "skeleton": e["skeleton"][::-1]},
+    "skeleton-repeated": lambda e, r, n, q: {**e, "skeleton": e["skeleton"] + e["skeleton"][-1:]},
+    "skeleton-bool": lambda e, r, n, q: {**e, "skeleton": _nudged(e["skeleton"], r, bool)},
+    "skeleton-float": lambda e, r, n, q: {**e, "skeleton": _nudged(e["skeleton"], r, float)},
+    "skeleton-null": lambda e, r, n, q: {**e, "skeleton": _nudged(e["skeleton"], r,
+                                                                  lambda i: None)},
+    "class-plus-one": lambda e, r, n, q: {**e, "class": e["class"] + 1},
+    "class-minus-one": lambda e, r, n, q: {**e, "class": e["class"] - 1},
+    "class-bool": lambda e, r, n, q: {**e, "class": bool(e["class"])},
+    "no-coeffs": lambda e, r, n, q: {k: v for k, v in e.items() if k != "coeffs"},
+    "no-skeleton": lambda e, r, n, q: {k: v for k, v in e.items() if k != "skeleton"},
+    "no-class": lambda e, r, n, q: {k: v for k, v in e.items() if k != "class"},
+    "numpy-ints": lambda e, r, n, q: {**e, "coeffs": list(np.array(e["coeffs"])),
+                                      "skeleton": list(np.array(e["skeleton"], dtype=np.uint8)),
+                                      "class": np.int16(e["class"])},
+    "tuples": lambda e, r, n, q: {**e, "coeffs": tuple(e["coeffs"]),
+                                  "skeleton": tuple(e["skeleton"])},
+}
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (2, 3), (4, 3)])
+def test_vertex_screen_never_accepts_what_the_loop_rejects(n, q):
+    import random
+
+    g = nz.build(SpaceParams(n, q))
+    plain = json.loads(serialize.graph_to_json(g))
+    for data in (plain, serialize.graph_to_dict(g)):  # the screen takes the usual records
+        screened = serialize._screen_vertices(g.params, data["vertices"])
+        assert screened is not None
+        assert screened[0] == g.vertices and screened[1].tolist() == g.skeletons.tolist()
+    for name, edit in RECORD_EDITS.items():
+        for seed in range(6):
+            rng = random.Random(f"{name} {n} {q} {seed}")
+            data = json.loads(serialize.graph_to_json(g))
+            v = rng.randrange(g.num_vertices)
+            data["vertices"][v] = edit(data["vertices"][v], rng, n, q)
+            try:
+                want = _reference_vertices(g.params, data["vertices"])
+            except ValueError as exc:
+                want = str(exc)
+            screened = serialize._screen_vertices(g.params, data["vertices"])
+            if screened is not None:
+                assert not isinstance(want, str), (name, seed, want)
+                assert screened[0] == want[0] and screened[1].tolist() == want[1]
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as caught:
+                    serialize.graph_from_dict(data)
+                assert str(caught.value) == want, (name, seed)
+            else:
+                assert serialize.graphs_equal(g, serialize.graph_from_dict(data)), (name, seed)
+    # valid but unusual records take the loop and import, at a vertex with
+    # two skeleton indices so that reversing them unsorts them
+    v = next(v for v in range(g.num_vertices) if g.sizes[v] >= 2)
+    for name in ("numpy-ints", "tuples", "skeleton-unsorted", "skeleton-repeated"):
+        data = json.loads(serialize.graph_to_json(g))
+        data["vertices"][v] = RECORD_EDITS[name](data["vertices"][v], None, n, q)
+        assert serialize.graphs_equal(g, serialize.graph_from_dict(data)), name
+
+
+def test_graph_to_dict_records_are_the_per_vertex_construction():
+    for n, q in [(n, 2) for n in range(1, 10)] + [(2, 3), (3, 3), (4, 3)]:
+        g = nz.build(SpaceParams(n, q))
+        want = [{"id": v, "coeffs": list(g.vertices[v]),
+                 "skeleton": list(nz.skeleton_indices(int(g.skeletons[v]))),
+                 "class": int(g.sizes[v])} for v in range(g.num_vertices)]
+        got = serialize.graph_to_dict(g)["vertices"]
+        assert got == want
+        assert {type(x) for e in got for x in (e["id"], e["class"], *e["coeffs"], *e["skeleton"])} \
+            == {int}
+    # (2,3): ids 0 and 1 are b1 and 2b1, twins with skeleton [1]; each record has its own list
+    g = nz.build(SpaceParams(2, 3))
+    records = serialize.graph_to_dict(g)["vertices"]
+    assert records[0]["skeleton"] == records[1]["skeleton"] == [1]
+    records[0]["skeleton"].append(2)
+    assert records[1]["skeleton"] == [1] and records[0]["skeleton"] == [1, 2]
+    assert serialize.graph_to_dict(g)["vertices"][0]["skeleton"] == [1]
 
 
 def test_roundtrip_report_builds_no_object_per_edge():

@@ -202,6 +202,46 @@ def test_skeleton_intersections_across_row_blocks():
         serialize.graph_from_dict(data)
 
 
+def _mismatch_int64(m, skeletons):
+    """The row-block comparison of _skeleton_mismatch on int64 masks: the
+    reference for its narrow-dtype kernel."""
+    s = np.asarray(skeletons, dtype=np.int64)
+    step = gr._row_step(len(s))
+    for lo in range(0, len(s), step):
+        want = (s[lo:lo + step, None] & s) != 0
+        want[np.arange(len(want)), np.arange(lo, lo + len(want))] = False
+        bad = (m[lo:lo + step] != want).any(axis=1)
+        if bad.any():
+            return lo + int(bad.argmax())
+    return None
+
+
+def test_skeleton_mismatch_in_narrow_masks_is_the_int64_reference():
+    rng = np.random.default_rng(7)
+    cases = []
+    for n, q in [(11, 2), (7, 3)]:
+        g = nz.build(SpaceParams(n, q))
+        cases.append((g.adjacency_matrix(), g.skeletons))
+    # 600 masks of 16 bits, each with bit 15 and a seeded lower part, so
+    # every pair meets in bit 15 alone or also below it
+    s = (1 << 15) | rng.integers(0, 1 << 15, 600)
+    s[::7] = 1 << 15
+    want = (s[:, None] & s) != 0
+    np.fill_diagonal(want, False)
+    cases.append((want, s))
+    for m, s in cases:
+        assert gr._skeleton_mismatch(m, s) is None
+        for _ in range(6):
+            bad = m.copy()
+            for v, u in rng.integers(len(m) // 3, len(m), (int(rng.integers(1, 4)), 2)):
+                bad[v, u] = not bad[v, u]
+            assert gr._skeleton_mismatch(bad, s) == _mismatch_int64(bad, s) is not None
+        for v, u in rng.integers(0, len(s), (6, 2)):  # two masks exchanged instead
+            swapped = s.copy()
+            swapped[[v, u]] = swapped[[u, v]]
+            assert gr._skeleton_mismatch(m, swapped) == _mismatch_int64(m, swapped)
+
+
 def _traced_peak(fn, *args):
     """fn(*args) and the peak bytes it allocated, as tracemalloc saw them."""
     tracemalloc.start()
@@ -218,7 +258,8 @@ def test_adjacency_checks_make_no_second_matrix():
     g = nz.build(SpaceParams(11, 2))
     cells = g.num_vertices ** 2
     report, peak = _traced_peak(gr.check_adjacency_invariants, g)
-    assert report.passed and peak < cells
+    # 64-row blocks of uint16 masks: the block's & is 0.25 MiB, where int64 took 1 MiB
+    assert report.passed and peak < 0.75 * 2**20
     data = serialize.graph_to_dict(g)
     back, peak = _traced_peak(serialize.graph_from_dict, data)
     assert serialize.graphs_equal(g, back) and peak < 3 * cells

@@ -82,8 +82,9 @@ class NzcGraph:
         return self._twin_sets
 
     def edges(self) -> np.ndarray:
-        """The C-ordered (E, 2) int32 array of edges (v, u) with v < u, in
-        row-major order.
+        """The C-ordered (E, 2) array of edges (v, u) with v < u, in row-major
+        order, in the vertex-id dtype :func:`_vertex_dtype`: 2 bytes an edge
+        up to 256 vertices, 4 up to 65,536.
 
         Two passes over row blocks of the strict upper triangle: one counts
         each block's entries, one writes its row and column ids into the
@@ -93,7 +94,7 @@ class NzcGraph:
         nv = len(m)
         step = min(_row_step(nv), nv)
         upper = np.triu(np.ones((step, step), dtype=bool), 1)
-        ids = np.arange(nv, dtype=np.int32)
+        ids = np.arange(nv, dtype=_vertex_dtype(nv))
 
         def block(lo):  # rows lo.. of the strict upper triangle, from column lo
             b = m[lo:lo + step, lo:].copy()
@@ -101,7 +102,7 @@ class NzcGraph:
             return b
 
         starts = np.cumsum([0] + [np.count_nonzero(block(lo)) for lo in range(0, nv, step)])
-        out = np.empty((starts[-1], 2), dtype=np.int32)
+        out = np.empty((starts[-1], 2), dtype=ids.dtype)
         for lo, a, z in zip(range(0, nv, step), starts, starts[1:]):
             b = block(lo)
             out[a:z, 0] = np.broadcast_to(ids[lo:lo + len(b), None], b.shape)[b]
@@ -114,6 +115,13 @@ class NzcGraph:
     def adjacency_matrix(self) -> np.ndarray:
         """The boolean adjacency matrix (read-only)."""
         return self._matrix
+
+
+def _vertex_dtype(nv: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every id of `nv` vertices: uint8
+    up to 256, uint16 up to 65,536, uint32 beyond. Group tables and edge
+    arrays share it."""
+    return np.min_scalar_type(max(nv - 1, 0))
 
 
 def _read_only(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:

@@ -13,7 +13,8 @@ from .vectorspace import _integer, _integers
 
 
 def graph_to_dict(g: NzcGraph) -> dict:
-    """Dict schema: n, q, vertices (id/coeffs/skeleton/class), the (E, 2) edge array, twin sets.
+    """Dict schema: n, q, vertices (id/coeffs/skeleton/class), the (E, 2) edge
+    array of :meth:`NzcGraph.edges` in the vertex-id dtype, twin sets.
 
     Each record's `skeleton` is a fresh copy of one entry of a table of the
     2^n index lists, built by doubling: the list of mask m + 2^(b-1), for
@@ -160,12 +161,14 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
     entries = _field(data, "vertices", "graph")
     if not isinstance(entries, (list, tuple)):
         raise ValueError(f"vertices must be a list, not {type(entries).__name__}")
-    entries = sorted(entries, key=lambda e: _integer(_field(e, "id", "vertex"), "vertex id"))
-    if [e["id"] for e in entries] != list(range(params.num_vertices)):
-        raise ValueError("vertex ids are not the contiguous canonical range")
+    nv = params.num_vertices
+    ids = [_integer(_field(e, "id", "vertex"), "vertex id") for e in entries]
+    if ids != list(range(nv)):  # sort only records out of id order
+        if sorted(ids) != list(range(nv)):
+            raise ValueError("vertex ids are not the contiguous canonical range")
+        entries = sorted(entries, key=lambda e: int(e["id"]))
     vertices, skeletons = (_screen_vertices(params, entries)
                            or _check_vertices(params, entries))
-    nv = params.num_vertices
     listed = _field(data, "edges", "graph")
     try:
         edges = np.asarray(listed)
@@ -197,9 +200,11 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
     m = np.zeros((nv, nv), dtype=bool)
     flat = m.reshape(-1)
     step = _row_step(2)
-    for lo in range(0, len(edges), step):
-        pairs = edges[lo:lo + step].astype(np.intp)
-        flat[pairs[:, 0] * nv + pairs[:, 1]] = True
+    for lo in range(0, len(edges), step):  # cast first: a uint8 product wraps past 255
+        at = edges[lo:lo + step, 0].astype(np.intp)
+        at *= nv
+        at += edges[lo:lo + step, 1].astype(np.intp)
+        flat[at] = True
     for a, b in _mirror_tiles(m):
         a |= b.T
         b[...] = a.T

@@ -34,7 +34,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import CapExceededError, UnsupportedFieldError
-from .graph import NzcGraph, _row_step, closed_twin_partition, mask_bits
+from .graph import NzcGraph, _row_step, _vertex_dtype, closed_twin_partition, mask_bits
 from .reporting import CheckReport
 
 ORACLE_VERTEX_CAP = 40
@@ -247,12 +247,6 @@ def _row_keys(perms: np.ndarray) -> np.ndarray:
     """Each row of a 2-d array as one opaque (void) scalar, comparable bytewise."""
     perms = np.ascontiguousarray(perms)
     return perms.view(np.dtype((np.void, perms.shape[1] * perms.itemsize)))[:, 0]
-
-
-def _vertex_dtype(nv: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds every id of `nv` vertices: uint8
-    up to 256, uint16 up to 65,536, uint32 beyond."""
-    return np.min_scalar_type(max(nv - 1, 0))
 
 
 def _byte_order(rows: np.ndarray) -> tuple[bool, int]:

@@ -355,6 +355,60 @@ def _reference_vertices(params, entries):
     return vertices, skeletons
 
 
+def _reference_id_order(params, entries):
+    """The id check with a full sort of every list: the reference for
+    graph_from_dict's in-order shortcut."""
+    from nzcgraph.serialize import _field
+    from nzcgraph.vectorspace import _integer
+
+    entries = sorted(entries, key=lambda e: _integer(_field(e, "id", "vertex"), "vertex id"))
+    if [e["id"] for e in entries] != list(range(params.num_vertices)):
+        raise ValueError("vertex ids are not the contiguous canonical range")
+    return entries
+
+
+# each edit maps the list of vertex records and a seeded random.Random to a
+# new list; the records' ids are the only fields changed
+ID_EDITS = {
+    "in-order": lambda es, r: es,
+    "shuffled": lambda es, r: r.sample(es, len(es)),
+    "swapped": lambda es, r: [es[1], es[0], *es[2:]],
+    "numpy-shuffled": lambda es, r: r.sample([{**e, "id": np.int16(e["id"])} for e in es], len(es)),
+    "bool": lambda es, r: _nudged(es, r, lambda e: {**e, "id": bool(e["id"])}),
+    "str": lambda es, r: _nudged(es, r, lambda e: {**e, "id": str(e["id"])}),
+    "float": lambda es, r: _nudged(es, r, lambda e: {**e, "id": float(e["id"])}),
+    "missing": lambda es, r: _nudged(es, r, lambda e: {k: v for k, v in e.items() if k != "id"}),
+    "str-then-bool": lambda es, r: _nudged(_nudged(es, r, lambda e: {**e, "id": str(e["id"])}),
+                                           r, lambda e: {**e, "id": bool(e["id"])}),
+    "shuffled-str": lambda es, r: _nudged(r.sample(es, len(es)), r,
+                                          lambda e: {**e, "id": str(e["id"])}),
+    "duplicate": lambda es, r: _nudged(es, r, lambda e: {**e, "id": (e["id"] + 1) % len(es)}),
+    "past-the-end": lambda es, r: _nudged(es, r, lambda e: {**e, "id": len(es)}),
+    "negative": lambda es, r: _nudged(es, r, lambda e: {**e, "id": -1}),
+    "one-short": lambda es, r: es[:-1],
+}
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (2, 3)])
+def test_id_order_shortcut_matches_the_full_sort(n, q):
+    import random
+
+    g = nz.build(SpaceParams(n, q))
+    for name, edit in ID_EDITS.items():
+        for seed in range(6):
+            data = json.loads(serialize.graph_to_json(g))
+            data["vertices"] = edit(data["vertices"], random.Random(f"{name} {n} {q} {seed}"))
+            try:
+                want = _reference_id_order(g.params, data["vertices"])
+            except ValueError as exc:
+                with pytest.raises(ValueError) as caught:
+                    serialize.graph_from_dict(data)
+                assert str(caught.value) == str(exc), (name, seed)
+            else:
+                assert [e["id"] for e in want] == list(range(g.num_vertices))
+                assert serialize.graphs_equal(g, serialize.graph_from_dict(data)), (name, seed)
+
+
 def _nudged(xs, rng, f):
     """A copy of the list `xs` with one seeded entry x replaced by f(x)."""
     xs = list(xs)
@@ -502,9 +556,9 @@ def test_roundtrip_report_builds_no_object_per_edge():
         tracemalloc.stop()
     assert rep.status == "pass"
     assert peak < 120 * 2**20
-    # the int32 edge array (16 MB) and the re-imported matrix (4 MB), with
-    # the dict freed before the comparison; int64 edges alone would be 32 MB
-    assert peak < 32 * 2**20
+    # the uint16 edge array (8 MB) and the re-imported matrix (4 MB), with
+    # the dict freed before the comparison
+    assert peak < 16 * 2**20
 
 
 def test_roundtrip_report_fails_on_rejected_json(monkeypatch):

@@ -1,5 +1,6 @@
 """Graph construction, degrees, twin sets, separating-pair counts."""
 
+import json
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -150,7 +151,7 @@ def test_edges_match_skeleton_reference_in_order():
                 if g.skeletons[v] & g.skeletons[u]]
         got = g.edges()
         assert got.tolist() == want
-        assert got.shape == (len(want), 2) and got.dtype.kind == "i"
+        assert got.shape == (len(want), 2) and got.dtype == gr._vertex_dtype(g.num_vertices)
     # the row-block kernel against the dense reference: one block at (1,2) and
     # (2,2), 32 blocks of 64 rows at (11,2), 38 of 59 rows at (7,3)
     for n, q in [(1, 2), (2, 2), (7, 3)]:
@@ -170,7 +171,7 @@ def test_edges_match_skeleton_reference_in_order():
 def _assert_edges_are_the_dense_reference(g):
     got = g.edges()
     assert np.array_equal(got, np.argwhere(np.triu(g.adjacency_matrix(), 1)))
-    assert got.dtype == np.int32 and got.flags.c_contiguous
+    assert got.dtype == gr._vertex_dtype(g.num_vertices) and got.flags.c_contiguous
 
 
 def test_skeleton_intersections_across_row_blocks():
@@ -266,11 +267,26 @@ def test_adjacency_checks_make_no_second_matrix():
 
 
 def test_edge_array_is_the_only_per_edge_allocation():
-    # (11,2): 2,007,555 edges, 8 bytes each as int32 pairs
+    # (11,2): 2,007,555 edges, 4 bytes each as uint16 pairs
     g = nz.build(SpaceParams(11, 2))
     edges, peak = _traced_peak(g.edges)
-    assert len(edges) == g.edge_count() == 2_007_555
-    assert peak <= 8 * len(edges) + 2**20
+    assert len(edges) == g.edge_count() == 2_007_555 and edges.dtype == np.uint16
+    assert peak <= 4 * len(edges) + 2**20
+
+
+@pytest.mark.parametrize("n, q", [(8, 2), (1, 257), (1, 258)])
+def test_edges_at_the_vertex_dtype_boundaries(n, q):
+    # 255, 256 and 257 vertices: uint8 ids, the last uint8 id 255, then uint16;
+    # a flat index v * nv + u taken in the edge dtype would wrap at each of them
+    g = nz.build(SpaceParams(n, q))
+    edges = g.edges()
+    assert edges.dtype == gr._vertex_dtype(g.num_vertices)
+    assert edges.dtype == (np.uint8 if g.num_vertices <= 256 else np.uint16)
+    assert np.array_equal(edges, np.argwhere(np.triu(g.adjacency_matrix(), 1)))
+    data = serialize.graph_to_dict(g)
+    assert serialize.graphs_equal(g, serialize.graph_from_dict(data))
+    data["edges"] = data["edges"].tolist()
+    assert serialize.graph_to_json(g) == json.dumps(data, indent=2) + "\n"
 
 
 def _corrupted(g, flips):

@@ -346,18 +346,22 @@ def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int) -> Labeli
     every non-identity group element is already broken by the coloured
     prefix, at which point any completion works. Raises a cap error past
     :data:`nzcgraph.symmetry.NODE_BUDGET` nodes, read when the call starts.
+
+    The live elements are a Python-int bitset over the rows of ``grp.perms``.
+    Colouring vertex k with c keeps a row when the row and its inverse each
+    map k to a vertex u >= k or to one with u < k and colour c; those rows
+    are ORs of :meth:`nzcgraph.symmetry.AutGroup.column_masks`, so a branch
+    costs a few big-int operations, not one test per live element.
     """
     nv = g.num_vertices
     if t < 1:
         raise ValueError("colour count must be >= 1")
-    perms = grp.perms.tolist()
-    invs = np.argsort(grp.perms, axis=1).tolist()
-    ident = list(range(nv))
-    live0 = [i for i, p in enumerate(perms) if p != ident]
+    ident = np.arange(nv, dtype=grp.perms.dtype)
+    moved = np.packbits((grp.perms != ident).any(axis=1), bitorder="little")
     colors = [0] * nv
     nodes, budget = 0, symmetry.NODE_BUDGET
 
-    def dfs(k: int, live: list[int], max_used: int) -> Labeling | None:
+    def dfs(k: int, live: int, max_used: int) -> Labeling | None:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -367,24 +371,21 @@ def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int) -> Labeli
             return Labeling(witness, t)
         if k == nv:
             return None
-        for c in range(1, min(max_used + 1, t) + 1):
+        top = min(max_used + 1, t)
+        fwd, inv = grp.column_masks(k)
+        keep_fwd, keep_inv = [fwd[k]] * (top + 1), [inv[k]] * (top + 1)
+        for u in range(k):  # rows that map k to u, or whose inverse does, keep colour(u)
+            keep_fwd[colors[u]] |= fwd[u]
+            keep_inv[colors[u]] |= inv[u]
+        for c in range(1, top + 1):
             colors[k] = c
-            survivors = []
-            for gi in live:
-                u1 = perms[gi][k]
-                if u1 <= k and colors[u1] != c:
-                    continue
-                u2 = invs[gi][k]
-                if u2 <= k and colors[u2] != c:
-                    continue
-                survivors.append(gi)
-            hit = dfs(k + 1, survivors, max(max_used, c))
+            hit = dfs(k + 1, live & keep_fwd[c] & keep_inv[c], max(max_used, c))
             if hit is not None:
                 return hit
         colors[k] = 0
         return None
 
-    found = dfs(0, live0, 0)
+    found = dfs(0, int.from_bytes(moved.tobytes(), "little"), 0)
     if found is not None and not is_distinguishing(g, grp, found):
         raise AssertionError("search returned a non-distinguishing witness")
     return found

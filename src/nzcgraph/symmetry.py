@@ -64,21 +64,27 @@ def _automorphism_rows(graph: NzcGraph, images: np.ndarray) -> np.ndarray:
 
     A non-permutation row is False and indexes nothing. A bijection permutes
     the ordered vertex pairs, so if it maps every False matrix entry to a False
-    entry, it maps the False set, and so the True set, onto itself.
+    entry, it maps the False set, and so the True set, onto itself. The image
+    of a pair (u, v) is read from the flat matrix at p[u] * |V| + p[v]: 1-d
+    ``take`` calls on intp rows, where a 2-d fancy index costs three times more.
     """
     a = graph.adjacency_matrix()
-    step = _row_step(len(a))
+    nv, flat = len(a), a.reshape(-1)
+    step = _row_step(nv)
     ok = np.empty(len(images), dtype=bool)
     for lo in range(0, len(images), step):  # the sorted copy a block at a time
-        ok[lo:lo + step] = (np.sort(images[lo:lo + step], axis=1) == np.arange(len(a))).all(axis=1)
-    for lo in range(0, len(a), step):
-        u, v = np.divmod(np.flatnonzero(~a[lo:lo + step]), len(a))  # 2-d nonzero is slower
+        ok[lo:lo + step] = (np.sort(images[lo:lo + step], axis=1) == np.arange(nv)).all(axis=1)
+    for lo in range(0, nv, step):
+        u, v = np.divmod(np.flatnonzero(~a[lo:lo + step]), nv)  # 2-d nonzero is slower
         u += lo
         rows = np.flatnonzero(ok)
         per = _row_step(len(u))
         for at in range(0, len(rows), per):
-            block = images[rows[at:at + per]]
-            ok[rows[at:at + per]] = ~a[block[:, u], block[:, v]].any(axis=1)
+            block = images[rows[at:at + per]].astype(np.intp)
+            pairs = block.take(u, axis=1)
+            pairs *= nv
+            pairs += block.take(v, axis=1)
+            ok[rows[at:at + per]] = ~flat.take(pairs).any(axis=1)
     return ok
 
 
@@ -105,8 +111,11 @@ class AutGroup:
         self.perms = np.ascontiguousarray(arr, dtype=_vertex_dtype(nv))
         self.source = source
         self._table: np.ndarray | None = None
+        self._sorted_from: np.ndarray | None = None
         self._distinct = 0
         self._counts: np.ndarray | None = None
+        self._inverse: np.ndarray | None = None
+        self._masks: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     @property
     def order(self) -> int:
@@ -116,22 +125,33 @@ class AutGroup:
         """The rows in ascending byte order, the order of their :func:`_row_keys`:
         ``perms`` itself when it is so already (both engines emit it so, and
         for one byte per entry byte order is numeric order), else a sorted
-        copy. Counts the distinct rows on the way."""
+        copy, whose row i is row ``_sorted_from[i]`` of ``perms``. Counts the
+        distinct rows on the way."""
         if self._table is None:
             table = self.perms
             ascending, self._distinct = _byte_order(table)
             if not ascending:
-                table = np.sort(_row_keys(table)).view(table.dtype).reshape(table.shape)
+                self._sorted_from = np.argsort(_row_keys(table), kind="stable")
+                table = table[self._sorted_from]
                 self._distinct = _byte_order(table)[1]
             self._table = table
         return self._table
 
-    def _contains(self, perms: np.ndarray) -> np.ndarray:
+    def _lookup(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of a row block `perms` (stored dtype), whether it is an
-        element: the rows its byte strings find are compared as numbers."""
+        element, and the ``perms`` row it was found as (meaningless where it
+        is not one): the rows its byte strings find are compared as numbers,
+        the whole block at once first and row by row only if that fails."""
         table = self._ascending()
         at = np.searchsorted(_row_keys(table), _row_keys(perms))
-        return (table[np.minimum(at, len(table) - 1, out=at)] == perms).all(axis=1)
+        found = table[np.minimum(at, len(table) - 1, out=at)]
+        ok = (np.ones(len(perms), dtype=bool) if np.array_equal(found, perms)
+              else (found == perms).all(axis=1))
+        return ok, (at if self._sorted_from is None else self._sorted_from[at])
+
+    def _contains(self, perms: np.ndarray) -> np.ndarray:
+        """Per row of a row block `perms` (stored dtype), whether it is an element."""
+        return self._lookup(perms)[0]
 
     def distinct_rows(self) -> int:
         self._ascending()
@@ -155,6 +175,26 @@ class AutGroup:
                                       minlength=nv * nv)
             self._counts = counts.reshape(nv, nv)
         return self._counts
+
+    def column_masks(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Column k of the table and of its inverse as row bitsets, for the
+        exact labeling search: Python ints whose bit i stands for row i.
+
+        Entry u < k of each tuple holds the rows whose value at k is u, and
+        entry k the rows whose value is k or above. The inverse is the
+        row-wise ``np.argsort``, computed once. The masks are built the first
+        time a column is asked for and kept, so that every search over this
+        group shares them.
+        """
+        if k not in self._masks:
+            if self._inverse is None:
+                self._inverse = np.argsort(self.perms, axis=1).astype(self.perms.dtype)
+            below = np.arange(k)[:, None]
+            self._masks[k] = tuple(
+                tuple(int.from_bytes(bits.tobytes(), "little") for bits in np.packbits(
+                    np.vstack([column == below, column >= k]), axis=1, bitorder="little"))
+                for column in (self.perms[:, k], self._inverse[:, k]))
+        return self._masks[k]
 
     def orbit_of(self, v: int) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self._image_counts()[v]).tolist())
@@ -189,38 +229,53 @@ class AutGroup:
         return tuple(np.flatnonzero(self.orbit_sizes() >= 2).tolist())
 
     def check_group_axioms(self, seed: int = 0) -> CheckReport:
-        """Identity, inverses and closure (exhaustive when order^2 fits the budget)."""
+        """Identity, inverses and closure (exhaustive when order^2 fits the budget).
+
+        Inverses are looked up a row block at a time, skipping each row that
+        an earlier lookup found as the inverse of another, whose inverse is
+        then that row. The exhaustive closure composes a block of left factors
+        with every element in one ``np.take``, pairs in (i, j) order. Each
+        failure names the first element or pair that fails.
+        """
         failures = []
-        nv = self.graph.num_vertices
+        nv, m = self.graph.num_vertices, self.order
         ident = np.arange(nv, dtype=self.perms.dtype)
         if not self._contains(ident[None, :])[0]:
             failures.append("identity not in group")
         step = _row_step(nv)
         starts, idents = np.arange(0, step * nv, nv)[:, None], np.tile(ident, step)
-        for lo in range(0, self.order, step):  # stops at the first block missing an inverse
-            block = self.perms[lo:lo + step]
+        known = np.zeros(m, dtype=bool)  # rows whose inverse a lookup has found
+        for lo in range(0, m, step):  # stops at the first block missing an inverse
+            rows = lo + np.flatnonzero(~known[lo:lo + step])
+            block = self.perms[rows]
             invs = np.zeros_like(block)  # a flat scatter is faster than a broadcast one
             invs.reshape(-1)[(block + starts[:len(block)]).ravel()] = idents[:block.size]
-            missing = np.flatnonzero(~self._contains(invs))
-            if missing.size:
-                failures.append(f"inverse of element {lo + missing[0]} missing")
+            ok, at = self._lookup(invs)
+            if not ok.all():
+                failures.append(f"inverse of element {rows[np.argmin(ok)]} missing")
                 break
-        m = self.order
+            known[at] = True
         if m * m <= AXIOM_PAIR_BUDGET:
-            mode = "exhaustive"
-            left, right = np.divmod(np.arange(m * m), m)
+            mode, checked = "exhaustive", m * m
+            index, per = self.perms.astype(np.intp), _row_step(m * nv)
+            for lo in range(0, m, per):  # products (p_i o p_j)[v] = p_i[p_j[v]]
+                products = np.take(self.perms[lo:lo + per], index, axis=1).reshape(-1, nv)
+                bad = np.flatnonzero(~self._contains(products))
+                if bad.size:
+                    i, j = divmod(int(bad[0]), m)
+                    failures.append(f"product of elements {lo + i}, {j} not in group")
+                    break
         else:
-            mode = "sampled"
+            mode, checked = "sampled", CLOSURE_PAIRS
             rng = random.Random(seed)
             draws = np.array([rng.randrange(m) for _ in range(2 * CLOSURE_PAIRS)])
             left, right = draws[0::2], draws[1::2]  # pairs drawn as (i, j)
-        checked = len(left)
-        for lo in range(0, checked, step):  # products (p_i o p_j)[v] = p_i[p_j[v]]
-            i, j = left[lo:lo + step], right[lo:lo + step]
-            bad = np.flatnonzero(~self._contains(self.perms[i[:, None], self.perms[j]]))
-            if bad.size:
-                failures.append(f"product of elements {i[bad[0]]}, {j[bad[0]]} not in group")
-                break
+            for lo in range(0, checked, step):
+                i, j = left[lo:lo + step], right[lo:lo + step]
+                bad = np.flatnonzero(~self._contains(self.perms[i[:, None], self.perms[j]]))
+                if bad.size:
+                    failures.append(f"product of elements {i[bad[0]]}, {j[bad[0]]} not in group")
+                    break
         return CheckReport.of(
             self.graph, "group-axioms",
             "group contains identity, inverses, and is closed under composition",
@@ -461,7 +516,8 @@ def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
     By induction on the row index, every row before the first failing one
     is a product of checked automorphisms, so the check is exact (Seress,
     *Permutation Group Algorithms*, 2003). The table is built per sigma and
-    checked by composition, so each row is derived twice.
+    checked by composition, so each row is derived twice. A block of rows
+    that equals its products as a whole is not compared row by row.
     """
     n = graph.params.n
     bad = np.zeros(len(perms), dtype=bool)
@@ -475,7 +531,9 @@ def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
             gen, end = perms[gens[k + g - 1]], (g + 1) * size
             for lo in range(g * size, end, step):  # a sub-block may be shorter than `step`
                 hi = min(lo + step, end)
-                bad[lo:hi] |= (gen.take(perms[lo - size:hi - size]) != perms[lo:hi]).any(axis=1)
+                product = gen.take(perms[lo - size:hi - size])
+                if not np.array_equal(product, perms[lo:hi]):
+                    bad[lo:hi] |= (product != perms[lo:hi]).any(axis=1)
     return bad
 
 

@@ -494,3 +494,99 @@ def test_constructive_search_is_one_path_at_scale(n, q, monkeypatch):
     with pytest.raises(CapExceededError,
                        match=f"^colour-preserving search exceeded {nv} nodes$"):
         nz.find_color_preserving(g, f)
+
+
+def _reference_exists(g, grp, t):
+    """The exact search as it filtered a Python list of live group elements,
+    one element at a time: (witness or None, nodes), with the same closing
+    check. It counts every node and stops at none."""
+    nv = g.num_vertices
+    perms = grp.perms.tolist()
+    invs = np.argsort(grp.perms, axis=1).tolist()
+    ident = list(range(nv))
+    colors = [0] * nv
+    nodes = 0
+
+    def dfs(k, live, max_used):
+        nonlocal nodes
+        nodes += 1
+        if not live:
+            return dst.Labeling(tuple(colors[:k]) + (1,) * (nv - k), t)
+        if k == nv:
+            return None
+        for c in range(1, min(max_used + 1, t) + 1):
+            colors[k] = c
+            survivors = [gi for gi in live
+                         if not (perms[gi][k] <= k and colors[perms[gi][k]] != c)
+                         and not (invs[gi][k] <= k and colors[invs[gi][k]] != c)]
+            hit = dfs(k + 1, survivors, max(max_used, c))
+            if hit is not None:
+                return hit
+        colors[k] = 0
+        return None
+
+    found = dfs(0, [i for i, p in enumerate(perms) if p != ident], 0)
+    if found is not None and not nz.is_distinguishing(g, grp, found):
+        raise AssertionError("search returned a non-distinguishing witness")
+    return found, nodes
+
+
+def _outcome(call):
+    try:
+        return "returned", call()
+    except AssertionError as exc:
+        return "raised", str(exc)
+
+
+def _search_tables():
+    def group(n, q):
+        g = nz.build(SpaceParams(n, q))
+        return g, (nz.aut_group_structural(g) if q == 2 else nz.aut_group_oracle(g)).perms
+
+    cases = {f"({n},{q})": group(n, q) for n, q in [(3, 2), (4, 2), (2, 3)]}
+    cases.update({f"(1,{q})": group(1, q) for q in range(3, 9)})
+    g, perms = group(2, 3)
+    cases["(2,3) first rows"] = g, perms[:77]
+    cases["(2,3) duplicated row"] = g, np.vstack([perms, perms[40:41]])
+    broken = perms.copy()
+    broken[33, 5] = broken[33, 6]  # two entries equal: not a permutation
+    cases["(2,3) non-permutation row"] = g, broken
+    return cases
+
+
+SEARCH_TABLES = _search_tables()
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_TABLES))
+def test_bitset_search_matches_the_list_filter(name, monkeypatch):
+    # same return value, the same closing check, and the same node count,
+    # which the budget pins: exactly enough passes, one fewer raises
+    g, perms = SEARCH_TABLES[name]
+    for t in range(1, g.num_vertices + 1):
+        grp = nz.AutGroup(g, perms)
+        kind, ref = _outcome(lambda: _reference_exists(g, grp, t))
+        if kind == "raised":
+            assert _outcome(lambda: nz.exists_distinguishing_labeling(g, grp, t)) == (kind, ref)
+            continue
+        found, nodes = ref
+        monkeypatch.setattr(sym, "NODE_BUDGET", nodes)
+        assert nz.exists_distinguishing_labeling(g, grp, t) == found
+        monkeypatch.setattr(sym, "NODE_BUDGET", nodes - 1)
+        with pytest.raises(CapExceededError, match=f"^exact search exceeded {nodes - 1} nodes$"):
+            nz.exists_distinguishing_labeling(g, grp, t)
+
+
+def test_bitset_search_shares_its_column_masks_across_colour_counts():
+    g = nz.build(SpaceParams(1, 6))
+    grp = nz.aut_group_oracle(g)
+    assert nz.exists_distinguishing_labeling(g, grp, 4) is None
+    masks = {k: grp.column_masks(k) for k in range(g.num_vertices)}
+    assert nz.exists_distinguishing_labeling(g, grp, 5) is not None
+    assert all(grp.column_masks(k) is masks[k] for k in masks)
+    # entry u < k: the rows that map k to u; entry k: those that map k to k or above
+    fwd, inv = masks[2]
+    rows = grp.perms[:, 2].tolist()
+    assert fwd == tuple(sum(1 << i for i, x in enumerate(rows) if x == u) for u in (0, 1)) + (
+        sum(1 << i for i, x in enumerate(rows) if x >= 2),)
+    rows = np.argsort(grp.perms, axis=1)[:, 2].tolist()
+    assert inv[0] == sum(1 << i for i, x in enumerate(rows) if x == 0)

@@ -28,7 +28,7 @@ from nzcgraph.distinguishing import DistResult, Labeling, SchemeVerdict
 
 DATA = Path(__file__).parent / "data"
 RANGES = (("3..10", "2"), ("2..6", "3"), ("2..4", "4"), ("2..4", "5"), ("1..2", "2"),
-          ("1", "3..5"))
+          ("1", "3..5"), ("1", "6..8"))
 BUILDS = [(n, q, fmt) for n, q in ((1, 2), (4, 2), (2, 3)) for fmt in ("json", "dot", "table")]
 
 

@@ -1073,3 +1073,82 @@ def test_group_kernels_read_the_group_in_row_blocks_n8():
     assert _traced_peak(lambda: nz.is_distinguishing(g, grp, f)) < 8 * 2**20
     assert grp.check_group_axioms().passed  # builds the cached row set untraced
     assert _traced_peak(grp.check_group_axioms) < 10 * 2**20
+
+
+def _reference_group_axioms(grp, seed=0):
+    """check_group_axioms as it was before the whole-block takes: every
+    inverse looked up, and the closure's pairs by one 2-d fancy index a block
+    of pairs at a time; membership from a set of row bytes. Returns
+    (failures, checked)."""
+    rows = {r.tobytes() for r in grp.perms}
+
+    def contains(block):
+        return np.array([r.tobytes() in rows for r in block], dtype=bool)
+
+    failures = []
+    nv = grp.graph.num_vertices
+    ident = np.arange(nv, dtype=grp.perms.dtype)
+    if not contains(ident[None, :])[0]:
+        failures.append("identity not in group")
+    step = sym._row_step(nv)
+    starts, idents = np.arange(0, step * nv, nv)[:, None], np.tile(ident, step)
+    for lo in range(0, grp.order, step):
+        block = grp.perms[lo:lo + step]
+        invs = np.zeros_like(block)
+        invs.reshape(-1)[(block + starts[:len(block)]).ravel()] = idents[:block.size]
+        missing = np.flatnonzero(~contains(invs))
+        if missing.size:
+            failures.append(f"inverse of element {lo + missing[0]} missing")
+            break
+    m = grp.order
+    if m * m <= sym.AXIOM_PAIR_BUDGET:
+        left, right = np.divmod(np.arange(m * m), m)
+    else:
+        rng = random.Random(seed)
+        draws = np.array([rng.randrange(m) for _ in range(2 * sym.CLOSURE_PAIRS)])
+        left, right = draws[0::2], draws[1::2]
+    for lo in range(0, len(left), step):
+        i, j = left[lo:lo + step], right[lo:lo + step]
+        bad = np.flatnonzero(~contains(grp.perms[i[:, None], grp.perms[j]]))
+        if bad.size:
+            failures.append(f"product of elements {i[bad[0]]}, {j[bad[0]]} not in group")
+            break
+    return failures, len(left) + m + 1
+
+
+def _late_inverse(p):
+    """Row 1's inverse moved to the end, so it sits only in the last block,
+    and a later row reversed, so that its inverse is missing."""
+    inverse = np.argsort(p[1]).astype(p.dtype)
+    at = np.flatnonzero((p == inverse).all(axis=1))[0]
+    out = np.vstack([np.delete(p, at, 0), inverse[None]])
+    out[len(out) * 2 // 3] = out[len(out) * 2 // 3][::-1]
+    return out
+
+
+def _shuffled(p, seed):
+    order = list(range(len(p)))
+    random.Random(seed).shuffle(order)
+    return p[order]
+
+
+AXIOM_EDITS = {
+    "deleted": lambda p: np.delete(p, len(p) // 3, 0),
+    "replaced": lambda p: np.vstack([p[:len(p) // 2], p[len(p) // 2][None, ::-1],
+                                     p[len(p) // 2 + 1:]]),
+    "duplicated": lambda p: np.vstack([p, p[len(p) // 4:len(p) // 4 + 1]]),
+    "shuffled": lambda p: _shuffled(p, 5),
+    "shuffled, one deleted": lambda p: _shuffled(np.delete(p, len(p) // 2, 0), 6),
+    "shuffled, one replaced": lambda p: _shuffled(np.vstack([p[:-1], p[-1][None, ::-1]]), 7),
+    "inverse only in a later block": _late_inverse,
+}
+
+
+@pytest.mark.parametrize("n, q", [(4, 2), (5, 2), (2, 3), (8, 2)])
+@pytest.mark.parametrize("edit", sorted(AXIOM_EDITS))
+def test_group_axioms_match_the_per_pair_reference(n, q, edit):
+    g = nz.build(SpaceParams(n, q))
+    perms = AXIOM_EDITS[edit](nz.explicit_group(g).perms)
+    report = nz.AutGroup(g, perms).check_group_axioms(seed=n)
+    assert (report.failures, report.checked) == _reference_group_axioms(
+        nz.AutGroup(g, perms), seed=n)

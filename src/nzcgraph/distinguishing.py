@@ -101,10 +101,6 @@ def all_distinct_labeling(g: NzcGraph) -> Labeling:
     return Labeling(tuple(range(1, nv + 1)), nv)
 
 
-def constant_labeling(g: NzcGraph, color: int = 1) -> Labeling:
-    return Labeling((color,) * g.num_vertices, max(color, 1))
-
-
 def is_distinguishing(g: NzcGraph, grp: AutGroup, f: Labeling) -> bool:
     """True iff no non-identity element of `grp` preserves all colours of f."""
     nv = g.num_vertices
@@ -307,33 +303,6 @@ def transposition_report(g: NzcGraph, f: Labeling) -> CheckReport:
     if failures and not uncovered:
         report.status = ANOMALY
     return report
-
-
-def check_swap_broken_by_pair(g: NzcGraph, grp: AutGroup, f: Labeling,
-                              u: int, v: int, l: int, m: int) -> bool:
-    """Differently-coloured class mates separating b_l from b_m break every
-    automorphism that exchanges b_l and b_m.
-
-    Preconditions (q = 2): u, v in the same class, b_l in S_u - S_v,
-    b_m in S_v - S_u, and f(u) != f(v). Violations raise ValueError.
-    """
-    if g.params.q != 2:
-        raise UnsupportedFieldError("swap-breaking check requires q = 2")
-    if g.sizes[u] != g.sizes[v]:
-        raise ValueError("u and v must lie in the same skeleton-size class")
-    su, sv = int(g.skeletons[u]), int(g.skeletons[v])
-    lbit, mbit = 1 << (l - 1), 1 << (m - 1)
-    if not (su & lbit and not sv & lbit):
-        raise ValueError(f"b{l} must lie in S_u but not S_v")
-    if not (sv & mbit and not su & mbit):
-        raise ValueError(f"b{m} must lie in S_v but not S_u")
-    if f.colors[u] == f.colors[v]:
-        raise ValueError("u and v must have different colours")
-    bl = (1 << (l - 1)) - 1
-    bm = (1 << (m - 1)) - 1
-    p, c = grp.perms, np.asarray(f.colors)
-    swaps = (p[:, bl] == bm) & (p[:, bm] == bl)
-    return not (swaps & (c[p] == c).all(1)).any()  # no swapping automorphism survives
 
 
 def exists_distinguishing_labeling(g: NzcGraph, grp: AutGroup, t: int) -> Labeling | None:

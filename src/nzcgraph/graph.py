@@ -38,9 +38,9 @@ class NzcGraph:
     @classmethod
     def build(cls, params: vs.SpaceParams) -> "NzcGraph":
         """Build the graph for `params`. Deterministic; cap errors propagate."""
-        vertices = vs.enumerate_vectors(params)
-        s = np.array([vs.skeleton(v) for v in vertices], dtype=np.int64)
-        nv = len(vertices)
+        digits = vs.coefficient_array(params)
+        s = (digits != 0) @ (1 << np.arange(params.n))
+        nv = len(digits)
         full = 1 << params.n
         # union[d, u]: S_u is a subset of d; seeded with S_u == d, then a
         # subset-sum pass per bit ORs row d - bit into row d
@@ -53,7 +53,7 @@ class NzcGraph:
         matrix = union[(full - 1) ^ s]
         np.logical_not(matrix, out=matrix)
         np.fill_diagonal(matrix, False)
-        return cls(params, vertices, s, matrix)
+        return cls(params, map(tuple, digits.tolist()), s, matrix)
 
     @property
     def num_vertices(self) -> int:
@@ -63,9 +63,6 @@ class NzcGraph:
         if not 0 <= v < self.num_vertices:
             raise IndexError(f"vertex {v} out of range 0..{self.num_vertices - 1}")
         return int(np.count_nonzero(self._matrix[v]))
-
-    def is_adjacent(self, u: int, v: int) -> bool:
-        return bool(self._matrix[v, u])
 
     def t_classes(self) -> dict[int, tuple[int, ...]]:
         """Skeleton-size partition: class index i -> vertex ids with |S_v| = i."""

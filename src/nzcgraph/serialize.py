@@ -12,17 +12,23 @@ from .graph import NzcGraph, _mirror_tiles, _row_step, _skeleton_mismatch, mask_
 from .vectorspace import _integer, _integers
 
 
+def _skeleton_lists(n: int) -> list[list[int]]:
+    """The 1-based index list of every mask below 2^n, built by doubling: the
+    list of mask m + 2^(b-1), for m < 2^(b-1), is the list of m with b appended."""
+    table = [[]]
+    for b in range(1, n + 1):
+        table += [t + [b] for t in table]
+    return table
+
+
 def graph_to_dict(g: NzcGraph) -> dict:
     """Dict schema: n, q, vertices (id/coeffs/skeleton/class), the (E, 2) edge
     array of :meth:`NzcGraph.edges` in the vertex-id dtype, twin sets.
 
-    Each record's `skeleton` is a fresh copy of one entry of a table of the
-    2^n index lists, built by doubling: the list of mask m + 2^(b-1), for
-    m < 2^(b-1), is the list of m with b appended.
+    Each record's `skeleton` is a fresh copy of one entry of
+    :func:`_skeleton_lists`.
     """
-    table = [[]]
-    for b in range(1, g.params.n + 1):
-        table += [t + [b] for t in table]
+    table = _skeleton_lists(g.params.n)
     return {
         "n": g.params.n,
         "q": g.params.q,
@@ -69,61 +75,51 @@ def _field(entry, key: str, where: str):
     return entry[key]
 
 
-def _screen_vertices(params: vs.SpaceParams, entries: list):
-    """The coefficient tuples and int64 masks of `entries`, read as arrays,
-    or None when this screen does not accept them.
+def _screen_vertices(params: vs.SpaceParams, entries):
+    """The coefficient tuples and int64 masks of `entries` when they are the
+    canonical records that :func:`graph_to_dict` writes, else None.
 
-    `entries` are the records in id order, their ids already checked. The
-    screen gathers every record's `coeffs`, `skeleton` and `class` into flat
-    lists, checks that each entry is a plain int with one type test per
-    list, then compares with numpy: coefficients in 0..q-1 whose radix
-    values are the ids plus one, skeleton indices in 1..n and strictly
-    ascending within each record, whose bits sum to the coefficients' mask,
-    and classes equal to the index counts. It accepts only records that
-    :func:`_check_vertices` accepts; anything else, valid or not (numpy
-    ints, unsorted or repeated indices, a missing key), returns None.
+    Canonical record v is a dict whose `id` is v, `coeffs` row v of
+    :func:`vectorspace.coefficient_array`, `skeleton` the index list of its
+    mask and `class` its popcount, in lists of plain ints: one type test
+    over the flat lists keeps out bools and floats, which compare equal to
+    ints. Every other input, valid or not, is left to :func:`_check_vertices`.
     """
-    n, q, nv = params.n, params.q, params.num_vertices
+    if not set(map(type, entries)) <= {dict}:
+        return None
     try:
+        ids = [e["id"] for e in entries]
         coeffs = [e["coeffs"] for e in entries]
         indices = [e["skeleton"] for e in entries]
         classes = [e["class"] for e in entries]
     except KeyError:
         return None
-    if not set(map(type, coeffs)) | set(map(type, indices)) <= {list, tuple}:
+    if not set(map(type, coeffs)) | set(map(type, indices)) <= {list}:
         return None
-    if set(map(len, coeffs)) != {n}:
+    flat = chain(ids, classes, chain.from_iterable(coeffs), chain.from_iterable(indices))
+    if not set(map(type, flat)) <= {int}:
         return None
-    counts = np.fromiter(map(len, indices), dtype=np.int64, count=nv)
-    if not counts.all():  # an empty skeleton list; reduceat needs one entry a record
-        return None
-    flat_c = list(chain.from_iterable(coeffs))
-    flat_s = list(chain.from_iterable(indices))
-    if not set(map(type, flat_c)) | set(map(type, flat_s)) | set(map(type, classes)) <= {int}:
-        return None
-    try:
-        c = np.array(flat_c, dtype=np.int64).reshape(nv, n)
-        idx = np.array(flat_s, dtype=np.int64)
-        cls = np.array(classes, dtype=np.int64)
-    except OverflowError:
-        return None
-    if c.min() < 0 or c.max() >= q or idx.min() < 1 or idx.max() > n:
-        return None
-    if not np.array_equal(c @ q ** np.arange(n), np.arange(1, nv + 1)):
-        return None
-    starts = np.cumsum(counts) - counts
-    rising = np.diff(idx) > 0
-    rising[starts[1:] - 1] = True  # each record's first index follows another record
-    masks = (c != 0) @ (1 << np.arange(n))
-    if not (rising.all() and np.array_equal(np.add.reduceat(1 << (idx - 1), starts), masks)
-            and np.array_equal(cls, counts)):
+    digits = vs.coefficient_array(params)
+    nonzero = digits != 0
+    masks = nonzero @ (1 << np.arange(params.n))
+    table = _skeleton_lists(params.n)
+    if (ids != list(range(params.num_vertices)) or coeffs != digits.tolist()
+            or indices != [table[m] for m in masks.tolist()]
+            or classes != nonzero.sum(axis=1).tolist()):
         return None
     return list(map(tuple, coeffs)), masks
 
 
-def _check_vertices(params: vs.SpaceParams, entries: list):
-    """The coefficient tuples and masks of `entries`, one record at a time;
-    the first bad record raises ValueError naming the vertex and the field."""
+def _check_vertices(params: vs.SpaceParams, entries):
+    """The coefficient tuples and masks of `entries`, one record at a time,
+    every id before any record; the first bad one raises ValueError naming
+    the vertex and the field. Records out of id order are sorted first."""
+    nv = params.num_vertices
+    ids = [_integer(_field(e, "id", "vertex"), "vertex id") for e in entries]
+    if ids != list(range(nv)):
+        if sorted(ids) != list(range(nv)):
+            raise ValueError("vertex ids are not the contiguous canonical range")
+        entries = sorted(entries, key=lambda e: int(e["id"]))
     vertices = []
     skeletons = []
     for e in entries:
@@ -152,9 +148,10 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
     and no edge endpoint may be a bool. A malformed dict raises ValueError
     that names the field.
 
-    The vertex records are read as arrays by :func:`_screen_vertices`. When
-    it does not accept them, :func:`_check_vertices` reads them one at a
-    time; it alone picks the error that a bad record raises.
+    Records equal to the canonical ones are accepted by
+    :func:`_screen_vertices` with no Python call per record. Any other form
+    is read by :func:`_check_vertices`, one record at a time; it alone picks
+    the error that a bad record raises.
     """
     params = vs.SpaceParams(_integer(_field(data, "n", "graph"), "n"),
                             _integer(_field(data, "q", "graph"), "q"), vertex_cap)
@@ -162,11 +159,6 @@ def graph_from_dict(data: dict, vertex_cap: int = vs.DEFAULT_VERTEX_CAP) -> NzcG
     if not isinstance(entries, (list, tuple)):
         raise ValueError(f"vertices must be a list, not {type(entries).__name__}")
     nv = params.num_vertices
-    ids = [_integer(_field(e, "id", "vertex"), "vertex id") for e in entries]
-    if ids != list(range(nv)):  # sort only records out of id order
-        if sorted(ids) != list(range(nv)):
-            raise ValueError("vertex ids are not the contiguous canonical range")
-        entries = sorted(entries, key=lambda e: int(e["id"]))
     vertices, skeletons = (_screen_vertices(params, entries)
                            or _check_vertices(params, entries))
     listed = _field(data, "edges", "graph")

@@ -149,10 +149,6 @@ class AutGroup:
               else (found == perms).all(axis=1))
         return ok, (at if self._sorted_from is None else self._sorted_from[at])
 
-    def _contains(self, perms: np.ndarray) -> np.ndarray:
-        """Per row of a row block `perms` (stored dtype), whether it is an element."""
-        return self._lookup(perms)[0]
-
     def distinct_rows(self) -> int:
         self._ascending()
         return self._distinct
@@ -240,7 +236,7 @@ class AutGroup:
         failures = []
         nv, m = self.graph.num_vertices, self.order
         ident = np.arange(nv, dtype=self.perms.dtype)
-        if not self._contains(ident[None, :])[0]:
+        if not self._lookup(ident[None, :])[0][0]:
             failures.append("identity not in group")
         step = _row_step(nv)
         starts, idents = np.arange(0, step * nv, nv)[:, None], np.tile(ident, step)
@@ -260,7 +256,7 @@ class AutGroup:
             index, per = self.perms.astype(np.intp), _row_step(m * nv)
             for lo in range(0, m, per):  # products (p_i o p_j)[v] = p_i[p_j[v]]
                 products = np.take(self.perms[lo:lo + per], index, axis=1).reshape(-1, nv)
-                bad = np.flatnonzero(~self._contains(products))
+                bad = np.flatnonzero(~self._lookup(products)[0])
                 if bad.size:
                     i, j = divmod(int(bad[0]), m)
                     failures.append(f"product of elements {lo + i}, {j} not in group")
@@ -272,7 +268,7 @@ class AutGroup:
             left, right = draws[0::2], draws[1::2]  # pairs drawn as (i, j)
             for lo in range(0, checked, step):
                 i, j = left[lo:lo + step], right[lo:lo + step]
-                bad = np.flatnonzero(~self._contains(self.perms[i[:, None], self.perms[j]]))
+                bad = np.flatnonzero(~self._lookup(self.perms[i[:, None], self.perms[j]])[0])
                 if bad.size:
                     failures.append(f"product of elements {i[bad[0]]}, {j[bad[0]]} not in group")
                     break
@@ -537,7 +533,7 @@ def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _refine_by_neighbors(a: np.ndarray, colors, twins=None) -> list[int]:
+def _refine_by_neighbors(a: np.ndarray, colors) -> list[int]:
     """Iterated refinement by multisets of neighbour colours, to a fixpoint.
 
     Colour ids are renumbered by sorted signature (own colour, sorted tuple
@@ -546,15 +542,14 @@ def _refine_by_neighbors(a: np.ndarray, colors, twins=None) -> list[int]:
     colour must have the same degree, which refinement keeps: then sorted
     tuples compare like count rows with larger counts first.
 
-    Each pass counts on the closed-twin classes `twins` of `a` (from
-    :func:`nzcgraph.graph.closed_twin_partition` when not given): closed
-    twins see every other vertex alike, so one closed row per class gives
-    the neighbour counts of all its members, plus one in their own colour.
+    Each pass counts on the closed-twin classes of `a`, from
+    :func:`nzcgraph.graph.closed_twin_partition`: closed twins see every
+    other vertex alike, so one closed row per class gives the neighbour
+    counts of all its members, plus one in their own colour.
     That shift is the same for every vertex of a colour, so (colour, rank of
     the class row) ranks like (colour, vertex row).
     """
-    if twins is None:
-        twins = closed_twin_partition(a)
+    twins = closed_twin_partition(a)
     classes = [0] * len(a)  # the class of each vertex
     for t, members in enumerate(twins):
         for v in members:
@@ -580,13 +575,12 @@ def _refine_by_neighbors(a: np.ndarray, colors, twins=None) -> list[int]:
     return colors.tolist()
 
 
-def _color_preserving_images(graph: NzcGraph, labels, what: str, twins=None):
+def _color_preserving_images(graph: NzcGraph, labels, what: str):
     """Yield every automorphism that keeps each vertex's label, as a tuple.
 
     Individualization-refinement with an explicit stack, so the depth is not
     bound by the recursion limit. The partition is seeded by (degree, label)
-    and refined once by neighbour-colour multisets on the closed-twin classes
-    `twins` (taken from the matrix when not given); vertices are assigned in
+    and refined once by neighbour-colour multisets; vertices are assigned in
     (cell size, cell, id) order, each only into its own refined cell, with
     adjacency to every earlier assigned vertex preserved. Images come out in
     depth-first order. The root and each assignment count as one node
@@ -603,7 +597,7 @@ def _color_preserving_images(graph: NzcGraph, labels, what: str, twins=None):
     a = graph.adjacency_matrix()
     keys = list(zip(np.count_nonzero(a, axis=1).tolist(), labels))
     remap = {key: i for i, key in enumerate(sorted(set(keys)))}
-    colors = np.array(_refine_by_neighbors(a, [remap[key] for key in keys], twins))
+    colors = np.array(_refine_by_neighbors(a, [remap[key] for key in keys]))
     cell_size = np.bincount(colors)[colors]
     cell = cell_size * nv + colors  # sorts cells by (size, colour)
     order = np.argsort(cell, kind="stable")  # ids ascend inside a cell
@@ -669,14 +663,14 @@ def aut_group_oracle(graph: NzcGraph) -> AutGroup:
         raise CapExceededError(f"oracle supports up to {ORACLE_VERTEX_CAP} vertices, got {nv}")
     # fail fast: permutations within a closed-neighbourhood class are always
     # automorphisms, so the product of their factorials bounds |Aut| below
-    twins = closed_twin_partition(graph.adjacency_matrix())
-    floor = prod(factorial(len(members)) for members in twins)
+    floor = prod(factorial(len(members))
+                 for members in closed_twin_partition(graph.adjacency_matrix()))
     if floor > GROUP_BUDGET:
         raise CapExceededError(
             f"group order is at least {floor}, enumeration budget is {GROUP_BUDGET}"
         )
     found = []
-    for image in _color_preserving_images(graph, (0,) * nv, "oracle search", twins):
+    for image in _color_preserving_images(graph, (0,) * nv, "oracle search"):
         if len(found) >= GROUP_BUDGET:
             raise CapExceededError(f"oracle found more than {GROUP_BUDGET} automorphisms")
         found.append(image)

@@ -101,9 +101,16 @@ def vector_id(params: SpaceParams, coeffs: tuple[int, ...]) -> int:
     return value - 1
 
 
+def coefficient_array(params: SpaceParams) -> np.ndarray:
+    """The (q**n - 1, n) int64 array whose row v is ``vector_from_id(params, v)``:
+    the radix-q digits of v + 1, least significant first."""
+    values = np.arange(1, params.num_vertices + 1, dtype=np.int64)[:, None]
+    return values // params.q ** np.arange(params.n) % params.q
+
+
 def enumerate_vectors(params: SpaceParams) -> list[tuple[int, ...]]:
     """All q**n - 1 non-zero vectors in canonical id order."""
-    return [vector_from_id(params, vid) for vid in range(params.num_vertices)]
+    return list(map(tuple, coefficient_array(params).tolist()))
 
 
 def skeleton(coeffs: tuple[int, ...]) -> int:

@@ -1,7 +1,9 @@
 """CLI behaviour: formats, exit codes, config file, verify certificates."""
 
+import collections
 import json
 import re
+import sys
 import tracemalloc
 from itertools import combinations
 from math import factorial
@@ -373,6 +375,7 @@ ID_EDITS = {
     "in-order": lambda es, r: es,
     "shuffled": lambda es, r: r.sample(es, len(es)),
     "swapped": lambda es, r: [es[1], es[0], *es[2:]],
+    "numpy": lambda es, r: _nudged(es, r, lambda e: {**e, "id": np.int64(e["id"])}),
     "numpy-shuffled": lambda es, r: r.sample([{**e, "id": np.int16(e["id"])} for e in es], len(es)),
     "bool": lambda es, r: _nudged(es, r, lambda e: {**e, "id": bool(e["id"])}),
     "str": lambda es, r: _nudged(es, r, lambda e: {**e, "id": str(e["id"])}),
@@ -514,13 +517,48 @@ def test_vertex_screen_never_accepts_what_the_loop_rejects(n, q):
                 assert str(caught.value) == want, (name, seed)
             else:
                 assert serialize.graphs_equal(g, serialize.graph_from_dict(data)), (name, seed)
+    # records whose ids are not the canonical range in order are left to the
+    # loop, whose import or message test_id_order_shortcut_matches_the_full_sort
+    # checks on the same edits
+    for name, edit in ID_EDITS.items():
+        for seed in range(6):
+            entries = json.loads(serialize.graph_to_json(g))["vertices"]
+            entries = edit(entries, random.Random(f"{name} {n} {q} {seed}"))
+            screened = serialize._screen_vertices(g.params, entries)
+            assert (screened is None) == (name != "in-order"), (name, seed)
     # valid but unusual records take the loop and import, at a vertex with
-    # two skeleton indices so that reversing them unsorts them
+    # two skeleton indices so that reversing them unsorts them; a record
+    # that is a tuple of its fields is no dict, and the loop names it
     v = next(v for v in range(g.num_vertices) if g.sizes[v] >= 2)
     for name in ("numpy-ints", "tuples", "skeleton-unsorted", "skeleton-repeated"):
         data = json.loads(serialize.graph_to_json(g))
         data["vertices"][v] = RECORD_EDITS[name](data["vertices"][v], None, n, q)
+        assert serialize._screen_vertices(g.params, data["vertices"]) is None, name
         assert serialize.graphs_equal(g, serialize.graph_from_dict(data)), name
+    data = json.loads(serialize.graph_to_json(g))
+    data["vertices"][v] = tuple(data["vertices"][v].items())
+    assert serialize._screen_vertices(g.params, data["vertices"]) is None
+    with pytest.raises(ValueError, match="^vertex is a tuple, not a dict$"):
+        serialize.graph_from_dict(data)
+
+
+def test_canonical_records_import_with_no_python_call_per_record():
+    g = nz.build(SpaceParams(9, 2))  # 511 records
+    for data in (serialize.graph_to_dict(g), json.loads(serialize.graph_to_json(g))):
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(count)
+        try:
+            back = serialize.graph_from_dict(data)
+        finally:
+            sys.setprofile(None)
+        assert serialize.graphs_equal(g, back)
+        assert calls["_field"] == 4 and "_check_vertices" not in calls  # n, q, vertices, edges
+        assert sum(calls.values()) < 128, calls.most_common(5)
 
 
 def test_graph_to_dict_records_are_the_per_vertex_construction():

@@ -11,10 +11,10 @@ import nzcgraph as nz
 from nzcgraph import CapExceededError, SpaceParams, UnsupportedFieldError
 from nzcgraph import distinguishing as dst
 from nzcgraph import symmetry as sym
-from nzcgraph.distinguishing import (all_distinct_labeling, constant_labeling,
-                                     transposition_report)
+from nzcgraph.distinguishing import all_distinct_labeling, transposition_report
 from nzcgraph.symmetry import _extend_images_batch
 from nzcgraph.vectorspace import basis_vector
+from test_pins import check_swap_broken_by_pair
 
 
 def vid(g, coeffs):
@@ -31,7 +31,7 @@ def test_all_distinct_is_distinguishing():
 def test_constant_is_not_distinguishing():
     g = nz.build(SpaceParams(3, 2))
     grp = nz.aut_group_structural(g)
-    assert not nz.is_distinguishing(g, grp, constant_labeling(g))
+    assert not nz.is_distinguishing(g, grp, nz.Labeling((1,) * g.num_vertices, 1))
 
 
 def test_two_colour_scheme_basis_colors_n4():
@@ -123,7 +123,7 @@ def test_transposition_tallies_n3_match():
 
 def test_transpositions_constant_labeling_breaks_nothing():
     g = nz.build(SpaceParams(3, 2))
-    rep = transposition_report(g, constant_labeling(g))
+    rep = transposition_report(g, nz.Labeling((1,) * g.num_vertices, 1))
     assert all(t == 0 for t in rep.details["tallies"].values())
     assert rep.failures[-1] == "uncovered transpositions: [(1, 2), (1, 3), (2, 3)]"
 
@@ -147,7 +147,7 @@ def test_swap_broken_by_pair_n3():
     f = nz.constructive_labeling_q2(g)
     u, v = vid(g, (1, 0, 1)), vid(g, (0, 1, 1))  # b1+b3 vs b2+b3
     assert f.colors[u] != f.colors[v]
-    assert dst.check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
+    assert check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
 
 
 def test_swap_broken_by_pair_n4_disjoint():
@@ -156,16 +156,16 @@ def test_swap_broken_by_pair_n4_disjoint():
     f = nz.constructive_labeling_q2(g)
     u, v = vid(g, (1, 0, 0, 1)), vid(g, (0, 1, 1, 0))  # {b1,b4} vs {b2,b3}
     assert f.colors[u] != f.colors[v]
-    assert dst.check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
+    assert check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
 
 
 def test_swap_broken_precondition_same_colors():
     g = nz.build(SpaceParams(3, 2))
     grp = nz.aut_group_structural(g)
-    f = constant_labeling(g, 1)
+    f = nz.Labeling((1,) * g.num_vertices, 1)
     u, v = vid(g, (1, 0, 1)), vid(g, (0, 1, 1))
     with pytest.raises(ValueError):
-        dst.check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
+        check_swap_broken_by_pair(g, grp, f, u, v, 1, 2)
 
 
 def test_dist_exact_q2():
@@ -402,7 +402,7 @@ def test_structural_scan_prefix_fits_the_colour_prefix(n, monkeypatch):
         while not colors[w]:
             colors[w], w = c, image[w]
     colors = [1 if g.sizes[v] == 1 else c for v, c in enumerate(colors)]
-    for f in [nz.Labeling(tuple(colors), 2), constant_labeling(g)]:
+    for f in [nz.Labeling(tuple(colors), 2), nz.Labeling((1,) * g.num_vertices, 1)]:
         assert nz.structural_survivors(g, f) == brute_force_survivors(g, f)
     assert widths == {k, n}
 
@@ -459,7 +459,7 @@ def test_search_node_budgets(monkeypatch):
     # the path b1 - (b1+b2) - b2: the root, the centre, then two assignments
     # per end-point order, so the first non-identity leaf is node 6
     g = nz.build(SpaceParams(2, 2))
-    f = constant_labeling(g)
+    f = nz.Labeling((1,) * g.num_vertices, 1)
     monkeypatch.setattr(sym, "NODE_BUDGET", 6)
     assert nz.find_color_preserving(g, f) == (1, 0, 2)
     assert nz.aut_group_oracle(g).order == 2

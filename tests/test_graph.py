@@ -24,8 +24,8 @@ def test_n2_q2_is_path():
     g = nz.build(SpaceParams(2, 2))
     # b1 - (b1+b2) - b2, with b1 not adjacent to b2
     assert g.num_vertices == 3
-    assert g.is_adjacent(0, 2) and g.is_adjacent(1, 2)
-    assert not g.is_adjacent(0, 1)
+    assert g.adjacency_matrix()[2, 0] and g.adjacency_matrix()[2, 1]
+    assert not g.adjacency_matrix()[1, 0]
     assert g.degree(2) == 2
 
 
@@ -41,7 +41,7 @@ def test_adjacency_matches_brute_force():
         g = nz.build(SpaceParams(n, q))
         for u in range(g.num_vertices):
             for v in range(g.num_vertices):
-                assert g.is_adjacent(u, v) == brute_adjacent(g.vertices[u], g.vertices[v])
+                assert g.adjacency_matrix()[v, u] == brute_adjacent(g.vertices[u], g.vertices[v])
 
 
 def test_edge_count_n3_q2():
@@ -163,7 +163,7 @@ def test_edges_match_skeleton_reference_in_order():
     # a non-edge set only below the diagonal, a diagonal entry, an edge
     # cleared only above the diagonal just across the block boundary, and
     # one cleared only below it
-    assert not g.is_adjacent(64, 127) and g.is_adjacent(63, 64)
+    assert not g.adjacency_matrix()[127, 64] and g.adjacency_matrix()[64, 63]
     for flips in [((127, 64),), ((64, 64),), ((63, 64),), ((64, 63),)]:
         _assert_edges_are_the_dense_reference(_corrupted(g, flips))
 
@@ -183,7 +183,7 @@ def test_skeleton_intersections_across_row_blocks():
     s = g.skeletons
     v = 200
     u = int(np.flatnonzero(s & s[v] == 0)[-1])  # a non-neighbour of v in a later block
-    assert u > v + 64 and not g.is_adjacent(u, v)
+    assert u > v + 64 and not g.adjacency_matrix()[v, u]
     cases = {
         ((v, u), (u, v)): [f"row {v} does not match skeleton intersections"],
         ((u, v),): ["adjacency matrix is not symmetric",
@@ -300,7 +300,7 @@ def _corrupted(g, flips):
 def test_adjacency_invariants_report_corruptions():
     g = nz.build(SpaceParams(4, 2))
     assert gr.check_adjacency_invariants(g).passed
-    assert not g.is_adjacent(6, 7) and g.is_adjacent(13, 14)
+    assert not g.adjacency_matrix()[7, 6] and g.adjacency_matrix()[14, 13]
     cases = {
         ((9, 9),): ["vertex 9 adjacent to itself",
                     "row 9 does not match skeleton intersections"],

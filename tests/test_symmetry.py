@@ -458,9 +458,8 @@ def test_sampled_extension_isomorphism_memory_does_not_grow_with_samples(monkeyp
 
 
 def _preserves_adjacency(g, image):
-    nv = g.num_vertices
-    return all(g.is_adjacent(image[u], image[v]) == g.is_adjacent(u, v)
-               for u in range(nv) for v in range(nv))
+    nv, a = g.num_vertices, g.adjacency_matrix()
+    return all(a[image[v], image[u]] == a[v, u] for u in range(nv) for v in range(nv))
 
 
 def _candidate_images(g, rng):
@@ -643,7 +642,7 @@ def test_a_shuffled_table_is_the_same_group(n):
     exchanged = perms[1::7].copy()
     exchanged[:, [0, 1]] = exchanged[:, [1, 0]]
     probes = np.vstack([perms[::11], perms[::13, ::-1], exchanged])
-    assert np.array_equal(shuffled._contains(probes), grp._contains(probes))
+    assert np.array_equal(shuffled._lookup(probes)[0], grp._lookup(probes)[0])
     assert shuffled.distinct_rows() == grp.distinct_rows() == factorial(n)
     assert shuffled.set_equal(grp) and grp.set_equal(shuffled)
     assert shuffled.check_group_axioms(seed=n).failures == grp.check_group_axioms(seed=n).failures
@@ -652,7 +651,7 @@ def test_a_shuffled_table_is_the_same_group(n):
     part = np.vstack([perms[1:], perms[5:6]])
     kept, mixed = nz.AutGroup(g, part), nz.AutGroup(g, part[::-1])
     assert kept.distinct_rows() == mixed.distinct_rows() == factorial(n) - 1
-    assert np.array_equal(kept._contains(probes), mixed._contains(probes))
+    assert np.array_equal(kept._lookup(probes)[0], mixed._lookup(probes)[0])
     assert kept.set_equal(mixed) and not kept.set_equal(grp)
     for part_grp in (kept, mixed):
         assert part_grp.check_group_axioms(seed=n).failures[0] == "identity not in group"

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from nzcgraph import CapExceededError, SpaceParams
+from nzcgraph import CapExceededError, SpaceParams, build
 from nzcgraph import vectorspace as vs
 
 
@@ -14,6 +14,22 @@ def test_enumerate_n2_q2():
     params = SpaceParams(2, 2)
     vecs = vs.enumerate_vectors(params)
     assert vecs == [(1, 0), (0, 1), (1, 1)]  # b1, b2, b1+b2
+
+
+def test_coefficient_array_is_the_per_vertex_definition():
+    for n, q in [(1, 2), (3, 2), (2, 3), (4, 3), (1, 257), (2, 100)]:
+        params = SpaceParams(n, q)
+        digits = vs.coefficient_array(params)
+        assert digits.dtype == np.int64
+        assert digits.tolist() == [list(vs.vector_from_id(params, v))
+                                   for v in range(params.num_vertices)]
+        if params.num_vertices <= 256:
+            g = build(params)
+            assert g.vertices == vs.enumerate_vectors(params)
+            assert g.skeletons.tolist() == [vs.skeleton(c) for c in g.vertices]
+    # the largest admitted spaces, with no graph built
+    assert vs.coefficient_array(SpaceParams(16, 2)).shape == (65535, 16)
+    assert vs.coefficient_array(SpaceParams(2, 256)).shape == (65535, 2)
 
 
 def test_enumerate_counts():

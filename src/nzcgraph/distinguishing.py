@@ -43,14 +43,16 @@ COLOR_PREFIX = 32  # leading columns both scans check before a whole row
 @dataclass(frozen=True)
 class Labeling:
     """Per-vertex colours in 1..t. `t` is the declared palette size. Both are
-    Python or numpy integers; anything else, bool included, raises ValueError."""
+    Python or numpy integers, stored as a tuple of ints and an int; anything
+    else, bool included, raises ValueError."""
 
     colors: tuple[int, ...]
     t: int
 
     def __post_init__(self) -> None:
-        _integers(self.colors, "colour")
-        if _integer(self.t, "palette size") < 1:
+        object.__setattr__(self, "colors", _integers(self.colors, "colour"))
+        object.__setattr__(self, "t", _integer(self.t, "palette size"))
+        if self.t < 1:
             raise ValueError("palette size must be >= 1")
         for c in self.colors:
             if not 1 <= c <= self.t:

@@ -396,13 +396,10 @@ def transposition_extensions(graph: NzcGraph) -> np.ndarray:
     ``np.triu_indices(n, 1)`` order (q = 2): rows in the narrowest dtype, as
     :func:`_extend_images_batch` builds them.
 
-    The adjacent transpositions are proven by :func:`_adjacent_automorphisms`
-    from two rows checked against the matrix, and (l m+1) as the product
-    (m m+1)(l m)(m m+1) of rows proven before it, in O(|V|) each (Seress,
-    *Permutation Group Algorithms*, 2003, ch. 4). A row that differs from its
-    derivation, or whose sources are unproven, gets the matrix check itself,
-    so a row is refused exactly when :func:`extend_basis_permutation`
-    refuses it, with the same error.
+    :func:`_conjugation_proofs` proves them with the n-cycle c: (j j+1) as
+    c (j-1 j) c^-1, then (l m+1) as (m m+1)(l m)(m m+1). A row is refused
+    exactly when :func:`extend_basis_permutation` refuses it, with the same
+    error.
     """
     _require_skeletons(graph)
     n = graph.params.n
@@ -411,45 +408,31 @@ def transposition_extensions(graph: NzcGraph) -> np.ndarray:
     sigmas[np.arange(len(l)), l], sigmas[np.arange(len(l)), m] = m, l
     sigmas[-1] = np.roll(sigmas[-1], -1)  # the n-cycle c: i -> i + 1 mod n
     images = _extend_images_batch(graph, sigmas)
-    rows = images[:-1]
     at = {pair: k for k, pair in enumerate(zip(l.tolist(), m.tolist()))}
-    adjacent = [at[j, j + 1] for j in range(n - 1)]
-    ok = np.zeros(len(rows), dtype=bool)
-    ok[adjacent] = _adjacent_automorphisms(graph, rows[adjacent], images[-1])
-    for (a, b), k in at.items():  # (a b-1) and (b-1 b) come before (a b)
-        if b > a + 1:
-            t, r = at[b - 1, b], at[a, b - 1]
-            ok[k] = ok[t] and ok[r] and np.array_equal(
-                rows[t].take(rows[r].take(rows[t])), rows[k])
-    left = np.flatnonzero(~ok)
-    if left.size:
-        ok[left] = _automorphism_rows(graph, rows[left])
-    _refuse_first(graph, rows, ~ok)
+    plan = [(at[j, j + 1], at[j - 1, j], len(l)) for j in range(1, n - 1)]
+    plan += [(k, at[a, b - 1], at[b - 1, b]) for (a, b), k in at.items() if b > a + 1]
+    rows = images[:-1]
+    _refuse_first(graph, rows, ~_conjugation_proofs(graph, images, plan)[:-1])
     return rows
 
 
-def _adjacent_automorphisms(graph: NzcGraph, adjacent: np.ndarray,
-                            cycle: np.ndarray) -> np.ndarray:
-    """Per row of `adjacent`, the extensions of (j j+1) for j = 0 .. n-2,
-    whether it is an automorphism (q = 2).
+def _conjugation_proofs(graph: NzcGraph, rows: np.ndarray, plan) -> np.ndarray:
+    """Per row of a stack of extension rows, whether it is an automorphism.
 
-    Only the row of (0 1) and `cycle`, the extension of the n-cycle
-    c: i -> i + 1 mod n, are checked against the matrix. As
-    (j+1 j+2) = c (j j+1) c^-1, a row that equals that product of proven
-    automorphisms is one; every other row gets the matrix check itself, so
-    the verdicts are exact.
+    Only the first row and the last, the extension of the n-cycle, are
+    checked against the matrix, in one call. Each plan entry (k, r, s) then
+    proves row k, in order, when rows r and s are proven and
+    k o s = s o r, that is k = s r s^-1, a product of automorphisms (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4). Every other row but the
+    last gets the matrix check itself, so the verdicts are exact.
     """
-    ok = np.zeros(len(adjacent), dtype=bool)
-    if not len(adjacent):
-        return ok
-    ok[0], cycle_ok = _automorphism_rows(graph, np.stack([adjacent[0], cycle]))
-    inverse = np.argsort(cycle)
-    for j in range(1, len(adjacent)):
-        ok[j] = ok[j - 1] and cycle_ok and np.array_equal(
-            cycle.take(adjacent[j - 1].take(inverse)), adjacent[j])
-    left = 1 + np.flatnonzero(~ok[1:])
+    ok = np.zeros(len(rows), dtype=bool)
+    ok[[0, -1]] = _automorphism_rows(graph, rows[[0, -1]])
+    for k, r, s in plan:
+        ok[k] = ok[r] and ok[s] and np.array_equal(rows[k].take(rows[s]), rows[s].take(rows[r]))
+    left = 1 + np.flatnonzero(~ok[1:-1])
     if left.size:
-        ok[left] = _automorphism_rows(graph, adjacent[left])
+        ok[left] = _automorphism_rows(graph, rows[left])
     return ok
 
 
@@ -502,13 +485,14 @@ def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
 
     Row 0 must be the identity, and row (n-1-j)!, the extension of the
     adjacent transposition t = (j j+1), must be an automorphism, which
-    :func:`_adjacent_automorphisms` decides from the row of (0 1) and the
-    row of the n-cycle (1 2 .. n-1 0), which is row sum_j (n-1-j)!. The rows
-    whose sigma starts with 0 .. k-1 are the first (n-k)!, in sub-blocks of
-    (n-k-1)! rows by sigma(k) = k, k+1, ... For j = k+g-1, t maps the
-    sub-block with j at position k onto the one with j+1, row for row (t
-    keeps the order of the values after position k, which miss j), so that
-    sub-block must equal the extension of t applied to the one before it.
+    :func:`_conjugation_proofs` decides from the row of (0 1) and the row of
+    the n-cycle c = (1 2 .. n-1 0), row sum_j (n-1-j)!, as c t c^-1 is
+    (j+1 j+2). The rows whose sigma starts with 0 .. k-1 are the first
+    (n-k)!, in sub-blocks of (n-k-1)! rows by sigma(k) = k, k+1, ... For
+    j = k+g-1, t maps the sub-block with j at position k onto the one with
+    j+1, row for row (t keeps the order of the values after position k,
+    which miss j), so that sub-block must equal the extension of t applied
+    to the one before it.
     By induction on the row index, every row before the first failing one
     is a product of checked automorphisms, so the check is exact (Seress,
     *Permutation Group Algorithms*, 2003). The table is built per sigma and
@@ -519,7 +503,8 @@ def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
     bad = np.zeros(len(perms), dtype=bool)
     bad[0] = not np.array_equal(perms[0], np.arange(perms.shape[1]))
     gens = [factorial(n - 1 - j) for j in range(n - 1)]
-    bad[gens] = ~_adjacent_automorphisms(graph, perms[gens], perms[sum(gens)])
+    plan = [(j, j - 1, n - 1) for j in range(1, n - 1)]
+    bad[gens] = ~_conjugation_proofs(graph, perms[gens + [sum(gens)]], plan)[:-1]
     step = _row_step(perms.shape[1])
     for k in range(n - 1):
         size = factorial(n - 1 - k)

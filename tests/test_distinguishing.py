@@ -1,6 +1,7 @@
 """Labelings, distinguishing engines, and the distinguishing-number search."""
 
 import itertools
+import json
 import random
 import sys
 
@@ -437,6 +438,16 @@ def test_labeling_rejects_colours_and_palettes_that_are_not_integers():
     g = nz.build(SpaceParams(2, 2))
     assert nz.find_color_preserving(g, f) is None
     assert nz.is_distinguishing(g, nz.aut_group_structural(g), f)
+
+
+def test_labeling_stores_a_tuple_of_ints_and_an_int():
+    f = nz.Labeling([1, 2], 2)
+    assert f.colors == (1, 2) and hash(f) == hash(nz.Labeling((1, 2), 2))
+    assert f == nz.Labeling((1, 2), 2)
+    g = nz.Labeling((np.int64(1), np.uint8(2)), np.int32(2))
+    assert g == f and json.loads(json.dumps({"colors": g.colors, "t": g.t})) == {
+        "colors": [1, 2], "t": 2}
+    assert {type(c) for c in g.colors} == {int} and type(g.t) is int
 
 
 def test_colour_preserving_search_past_the_recursion_limit():

@@ -425,6 +425,87 @@ def test_the_structural_group_checks_two_rows_against_the_matrix(monkeypatch):
     assert calls == [2]
 
 
+def _kernel_verdicts(monkeypatch, call):
+    """Run `call`, and return per call of the conjugation kernel its row count,
+    its verdicts and the matrix check's verdicts on the same rows."""
+    seen, prove = [], sym._conjugation_proofs
+
+    def spy(graph, rows, plan):
+        ok = prove(graph, rows, plan)
+        seen.append((len(rows), ok.tolist(), sym._automorphism_rows(graph, rows).tolist()))
+        return ok
+
+    monkeypatch.setattr(sym, "_conjugation_proofs", spy)
+    try:
+        call()
+    except ValueError:
+        pass
+    monkeypatch.undo()
+    return seen
+
+
+KERNEL_GRAPHS = {**CORRUPTED, **{f"intact_{n}": lambda n=n: nz.build(SpaceParams(n, 2))
+                                  for n in range(1, 9)}}
+
+
+@pytest.mark.parametrize("name", KERNEL_GRAPHS)
+def test_the_conjugation_kernel_is_exact_row_by_row(name, monkeypatch):
+    g = KERNEL_GRAPHS[name]()
+    n = g.params.n
+    # the C(n, 2) transpositions plus the cycle, and the n - 1 adjacent ones plus the cycle
+    for call, size in [(lambda: sym.transposition_extensions(g), comb(n, 2) + 1),
+                       (lambda: sym.aut_group_structural(g), n)]:
+        (rows, got, want), = _kernel_verdicts(monkeypatch, call)
+        assert rows == size and got == want
+
+
+def test_the_conjugation_kernel_needs_both_sources_proven():
+    # a conjugate k = s r s^-1 of a non-automorphism by an automorphism, or
+    # of an automorphism by a non-automorphism, satisfies k o s = s o r too
+    g = nz.build(SpaceParams(4, 2))
+    t, adjacent, cycle = sym._extend_images_batch(
+        g, np.array([[1, 0, 2, 3], [0, 2, 1, 3], [1, 2, 3, 0]]))
+    bad = adjacent.copy()
+    bad[[0, 2]] = bad[[2, 0]]  # a permutation, but not an automorphism
+
+    def conjugate(s, r):
+        return s[r[np.argsort(s)]]
+
+    rows = np.stack([t, bad, conjugate(cycle, bad), conjugate(bad, t), cycle])
+    ok = sym._conjugation_proofs(g, rows, [(2, 1, 4), (3, 0, 1)])
+    assert ok.tolist() == sym._automorphism_rows(g, rows).tolist() == [
+        True, False, False, False, True]
+
+
+def test_the_transposition_extensions_check_two_rows_against_the_matrix(monkeypatch):
+    g = nz.build(SpaceParams(10, 2))
+    calls = []
+    check = sym._automorphism_rows
+    monkeypatch.setattr(sym, "_automorphism_rows", lambda g, images: calls.append(
+        len(images)) or check(g, images))
+    assert len(sym.transposition_extensions(g)) == comb(10, 2)
+    assert calls == [2]
+
+
+# rows 24, 6, 2 and 1 extend (0 1) .. (3 4) and row 33 the 5-cycle; the
+# identity is an automorphism, so the row named is the first whose composition
+# check fails
+@pytest.mark.parametrize("row, named", [(24, 25), (6, 7), (2, 3), (1, 3), (33, 33)])
+def test_a_generator_row_replaced_by_the_identity_is_refused(row, named, monkeypatch):
+    g = nz.build(SpaceParams(5, 2))
+    extend = sym._extend_images_batch
+
+    def corrupted(graph, sigmas):
+        images = extend(graph, sigmas)
+        images[row] = np.arange(images.shape[1])  # an automorphism, but not the extension
+        return images
+
+    monkeypatch.setattr(sym, "_extend_images_batch", corrupted)
+    with pytest.raises(ValueError, match=rf"^structural engine produced a non-automorphism "
+                                         rf"\(row {named}\)$"):
+        nz.aut_group_structural(g)
+
+
 def test_restrict_rejects_corrupted_map():
     g = nz.build(SpaceParams(2, 2))
     with pytest.raises(ValueError):

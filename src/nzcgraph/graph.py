@@ -233,18 +233,18 @@ def check_degree_formula_general(g: NzcGraph) -> CheckReport:
         g.num_vertices, failures, {"derived": True})
 
 
-def closed_twin_partition(a: np.ndarray) -> list[tuple[int, ...]]:
-    """Vertices grouped by equal closed neighbourhood in the adjacency matrix
-    `a`, ordered by (size, members).
-
-    Reads the matrix alone. The diagonal is set in the bit-packed rows, so no
-    second |V|^2 boolean array is made.
-    """
+def _packed_closed_rows(a: np.ndarray) -> np.ndarray:
+    """The closed neighbourhood rows of `a`, bit-packed, with no second |V|^2 array."""
     ids = np.arange(len(a))
     packed = np.packbits(a, axis=1)
     packed[ids, ids >> 3] |= (0x80 >> (ids & 7)).astype(np.uint8)  # big-endian bit order
+    return packed
+
+
+def closed_twin_partition(a: np.ndarray) -> list[tuple[int, ...]]:
+    """Vertices grouped by equal closed neighbourhood in `a` alone, ordered by (size, members)."""
     groups: dict[bytes, list[int]] = {}
-    for v, row in enumerate(packed):
+    for v, row in enumerate(_packed_closed_rows(a)):
         groups.setdefault(row.tobytes(), []).append(v)
     return sorted((tuple(ms) for ms in groups.values()),
                   key=lambda ms: (len(ms), ms))

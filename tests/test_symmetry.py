@@ -815,26 +815,70 @@ def _reference_refinement(a, colors):
         colors = new
 
 
-@pytest.mark.parametrize("n, q", [(n, 2) for n in range(1, 9)] + [(n, 3) for n in range(1, 6)]
+def _degree_label_seed(a, labels):
+    """The seed of the shared search: ranks of (degree, label)."""
+    keys = list(zip(np.count_nonzero(a, axis=1).tolist(), labels))
+    remap = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [remap[key] for key in keys]
+
+
+def _seed_labelings(nv, rng):
+    """Constant, random 2-colour and random 5-colour labels."""
+    return [(1,) * nv, tuple(rng.randint(1, 2) for _ in range(nv)),
+            tuple(rng.randint(1, 5) for _ in range(nv))]
+
+
+@pytest.mark.parametrize("n, q", [(n, 2) for n in range(1, 10)] + [(n, 3) for n in range(1, 7)]
                          + [(n, q) for q in (4, 5) for n in range(2, 5)])
 def test_counting_refinement_matches_sorted_signatures(n, q):
+    # at the benchmark's sizes, (9,2) and (6,3), labelings constant on the
+    # cycles of one transposition, two and an n-cycle, and the scheme
     g = nz.build(SpaceParams(n, q))
     a = g.adjacency_matrix()
     nv = g.num_vertices
     rng = random.Random(100 * n + q)
-    labelings = [(1,) * nv, tuple(rng.randint(1, 2) for _ in range(nv)),
-                 tuple(rng.randint(1, 5) for _ in range(nv))]
+    if (n, q) in [(9, 2), (6, 3)]:
+        labelings = [_sigma_constant_labeling(g, rng, _cycle_sigma(n, lengths, rng))
+                     for lengths in [(2,), (2, 2), (n,)]]
+    else:
+        labelings = _seed_labelings(nv, rng)
     if q >= 3:
         labelings.append(nz.constructive_labeling_q3(g).colors)
     elif n >= 3:
         labelings.append(nz.constructive_labeling_q2(g).colors)
-    degrees = a.sum(axis=1).tolist()
     for labels in labelings:
-        # the seed of the shared search: ranks of (degree, label)
-        keys = list(zip(degrees, labels))
-        remap = {key: i for i, key in enumerate(sorted(set(keys)))}
-        seed = [remap[key] for key in keys]
+        seed = _degree_label_seed(a, labels)
         assert _refine_by_neighbors(a, seed) == _reference_refinement(a, seed)
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_counting_refinement_matches_sorted_signatures_on_random_graphs(density):
+    # below density 0.5 the non-neighbour list is the larger side
+    rng = np.random.default_rng(int(10 * density))
+    labels_rng = random.Random(int(10 * density))
+    for nv in (1, 2, 9, 40, 130):
+        upper = np.triu(rng.random((nv, nv)) < density, 1)
+        a = upper | upper.T
+        for labels in _seed_labelings(nv, labels_rng):
+            seed = _degree_label_seed(a, labels)
+            assert _refine_by_neighbors(a, seed) == _reference_refinement(a, seed)
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (4, 2), (2, 3)])
+def test_counting_refinement_matches_sorted_signatures_on_tampered_matrices(n, q):
+    # 1-3 off-diagonal entries flipped one-sidedly: each row is counted as a
+    # vertex's own neighbour list, not as its column (the counts read closed
+    # rows, which hide a loop, so the diagonal stays clear)
+    g = nz.build(SpaceParams(n, q))
+    nv, rng = g.num_vertices, random.Random(100 * n + q)
+    for trial in range(24):
+        m = g.adjacency_matrix().copy()
+        for _ in range(trial % 3 + 1):
+            v, u = rng.sample(range(nv), 2)
+            m[v, u] = not m[v, u]
+        for labels in _seed_labelings(nv, rng):
+            seed = _degree_label_seed(m, labels)
+            assert _refine_by_neighbors(m, seed) == _reference_refinement(m, seed)
 
 
 def _reference_search(g, labels):
@@ -903,7 +947,7 @@ def _sigma_constant_labeling(g, rng, sigma=None):
 
 
 @pytest.mark.parametrize("n, q", [(n, 2) for n in (3, 4, 5)] + [(n, 3) for n in (2, 3, 4)]
-                         + [(2, 4), (3, 4), (9, 2), (6, 3)])
+                         + [(2, 4), (3, 4), (1, 5), (7, 2), (9, 2), (6, 3)])
 def test_search_matches_reference_images_and_nodes(n, q, monkeypatch):
     # the same images in the same order, and the same node count at the
     # last image compared or at the end of the search, read from the cap
@@ -936,6 +980,20 @@ def test_search_matches_reference_images_and_nodes(n, q, monkeypatch):
         monkeypatch.setattr(sym, "NODE_BUDGET", nodes - 1)
         with pytest.raises(CapExceededError, match=f"^search exceeded {nodes - 1} nodes$"):
             list(itertools.islice(sym._color_preserving_images(g, labels, "search"), count))
+
+
+@pytest.mark.parametrize("n, q", [(1, 2), (3, 2), (2, 3), (1, 5)])
+def test_search_reaches_the_identity_in_one_step(n, q, monkeypatch):
+    # the identity path costs the root and one node a vertex, for a discrete
+    # partition and for the constant one alike
+    g = nz.build(SpaceParams(n, q))
+    nv = g.num_vertices
+    for labels in [tuple(range(nv)), (1,) * nv]:
+        monkeypatch.setattr(sym, "NODE_BUDGET", 1 + nv)
+        assert next(sym._color_preserving_images(g, labels, "search")) == tuple(range(nv))
+        monkeypatch.setattr(sym, "NODE_BUDGET", nv)
+        with pytest.raises(CapExceededError, match=f"^search exceeded {nv} nodes$"):
+            next(sym._color_preserving_images(g, labels, "search"))
 
 
 def _reference_images(graph, labels, node_budget, what):
@@ -1037,6 +1095,16 @@ def test_search_memory_stays_two_square_byte_blocks():
         tracemalloc.stop()
     assert witness is not None
     assert peak <= 10.5 * 2**20
+
+
+def test_refinement_memory_counts_in_row_blocks_n11():
+    # the last pass has 897 cells: the (2047 x 897) big-endian count array
+    # is 3.5 MiB, and one int64 bincount over all of it would be 14 MiB; the
+    # row blocks trace 17.8 MiB, that bincount 21.7 MiB
+    g = nz.build(SpaceParams(11, 2))
+    a = g.adjacency_matrix()
+    seed = _degree_label_seed(a, nz.constructive_labeling_q2(g).colors)
+    assert _traced_peak(lambda: _refine_by_neighbors(a, seed)) < 20 * 2**20
 
 
 def _reference_extend(g, sigmas):

@@ -16,6 +16,7 @@ writes); a bad one exits 2 with a line that names it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -113,7 +114,10 @@ def _add_common(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--out", help=out_help)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it depends on no input, since every
+    setting's default is resolved per call by ``_settings``."""
     parser = argparse.ArgumentParser(
         prog="nzc",
         description="Build non-zero component graphs, compute their automorphism "

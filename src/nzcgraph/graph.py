@@ -132,8 +132,9 @@ def _read_only(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
 
 def _runs(order: np.ndarray, keys: np.ndarray) -> list[tuple[int, ...]]:
     """Split `order` wherever `keys[order]` changes: one tuple of ids per run."""
-    cuts = np.flatnonzero(np.diff(keys[order])) + 1
-    return [tuple(run.tolist()) for run in np.split(order, cuts)]
+    cuts = (np.flatnonzero(np.diff(keys[order])) + 1).tolist()
+    ids = order.tolist()
+    return [tuple(ids[lo:hi]) for lo, hi in zip([0] + cuts, cuts + [len(ids)])]
 
 
 def mask_bits(masks, positions) -> np.ndarray:

@@ -519,6 +519,23 @@ def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
     return bad
 
 
+def _row_ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of a C-ordered 2-d array and each
+    row's dense rank, in byte order: what ``np.unique(_row_keys(rows),
+    return_index=True, return_inverse=True)`` gives, from one stable argsort
+    and one comparison of sorted neighbours. The sorted rows are the one copy
+    held, where ``np.unique`` holds three."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")  # stable: each run starts at its first row
+    ordered = keys[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[0] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.cumsum(starts) - 1
+    return order[starts], rank
+
+
 def _refine_by_neighbors(a: np.ndarray, colors) -> list[int]:
     """Iterated refinement by multisets of neighbour colours, to a fixpoint.
 
@@ -540,7 +557,7 @@ def _refine_by_neighbors(a: np.ndarray, colors) -> list[int]:
     """
     nv = len(a)
     packed = _packed_closed_rows(a)
-    _, first, classes = np.unique(_row_keys(packed), return_index=True, return_inverse=True)
+    first, classes = _row_ranks(packed)
     # the class rows' non-neighbours (count=nv drops the pad bits), by flat index
     # and divmod: 3x faster than a 2-d np.nonzero
     rows, cols = np.divmod(np.flatnonzero(
@@ -554,7 +571,7 @@ def _refine_by_neighbors(a: np.ndarray, colors) -> list[int]:
             block = counts[lo:lo + step]
             index = (rows[s:e] - lo) * k + colors[cols[s:e]]
             block[...] = np.bincount(index, minlength=block.size).reshape(block.shape)
-        rank = np.unique(_row_keys(counts), return_inverse=True)[1]
+        rank = _row_ranks(counts)[1]
         keys = rank[classes] + len(first) * colors.astype(np.intp)  # (colour, rank) order
         new = np.unique(keys, return_inverse=True)[1].astype(colors.dtype)
         if np.array_equal(new, colors):
@@ -589,16 +606,17 @@ def _color_preserving_images(graph: NzcGraph, labels, what: str):
         raise CapExceededError(f"{what} exceeded {NODE_BUDGET} nodes")
     yield tuple(range(nv))
     a = graph.adjacency_matrix()
-    keys = list(zip(np.count_nonzero(a, axis=1).tolist(), labels))
-    remap = {key: i for i, key in enumerate(sorted(set(keys)))}
-    colors = np.array(_refine_by_neighbors(a, [remap[key] for key in keys]))
+    # seed colours: ranks of (degree, label), through the labels' own ranks
+    used, label_rank = np.unique(labels, return_inverse=True)
+    pairs = np.count_nonzero(a, axis=1) * len(used) + label_rank
+    colors = np.array(_refine_by_neighbors(a, np.unique(pairs, return_inverse=True)[1]))
     cell_size = np.bincount(colors)[colors]
     cell = cell_size * nv + colors  # sorts cells by (size, colour)
     order = np.argsort(cell, kind="stable")  # ids ascend inside a cell
     full = list(range(nv))  # the fixed points keep their own image
     free = order[np.count_nonzero(cell_size == 1):]
     # position i stands for vertex free[i]; its cell is the run of positions lo[i] .. hi[i] - 1
-    sub = a[np.ix_(free, free)]  # sub[i, j] is 1 iff free[j] ~ free[i]
+    sub = a.take(free, 0).take(free, 1)  # sub[i, j] is 1 iff free[j] ~ free[i]
     seen = sub.copy()  # seen[u, w] = sub[u, image[w]] below the depth; the rest is stale
     lo = np.searchsorted(cell[free], cell[free])
     lo, hi = lo.tolist(), (lo + cell_size[free]).tolist()

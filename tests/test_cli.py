@@ -889,3 +889,42 @@ def test_config_keys_are_checked_for_every_subcommand(capsys, tmp_path, monkeypa
     monkeypatch.setenv("NZC_CONFIG", str(cfg))
     for command in CLI_FLAGS:
         assert run(capsys, command, "-n", "2", "-q", "2") == (2, "", "error: --seed must be >= 0\n")
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_calls_keep_no_flag_of_the_call_before(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    seeds = []
+    monkeypatch.setattr(cli.vfy, "verify_ranges", lambda *_, seed, **__: seeds.append(seed) or [])
+    assert run(capsys, "verify", "-n", "3", "-q", "2", "--seed", "3")[0] == 0
+    assert run(capsys, "verify", "-n", "3", "-q", "2")[0] == 0
+    assert seeds == [3, 0]
+    rc, out, _ = run(capsys, "build", "-n", "2", "-q", "2", "--format", "dot")
+    assert rc == 0 and out.startswith("graph nzc {")
+    assert run(capsys, "build", "-n", "2", "-q", "2") == run(capsys, "build", "-n", "2", "-q", "2",
+                                                             "--format", "json")
+    rc, out, _ = run(capsys, "aut", "-n", "3", "-q", "2", "--engine", "oracle")
+    assert rc == 0 and out.startswith("oracle engine: |Aut| = 6\n")
+    rc, out, _ = run(capsys, "aut", "-n", "3", "-q", "2")
+    assert rc == 0 and out.startswith("structural engine: |Aut| = 6\n")
+    rc, out, _ = run(capsys, "aut", "-n", "2", "-q", "3")
+    assert rc == 0 and out.startswith("oracle engine: |Aut| = 192\n")
+
+
+@pytest.mark.parametrize("bad", [["aut", "-n", "3", "-q", "2", "--seed", "1"],
+                                 ["aut", "-n", "3", "-q", "2", "--engine", "none"],
+                                 ["aut", "-n", "3"], ["nothing"]])
+def test_a_usage_error_leaves_the_next_call_its_normal_output(capsys, monkeypatch, bad):
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    argv = ["aut", "-n", "3", "-q", "2", "--engine", "both"]
+    want = run(capsys, *argv)
+    assert want[0] == 0 and want[2] == ""
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: nzc")
+    assert run(capsys, *argv) == want
+    assert run(capsys, "aut", "-n", "0", "-q", "2")[0] == 2  # exit 2 without SystemExit
+    assert run(capsys, *argv) == want

@@ -45,6 +45,16 @@ def test_verify_output_is_pinned(n, q, capsys, tmp_path, monkeypatch):
     assert out.read_bytes() == (DATA / f"{_stem(n, q)}.json").read_bytes()
 
 
+def test_verify_pins_hold_twice_over_in_one_process(capsys, tmp_path, monkeypatch):
+    # cli.main builds its parser once a process; no call may leave state for the next
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    out = tmp_path / "report.json"
+    for n, q in RANGES * 2:
+        assert cli.main(["verify", "-n", n, "-q", q, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (DATA / f"{_stem(n, q)}.txt").read_text(encoding="utf-8")
+        assert out.read_bytes() == (DATA / f"{_stem(n, q)}.json").read_bytes()
+
+
 def _build_args(n, q, fmt, out):
     return ["build", "-n", str(n), "-q", str(q), "--format", fmt, "--out", str(out)]
 

@@ -236,11 +236,11 @@ def graph_to_table(g: NzcGraph) -> str:
         f"{g.edge_count()} edges, {len(g.twin_sets())} twin sets",
         f"{'id':>4}  {'vector':<18} {'skeleton':<14} class degree",
     ]
-    skeletons, sizes = g.skeletons.tolist(), g.sizes.tolist()
+    skeletons, sizes, degrees = g.skeletons.tolist(), g.sizes.tolist(), g.degrees().tolist()
     for v in range(g.num_vertices):
         skel = ",".join(str(i) for i in vs.skeleton_indices(skeletons[v]))
         lines.append(
             f"{v:>4}  {vs.format_vector(g.vertices[v]):<18} {{{skel}}}"
-            f"{'':<{max(0, 12 - len(skel))}} {sizes[v]:>5} {g.degree(v):>6}"
+            f"{'':<{max(0, 12 - len(skel))}} {sizes[v]:>5} {degrees[v]:>6}"
         )
     return "\n".join(lines) + "\n"

@@ -34,8 +34,8 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import CapExceededError, UnsupportedFieldError
-from .graph import (NzcGraph, _packed_closed_rows, _row_step, _vertex_dtype,
-                    closed_twin_partition, mask_bits)
+from .graph import (NzcGraph, RefinementBasis, _row_keys, _row_ranks, _row_step,
+                    _vertex_dtype, mask_bits)
 from .reporting import CheckReport
 
 ORACLE_VERTEX_CAP = 40
@@ -295,12 +295,6 @@ def _symmetric_group(n: int) -> np.ndarray:
     return perms
 
 
-def _row_keys(perms: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d array as one opaque (void) scalar, comparable bytewise."""
-    perms = np.ascontiguousarray(perms)
-    return perms.view(np.dtype((np.void, perms.shape[1] * perms.itemsize)))[:, 0]
-
-
 def _byte_order(rows: np.ndarray) -> tuple[bool, int]:
     """Whether the rows of a C-ordered 2-d array ascend in byte order, and if
     so how many are distinct, from one pass over blocks of adjacent rows:
@@ -519,60 +513,47 @@ def _unproven_rows(graph: NzcGraph, perms: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _row_ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each distinct row of a C-ordered 2-d array and each
-    row's dense rank, in byte order: what ``np.unique(_row_keys(rows),
-    return_index=True, return_inverse=True)`` gives, from one stable argsort
-    and one comparison of sorted neighbours. The sorted rows are the one copy
-    held, where ``np.unique`` holds three."""
-    keys = _row_keys(rows)
-    order = np.argsort(keys, kind="stable")  # stable: each run starts at its first row
-    ordered = keys[order]
-    starts = np.empty(len(order), dtype=bool)
-    starts[0] = True
-    starts[1:] = ordered[1:] != ordered[:-1]
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.cumsum(starts) - 1
-    return order[starts], rank
-
-
-def _refine_by_neighbors(a: np.ndarray, colors) -> list[int]:
-    """Iterated refinement by multisets of neighbour colours, to a fixpoint.
+def _refine_by_neighbors(basis: RefinementBasis, colors) -> list[int]:
+    """Iterated refinement by multisets of neighbour colours, to a fixpoint,
+    on the matrix whose :class:`~nzcgraph.graph.RefinementBasis` is `basis`.
 
     Colour ids are renumbered by sorted signature (own colour, sorted tuple
     of neighbour colours) at each pass, so the result is deterministic. The
     input colours must be ids 0..k-1, all in use, and every vertex of one
     colour must have the same degree, which refinement keeps: then sorted
     tuples compare like count rows with larger counts first. Each pass
-    counts on one closed row per closed-twin class of `a`: twins see every
-    other vertex alike, and themselves in their own colour, the same shift
-    for every vertex of a colour.
+    counts on one closed row per closed-twin class: twins see every other
+    vertex alike, and themselves in their own colour, the same shift for
+    every vertex of a colour.
 
     The counts come from the sparse side: at q = 2 only 3^n - 2^(n+1) + 1
     ordered pairs are non-adjacent (about 7% at n = 9), fewer at q >= 3. A
-    row block's ``np.bincount`` over the non-neighbour list of the class
-    rows, made once a call, gives |cell| less the closed neighbour count per
-    (class, cell). |cell| is the same in every row, so ascending rows of it
-    rank exactly like the neighbour counts in descending order.
+    row block's ``np.bincount`` over the basis' non-neighbour list gives
+    |cell| less the closed neighbour count per (class, cell). |cell| is the
+    same in every row, so ascending rows of it rank exactly like the
+    neighbour counts in descending order.
+
+    A graph builds its basis once and keeps it
+    (:meth:`~nzcgraph.graph.NzcGraph.refinement_basis`): the classes and
+    each class's start in the list in intp, and the list's vertex ids in
+    the vertex-id dtype, at (15,2) 14.3M uint16 ids, 28.6 MB. Each row
+    block widens its part of the list to intp cells.
     """
-    nv = len(a)
-    packed = _packed_closed_rows(a)
-    first, classes = _row_ranks(packed)
-    # the class rows' non-neighbours (count=nv drops the pad bits), by flat index
-    # and divmod: 3x faster than a 2-d np.nonzero
-    rows, cols = np.divmod(np.flatnonzero(
-        np.unpackbits(~packed[first], axis=1, count=nv).view(bool)), nv)
-    colors = np.asarray(colors, dtype=np.min_scalar_type(nv))
+    classes, starts, cols = basis
+    m = len(starts) - 1  # classes
+    colors = np.asarray(colors, dtype=np.min_scalar_type(len(classes)))
     big = colors.dtype.newbyteorder(">")  # big-endian rows compare bytewise in numeric order
-    while (k := int(colors.max()) + 1) < nv:  # a discrete partition is stable
-        counts, step = np.empty((len(first), k), dtype=big), _row_step(k)
-        for lo in range(0, len(first), step):
-            s, e = np.searchsorted(rows, [lo, lo + step])  # rows ascend
+    while (k := int(colors.max()) + 1) < len(classes):  # a discrete partition is stable
+        counts, step = np.empty((m, k), dtype=big), _row_step(k)
+        for lo in range(0, m, step):
             block = counts[lo:lo + step]
-            index = (rows[s:e] - lo) * k + colors[cols[s:e]]
+            hi = lo + len(block)
+            # each pair's flat (row, colour) cell of the block, in intp
+            index = np.repeat(np.arange(0, block.size, k), np.diff(starts[lo:hi + 1]))
+            index += colors[cols[starts[lo]:starts[hi]]]
             block[...] = np.bincount(index, minlength=block.size).reshape(block.shape)
         rank = _row_ranks(counts)[1]
-        keys = rank[classes] + len(first) * colors.astype(np.intp)  # (colour, rank) order
+        keys = rank[classes] + m * colors.astype(np.intp)  # (colour, rank) order
         new = np.unique(keys, return_inverse=True)[1].astype(colors.dtype)
         if np.array_equal(new, colors):
             break
@@ -600,6 +581,14 @@ def _color_preserving_images(graph: NzcGraph, labels, what: str):
     candidates are compared on the other vertices alone. Each candidate
     takes one byte-string comparison: its adjacency row to the images
     assigned so far against the row of the vertex being assigned.
+
+    What the seed and the refinement read of the graph alone is kept on the
+    graph and shared by every search on it: :meth:`NzcGraph.degrees`, int64
+    per vertex, and :meth:`NzcGraph.refinement_basis`, the closed-twin
+    classes and their starts in intp and their non-neighbour list in the
+    vertex-id dtype: at (15,2) three arrays of 0.26 MB and 28.6 MB of
+    uint16. A call itself pays for its labels alone: the seed, the
+    refinement passes and the backtrack.
     """
     nv = graph.num_vertices
     if (nodes := 1 + nv) > NODE_BUDGET:  # the root, and each vertex assigned to itself
@@ -608,8 +597,9 @@ def _color_preserving_images(graph: NzcGraph, labels, what: str):
     a = graph.adjacency_matrix()
     # seed colours: ranks of (degree, label), through the labels' own ranks
     used, label_rank = np.unique(labels, return_inverse=True)
-    pairs = np.count_nonzero(a, axis=1) * len(used) + label_rank
-    colors = np.array(_refine_by_neighbors(a, np.unique(pairs, return_inverse=True)[1]))
+    pairs = graph.degrees() * len(used) + label_rank
+    colors = np.array(_refine_by_neighbors(graph.refinement_basis(),
+                                           np.unique(pairs, return_inverse=True)[1]))
     cell_size = np.bincount(colors)[colors]
     cell = cell_size * nv + colors  # sorts cells by (size, colour)
     order = np.argsort(cell, kind="stable")  # ids ascend inside a cell
@@ -666,8 +656,7 @@ def aut_group_oracle(graph: NzcGraph) -> AutGroup:
         raise CapExceededError(f"oracle supports up to {ORACLE_VERTEX_CAP} vertices, got {nv}")
     # fail fast: permutations within a closed-neighbourhood class are always
     # automorphisms, so the product of their factorials bounds |Aut| below
-    floor = prod(factorial(len(members))
-                 for members in closed_twin_partition(graph.adjacency_matrix()))
+    floor = prod(map(factorial, np.bincount(graph.refinement_basis().classes).tolist()))
     if floor > GROUP_BUDGET:
         raise CapExceededError(
             f"group order is at least {floor}, enumeration budget is {GROUP_BUDGET}"

@@ -71,6 +71,33 @@ def test_degree_out_of_range():
     g = nz.build(SpaceParams(2, 2))
     with pytest.raises(IndexError):
         g.degree(3)
+    with pytest.raises(IndexError):
+        g.degree(-1)
+
+
+@pytest.mark.parametrize("v, kind", [(True, "bool"), (False, "bool"), (1.0, "float"),
+                                     ("1", "str"), (None, "NoneType")])
+def test_degree_refuses_a_vertex_that_is_not_an_integer(v, kind):
+    # a bool was read as the id 0 or 1, a float raised numpy's indexing error
+    g = nz.build(SpaceParams(3, 2))
+    with pytest.raises(ValueError, match=f"^vertex must be an integer, not {kind}$"):
+        g.degree(v)
+
+
+def test_degrees_count_the_matrix_once_and_are_read_only(monkeypatch):
+    g = nz.build(SpaceParams(3, 2))
+    calls = []
+    count = gr._degree_counts
+    monkeypatch.setattr(gr, "_degree_counts", lambda a: calls.append(1) or count(a))
+    want = g.adjacency_matrix().sum(axis=1)
+    assert g.degrees().dtype == np.int64 and np.array_equal(g.degrees(), want)
+    assert [g.degree(v) for v in range(g.num_vertices)] == want.tolist()
+    assert g.degree(np.int64(6)) == g.degree(np.uint8(6)) == 6
+    assert nz.check_degree_formula(g).passed and nz.check_degree_formula_general(g).passed
+    serialize.graph_to_table(g)
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        g.degrees()[0] = 0
 
 
 def test_check_degree_formula():

@@ -12,8 +12,9 @@ import pytest
 import nzcgraph as nz
 from nzcgraph import SpaceParams, UnsupportedFieldError
 from nzcgraph.errors import CapExceededError
+from nzcgraph import graph as gr
 from nzcgraph import symmetry as sym
-from nzcgraph.graph import mask_bits
+from nzcgraph.graph import _refinement_basis, mask_bits
 from nzcgraph.symmetry import _refine_by_neighbors, _sample_permutations
 from nzcgraph.vectorspace import basis_vector
 
@@ -848,7 +849,7 @@ def test_counting_refinement_matches_sorted_signatures(n, q):
         labelings.append(nz.constructive_labeling_q2(g).colors)
     for labels in labelings:
         seed = _degree_label_seed(a, labels)
-        assert _refine_by_neighbors(a, seed) == _reference_refinement(a, seed)
+        assert _refine_by_neighbors(_refinement_basis(a), seed) == _reference_refinement(a, seed)
 
 
 @pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
@@ -861,7 +862,7 @@ def test_counting_refinement_matches_sorted_signatures_on_random_graphs(density)
         a = upper | upper.T
         for labels in _seed_labelings(nv, labels_rng):
             seed = _degree_label_seed(a, labels)
-            assert _refine_by_neighbors(a, seed) == _reference_refinement(a, seed)
+            assert _refine_by_neighbors(_refinement_basis(a), seed) == _reference_refinement(a, seed)
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (4, 2), (2, 3)])
@@ -878,7 +879,7 @@ def test_counting_refinement_matches_sorted_signatures_on_tampered_matrices(n, q
             m[v, u] = not m[v, u]
         for labels in _seed_labelings(nv, rng):
             seed = _degree_label_seed(m, labels)
-            assert _refine_by_neighbors(m, seed) == _reference_refinement(m, seed)
+            assert _refine_by_neighbors(_refinement_basis(m), seed) == _reference_refinement(m, seed)
 
 
 def _reference_search(g, labels):
@@ -982,6 +983,44 @@ def test_search_matches_reference_images_and_nodes(n, q, monkeypatch):
             list(itertools.islice(sym._color_preserving_images(g, labels, "search"), count))
 
 
+@pytest.mark.parametrize("n, q", [(4, 2), (2, 3)])
+def test_search_state_is_built_once_per_graph(n, q, monkeypatch):
+    # the oracle and four searches on one graph pack its closed rows and
+    # count its degrees once, and find what they find on a fresh graph each
+    params = SpaceParams(n, q)
+    g = nz.build(params)
+    nv, rng = g.num_vertices, random.Random(10 * n + q)
+    constructive = (nz.constructive_labeling_q2 if q == 2 else nz.constructive_labeling_q3)(g)
+    labelings = [nz.Labeling((1,) * nv, 1), constructive,
+                 nz.Labeling(_sigma_constant_labeling(g, rng), 3),
+                 nz.Labeling(tuple(rng.randint(1, 2) for _ in range(nv)), 2)]
+    want_group = nz.aut_group_oracle(nz.build(params)).perms
+    want = [nz.find_color_preserving(nz.build(params), f) for f in labelings]
+    calls = {"_packed_closed_rows": 0, "_degree_counts": 0}
+    for name in calls:
+        def counted(a, real=getattr(gr, name), name=name):
+            calls[name] += 1
+            return real(a)
+        monkeypatch.setattr(gr, name, counted)
+    assert np.array_equal(nz.aut_group_oracle(g).perms, want_group)
+    assert [nz.find_color_preserving(g, f) for f in labelings] == want
+    assert want[0] is not None and want[1] is None
+    assert calls == {"_packed_closed_rows": 1, "_degree_counts": 1}
+
+
+def test_search_state_is_read_only_in_the_vertex_id_dtype():
+    for n, q, dtype in [(3, 2, np.uint8), (9, 2, np.uint16), (6, 3, np.uint16)]:
+        g = nz.build(SpaceParams(n, q))
+        basis = g.refinement_basis()
+        assert basis is g.refinement_basis() and g.degrees() is g.degrees()
+        assert basis.cols.dtype == dtype
+        assert basis.classes.dtype == basis.starts.dtype == np.intp
+        for arr in (g.degrees(), *basis):
+            assert not arr.flags.writeable
+        if q == 2:  # the 3^n - 2^(n+1) + 1 ordered pairs with disjoint skeletons
+            assert basis.starts[-1] == len(basis.cols) == 3**n - 2 ** (n + 1) + 1
+
+
 @pytest.mark.parametrize("n, q", [(1, 2), (3, 2), (2, 3), (1, 5)])
 def test_search_reaches_the_identity_in_one_step(n, q, monkeypatch):
     # the identity path costs the root and one node a vertex, for a discrete
@@ -1004,7 +1043,7 @@ def _reference_images(graph, labels, node_budget, what):
     a = graph.adjacency_matrix()
     keys = list(zip(np.count_nonzero(a, axis=1).tolist(), labels))
     remap = {key: i for i, key in enumerate(sorted(set(keys)))}
-    colors = np.array(_refine_by_neighbors(a, [remap[key] for key in keys]))
+    colors = np.array(_refine_by_neighbors(_refinement_basis(a), [remap[key] for key in keys]))
     cell_size = np.bincount(colors)[colors]
     cell = cell_size * nv + colors
     order = np.argsort(cell, kind="stable")
@@ -1104,7 +1143,7 @@ def test_refinement_memory_counts_in_row_blocks_n11():
     g = nz.build(SpaceParams(11, 2))
     a = g.adjacency_matrix()
     seed = _degree_label_seed(a, nz.constructive_labeling_q2(g).colors)
-    assert _traced_peak(lambda: _refine_by_neighbors(a, seed)) < 20 * 2**20
+    assert _traced_peak(lambda: _refine_by_neighbors(_refinement_basis(a), seed)) < 20 * 2**20
 
 
 def test_refinement_rank_step_holds_one_copy_of_the_counts_n12():
@@ -1113,7 +1152,7 @@ def test_refinement_rank_step_holds_one_copy_of_the_counts_n12():
     g = nz.build(SpaceParams(12, 2))
     a = g.adjacency_matrix()
     seed = _degree_label_seed(a, nz.constructive_labeling_q2(g).colors)
-    assert _traced_peak(lambda: _refine_by_neighbors(a, seed)) < 45 * 2**20
+    assert _traced_peak(lambda: _refine_by_neighbors(_refinement_basis(a), seed)) < 45 * 2**20
 
 
 @pytest.mark.parametrize("dtype", ["u1", ">u2", "<u2", "i8"])

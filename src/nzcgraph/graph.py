@@ -50,19 +50,11 @@ class NzcGraph:
         """Build the graph for `params`. Deterministic; cap errors propagate."""
         digits = vs.coefficient_array(params)
         s = (digits != 0) @ (1 << np.arange(params.n))
-        nv = len(digits)
-        full = 1 << params.n
-        # union[d, u]: S_u is a subset of d; seeded with S_u == d, then a
-        # subset-sum pass per bit ORs row d - bit into row d
-        union = np.zeros((full, nv), dtype=bool)
-        union[s, np.arange(nv)] = True
-        for b in range(params.n):
-            halves = union.reshape(-1, 2, 1 << b, nv)
-            halves[:, 1] |= halves[:, 0]
-        # neighbours of v = everything except vertices disjoint from S_v and v
-        matrix = union[(full - 1) ^ s]
-        np.logical_not(matrix, out=matrix)
-        np.fill_diagonal(matrix, False)
+        masks, nv = _narrow(s), len(s)
+        matrix = np.empty((nv, nv), dtype=bool)
+        step = _row_step(nv)
+        for lo in range(0, nv, step):
+            _intersection_rows(masks, lo, matrix[lo:lo + step])
         return cls(params, map(tuple, digits.tolist()), s, matrix)
 
     @property
@@ -182,22 +174,30 @@ def _row_step(width: int) -> int:
     return max(1, (1 << 17) // max(1, width))
 
 
-def _skeleton_mismatch(m: np.ndarray, skeletons) -> int | None:
-    """The first row of `m` that differs from "u != v and S_u & S_v != 0", or
-    None, compared a row block at a time.
+def _narrow(masks) -> np.ndarray:
+    """`masks` in the narrowest integer dtype that holds them all (uint16 up to n = 16)."""
+    s = np.asarray(masks, dtype=np.int64)
+    return s.astype(np.result_type(np.min_scalar_type(s.min(initial=0)),
+                                   np.min_scalar_type(s.max(initial=0))))
 
-    The masks are cast to the narrowest dtype that holds them all (uint16
-    up to n = 16), so the widest temporary, the block's `&`, takes 2 bytes a
-    cell where int64 took 8; the row blocks are those of int64 cells.
-    """
-    s = np.asarray(skeletons, dtype=np.int64)
-    s = s.astype(np.result_type(np.min_scalar_type(s.min(initial=0)),
-                                np.min_scalar_type(s.max(initial=0))))
+
+def _intersection_rows(masks: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Rows lo.. of "u != v and S_u & S_v != 0", the one adjacency rule, into
+    the boolean block `out`; :func:`_narrow` masks make the `&` 2 bytes a cell."""
+    np.not_equal(masks[lo:lo + len(out), None] & masks, 0, out=out)
+    np.fill_diagonal(out[:, lo:], False)
+    return out
+
+
+def _skeleton_mismatch(m: np.ndarray, skeletons) -> int | None:
+    """The first row of `m` that differs from :func:`_intersection_rows`, or
+    None, compared a row block at a time in one reused block."""
+    s = _narrow(skeletons)
     step = _row_step(len(s))
+    want = np.empty((min(step, len(s)), len(s)), dtype=bool)
     for lo in range(0, len(s), step):
-        want = (s[lo:lo + step, None] & s) != 0
-        want[np.arange(len(want)), np.arange(lo, lo + len(want))] = False
-        bad = (m[lo:lo + step] != want).any(axis=1)
+        block = _intersection_rows(s, lo, want[:len(s) - lo])
+        bad = (m[lo:lo + step] != block).any(axis=1)
         if bad.any():
             return lo + int(bad.argmax())
     return None
@@ -319,28 +319,28 @@ def _refinement_basis(a: np.ndarray) -> RefinementBasis:
     nv = len(a)
     packed = _packed_closed_rows(a)
     first, classes = _row_ranks(packed)
-    # flat indices into the class rows (count=nv drops the pad bits): 3x faster
-    # than a 2-d np.nonzero
-    flat = np.flatnonzero(np.unpackbits(~packed[first], axis=1, count=nv).view(bool))
-    starts = np.searchsorted(flat, np.arange(len(first) + 1) * nv)
-    basis = RefinementBasis(classes, starts, (flat % nv).astype(_vertex_dtype(nv)))
+    counts, cols = [], []
+    step = _row_step(packed.shape[1])  # 1 MiB of unpacked bools a block
+    for lo in range(0, len(first), step):
+        # count=nv drops the pad bits; flat indices beat a 2-d np.nonzero 3x
+        block = np.unpackbits(~packed[first[lo:lo + step]], axis=1, count=nv).view(bool)
+        flat = np.flatnonzero(block)
+        counts.append(np.diff(np.searchsorted(flat, np.arange(len(block) + 1) * nv)))
+        cols.append((flat % nv).astype(_vertex_dtype(nv)))
+    starts = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    basis = RefinementBasis(classes, starts, np.concatenate(cols))
     for arr in basis:
         arr.setflags(write=False)
     return basis
 
 
-def closed_twin_partition(a: np.ndarray) -> list[tuple[int, ...]]:
-    """Vertices grouped by equal closed neighbourhood in `a` alone, ordered by (size, members)."""
+def twin_partition_by_neighborhood(g: NzcGraph) -> list[tuple[int, ...]]:
+    """Independent oracle: vertices by equal closed row of the matrix, ordered by (size, members)."""
     groups: dict[bytes, list[int]] = {}
-    for v, row in enumerate(_packed_closed_rows(a)):
+    for v, row in enumerate(_packed_closed_rows(g.adjacency_matrix())):
         groups.setdefault(row.tobytes(), []).append(v)
     return sorted((tuple(ms) for ms in groups.values()),
                   key=lambda ms: (len(ms), ms))
-
-
-def twin_partition_by_neighborhood(g: NzcGraph) -> list[tuple[int, ...]]:
-    """Independent oracle: group vertices by equal closed neighbourhood."""
-    return closed_twin_partition(g.adjacency_matrix())
 
 
 def check_twin_structure(g: NzcGraph) -> CheckReport:

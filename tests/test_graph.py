@@ -44,6 +44,15 @@ def test_adjacency_matches_brute_force():
                 assert g.adjacency_matrix()[v, u] == brute_adjacent(g.vertices[u], g.vertices[v])
 
 
+@pytest.mark.parametrize("n, q", [(1, 2), (5, 2), (9, 2), (2, 3), (6, 3), (3, 5), (1, 7), (2, 16)])
+def test_build_is_the_coefficient_reference(n, q):
+    # read from the coefficients, not the masks the build's kernel reads
+    d = vs.coefficient_array(SpaceParams(n, q))
+    want = ((d[:, None] != 0) & (d[None] != 0)).any(-1)
+    np.fill_diagonal(want, False)
+    assert np.array_equal(nz.build(SpaceParams(n, q)).adjacency_matrix(), want)
+
+
 def test_edge_count_n3_q2():
     g = nz.build(SpaceParams(3, 2))
     brute = sum(1 for u, v in combinations(range(7), 2)
@@ -291,6 +300,12 @@ def test_adjacency_checks_make_no_second_matrix():
     data = serialize.graph_to_dict(g)
     back, peak = _traced_peak(serialize.graph_from_dict, data)
     assert serialize.graphs_equal(g, back) and peak < 3 * cells
+
+
+def test_build_holds_one_matrix_and_a_row_block():
+    # (12,2): |V|^2 is 16 MiB; the subset-sum table and its gather took twice that
+    g, peak = _traced_peak(nz.build, SpaceParams(12, 2))
+    assert peak < g.num_vertices ** 2 + 2 * 2**20
 
 
 def test_edge_array_is_the_only_per_edge_allocation():

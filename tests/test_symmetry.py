@@ -816,6 +816,24 @@ def _reference_refinement(a, colors):
         colors = new
 
 
+def _reference_basis(a):
+    """The refinement basis from every class row unpacked at once."""
+    nv = len(a)
+    packed = gr._packed_closed_rows(a)
+    first, classes = gr._row_ranks(packed)
+    flat = np.flatnonzero(np.unpackbits(~packed[first], axis=1, count=nv).view(bool))
+    starts = np.searchsorted(flat, np.arange(len(first) + 1) * nv)
+    return classes, starts, (flat % nv).astype(gr._vertex_dtype(nv))
+
+
+def _checked_basis(a):
+    """_refinement_basis(a), after checking it array for array against the reference."""
+    basis = _refinement_basis(a)
+    for got, want in zip(basis, _reference_basis(a), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    return basis
+
+
 def _degree_label_seed(a, labels):
     """The seed of the shared search: ranks of (degree, label)."""
     keys = list(zip(np.count_nonzero(a, axis=1).tolist(), labels))
@@ -847,9 +865,10 @@ def test_counting_refinement_matches_sorted_signatures(n, q):
         labelings.append(nz.constructive_labeling_q3(g).colors)
     elif n >= 3:
         labelings.append(nz.constructive_labeling_q2(g).colors)
+    basis = _checked_basis(a)
     for labels in labelings:
         seed = _degree_label_seed(a, labels)
-        assert _refine_by_neighbors(_refinement_basis(a), seed) == _reference_refinement(a, seed)
+        assert _refine_by_neighbors(basis, seed) == _reference_refinement(a, seed)
 
 
 @pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
@@ -860,9 +879,10 @@ def test_counting_refinement_matches_sorted_signatures_on_random_graphs(density)
     for nv in (1, 2, 9, 40, 130):
         upper = np.triu(rng.random((nv, nv)) < density, 1)
         a = upper | upper.T
+        basis = _checked_basis(a)
         for labels in _seed_labelings(nv, labels_rng):
             seed = _degree_label_seed(a, labels)
-            assert _refine_by_neighbors(_refinement_basis(a), seed) == _reference_refinement(a, seed)
+            assert _refine_by_neighbors(basis, seed) == _reference_refinement(a, seed)
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (4, 2), (2, 3)])
@@ -877,9 +897,10 @@ def test_counting_refinement_matches_sorted_signatures_on_tampered_matrices(n, q
         for _ in range(trial % 3 + 1):
             v, u = rng.sample(range(nv), 2)
             m[v, u] = not m[v, u]
+        basis = _checked_basis(m)
         for labels in _seed_labelings(nv, rng):
             seed = _degree_label_seed(m, labels)
-            assert _refine_by_neighbors(_refinement_basis(m), seed) == _reference_refinement(m, seed)
+            assert _refine_by_neighbors(basis, seed) == _reference_refinement(m, seed)
 
 
 def _reference_search(g, labels):
@@ -1153,6 +1174,15 @@ def test_refinement_rank_step_holds_one_copy_of_the_counts_n12():
     a = g.adjacency_matrix()
     seed = _degree_label_seed(a, nz.constructive_labeling_q2(g).colors)
     assert _traced_peak(lambda: _refine_by_neighbors(_refinement_basis(a), seed)) < 45 * 2**20
+
+
+def test_refinement_basis_unpacks_a_row_block_at_a_time_n12():
+    # 4,095 class rows of 4,095 vertices: all of them unpacked at once are
+    # 16 MiB of bools; 256-row blocks take 16, the last one short
+    a = nz.build(SpaceParams(12, 2)).adjacency_matrix()
+    assert gr._row_step(gr._packed_closed_rows(a).shape[1]) == 256
+    assert _traced_peak(lambda: _refinement_basis(a)) < len(a) ** 2 / 2
+    _checked_basis(a)
 
 
 @pytest.mark.parametrize("dtype", ["u1", ">u2", "<u2", "i8"])
